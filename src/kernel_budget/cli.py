@@ -303,7 +303,7 @@ def _probe_classify(inst, probes_per_point: int, budget: int, seed: int) -> floa
     """Classify rows by collision sampling under a hard distinct-entry budget."""
     from .instances import CLASS_S1, CLASS_S2
 
-    inst.gram.ledger.budget = budget
+    inst.gram.set_budget(budget)
     rng = stream(seed, "budget-probe")
     n, J = inst.n, inst.J
     threshold = 1.5 * probes_per_point / J

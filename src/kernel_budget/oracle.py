@@ -8,15 +8,17 @@ distinct entries; exceeding it raises BudgetExhaustedError, which callers
 may catch to emulate a query-bounded adversary.
 
 Entries are counted as unordered pairs, the diagonal counting once, because
-a re-read carries no new information. Values for the instances in this
-package lie in {0, 1/2, 1, c0, c1} and small dot products, so float64 is
-exact for all comparisons that matter.
+a re-read carries no new information. The ledger keeps one bit per pair in
+a packed upper-triangle bitmap (see QueryLedger); no value is kept, since a
+value is a pure function of the hidden points. Values for the instances in
+this package lie in {0, 1/2, 1, c0, c1} and small dot products, so float64
+is exact for all comparisons that matter.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,6 +30,8 @@ INDICATOR = "indicator"
 
 # full() materializes a dense n x n matrix; refuse beyond this size
 _FULL_REVEAL_MAX_N = 20_000
+# mask of bit b within a bitmap byte
+_BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -89,13 +93,13 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 
 @dataclass(frozen=True)
 class QueryReport:
-    """Immutable snapshot of ledger counters."""
+    """Immutable snapshot of ledger counters; per_row is a read-only copy."""
 
     distinct_entries: int
     total_requests: int
     budget: Optional[int]
     budget_exhausted: bool
-    per_row: tuple
+    per_row: np.ndarray = field(compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -109,48 +113,52 @@ class QueryReport:
 class QueryLedger:
     """Audit record for one gram: distinct entries, requests, per-row touches.
 
-    Counters are monotone over the gram's lifetime. A key i * n + j (i <= j)
-    identifies each unordered pair; once the full matrix has been revealed
-    the pair set is dropped and replaced by an all-revealed flag.
+    Counters are monotone over the gram's lifetime. Pair (lo, hi), lo <= hi,
+    is bit lo*n - lo*(lo-1)/2 + (hi-lo) of a packed upper-triangle bitmap:
+    n(n+1)/16 bytes, allocated on the first scalar or block charge and freed
+    by a full reveal, which sets an all-revealed flag instead.
     """
 
     def __init__(self, n: int, budget: Optional[int] = None):
-        if budget is not None and budget < 0:
-            raise ContractViolationError("budget must be nonnegative")
         self.n = n
-        self.budget = budget
+        self.set_budget(budget)
         self.distinct_entries = 0
         self.total_requests = 0
         self.per_row = np.zeros(n, dtype=np.int64)
         self.budget_exhausted = False
-        self._revealed: Optional[set] = set()
+        self._all_revealed = False
+        self._bits: Optional[bytearray] = None
 
-    # -- bookkeeping ---------------------------------------------------
+    def set_budget(self, budget: Optional[int]):
+        if budget is not None and budget < 0:
+            raise ContractViolationError("budget must be nonnegative")
+        self.budget = budget
 
-    def _key(self, i: int, j: int) -> int:
-        a, b = (i, j) if i <= j else (j, i)
-        return a * self.n + b
+    def _bitmap(self) -> bytearray:
+        if self._bits is None:
+            self._bits = bytearray((self.n * (self.n + 1) // 2 + 7) // 8)
+        return self._bits
 
-    def is_revealed(self, i: int, j: int) -> bool:
-        if self._revealed is None:
-            return True
-        return self._key(i, j) in self._revealed
+    def _refuse(self, requests: int, message: str):
+        self.budget_exhausted = True
+        self.total_requests -= requests
+        raise BudgetExhaustedError(message)
 
     def charge_scalar(self, i: int, j: int) -> bool:
         """Count one request; returns True if the pair is newly revealed."""
         self.total_requests += 1
-        if self._revealed is None:
+        if self._all_revealed:
             return False
-        key = self._key(i, j)
-        if key in self._revealed:
+        lo, hi = (i, j) if i <= j else (j, i)
+        key = lo * self.n - (lo * (lo - 1) >> 1) + hi - lo
+        bits = self._bitmap()
+        mask = 1 << (key & 7)
+        if bits[key >> 3] & mask:
             return False
         if self.budget is not None and self.distinct_entries + 1 > self.budget:
-            self.budget_exhausted = True
-            self.total_requests -= 1
-            raise BudgetExhaustedError(
-                f"budget of {self.budget} distinct entries exhausted at ({i}, {j})"
-            )
-        self._revealed.add(key)
+            self._refuse(1, f"budget of {self.budget} distinct entries "
+                            f"exhausted at ({i}, {j})")
+        bits[key >> 3] |= mask
         self.distinct_entries += 1
         self.per_row[i] += 1
         if j != i:
@@ -164,53 +172,48 @@ class QueryLedger:
         previously unseen unordered pairs in the rectangle. If the fresh
         pairs would exceed the budget, nothing in the block is revealed.
         """
-        self.total_requests += int(rows.size) * int(cols.size)
-        if self._revealed is None:
+        requests = int(rows.size) * int(cols.size)
+        self.total_requests += requests
+        if self._all_revealed:
             return
-        ii = np.repeat(rows, cols.size)
-        jj = np.tile(cols, rows.size)
-        lo = np.minimum(ii, jj).astype(np.int64)
-        hi = np.maximum(ii, jj).astype(np.int64)
-        keys = np.unique(lo * self.n + hi)
-        fresh = [int(k) for k in keys if int(k) not in self._revealed]
-        if self.budget is not None and self.distinct_entries + len(fresh) > self.budget:
-            self.budget_exhausted = True
-            self.total_requests -= int(rows.size) * int(cols.size)
-            raise BudgetExhaustedError(
-                f"block read of {len(fresh)} fresh entries exceeds budget {self.budget}"
-            )
-        self._revealed.update(fresh)
-        self.distinct_entries += len(fresh)
-        if fresh:
-            fresh_arr = np.asarray(fresh, dtype=np.int64)
-            fi = fresh_arr // self.n
-            fj = fresh_arr % self.n
-            np.add.at(self.per_row, fi, 1)
-            off = fi != fj
-            np.add.at(self.per_row, fj[off], 1)
+        lo = np.minimum.outer(rows, cols, dtype=np.int64).ravel()
+        hi = np.maximum.outer(rows, cols, dtype=np.int64).ravel()
+        keys = lo * self.n - (lo * (lo - 1) >> 1) + (hi - lo)
+        bits = np.frombuffer(self._bitmap(), dtype=np.uint8)
+        unseen = np.flatnonzero((bits[keys >> 3] & _BIT[keys & 7]) == 0)
+        keys, first = np.unique(keys[unseen], return_index=True)
+        if self.budget is not None and self.distinct_entries + keys.size > self.budget:
+            self._refuse(requests, f"block read of {keys.size} fresh entries "
+                                   f"exceeds budget {self.budget}")
+        byte = keys >> 3  # sorted: OR each byte's masks once, as fancy |= drops repeats
+        starts = np.flatnonzero(np.diff(byte, prepend=-1))
+        bits[byte[starts]] |= np.bitwise_or.reduceat(_BIT[keys & 7], starts)
+        self.distinct_entries += int(keys.size)
+        lo, hi = lo[unseen[first]], hi[unseen[first]]
+        self.per_row += np.bincount(np.concatenate([lo, hi[lo != hi]]), minlength=self.n)
 
     def charge_full(self):
         total = self.n * (self.n + 1) // 2
         self.total_requests += self.n * self.n
-        if self._revealed is None:
+        if self._all_revealed:
             return
         if self.budget is not None and total > self.budget:
-            self.budget_exhausted = True
-            self.total_requests -= self.n * self.n
-            raise BudgetExhaustedError(
-                f"full reveal of {total} entries exceeds budget {self.budget}"
-            )
-        self._revealed = None
+            self._refuse(self.n * self.n,
+                         f"full reveal of {total} entries exceeds budget {self.budget}")
+        self._all_revealed = True
+        self._bits = None
         self.distinct_entries = total
         self.per_row[:] = self.n
 
     def report(self) -> QueryReport:
+        per_row = self.per_row.copy()
+        per_row.flags.writeable = False
         return QueryReport(
             distinct_entries=int(self.distinct_entries),
             total_requests=int(self.total_requests),
             budget=self.budget,
             budget_exhausted=self.budget_exhausted,
-            per_row=tuple(int(c) for c in self.per_row),
+            per_row=per_row,
         )
 
 
@@ -218,10 +221,10 @@ class MeteredGram:
     """Kernel matrix of a hidden point set, readable only entry by entry.
 
     points: (n, d) array, one hidden point per row. All reads go through
-    query / query_block / full, which update a shared ledger. Revealed
-    scalar values are cached; a cached re-read costs a request but no
-    distinct entry. Safe for concurrent readers: ledger updates and cache
-    insertion hold a lock, so final counts match some serialization.
+    query / query_block / full, which update a shared ledger; a re-read
+    costs a request but no distinct entry. No value is stored: each read is
+    evaluated from the points. Safe for concurrent readers: ledger updates
+    hold a lock, so final counts match some serialization.
     """
 
     def __init__(self, points, spec: KernelSpec = KernelSpec.linear(),
@@ -234,7 +237,6 @@ class MeteredGram:
         self.n = pts.shape[0]
         self.dim = pts.shape[1]
         self.ledger = QueryLedger(self.n, budget)
-        self._cache: dict = {}
         self._lock = threading.Lock()
         if spec.kind == INDICATOR:
             # all points must be basis vectors; remember their indices
@@ -268,16 +270,9 @@ class MeteredGram:
         i, j = int(i), int(j)
         self._check_index(i)
         self._check_index(j)
-        key = (i, j) if i <= j else (j, i)
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.ledger.charge_scalar(i, j)
-                return cached
             self.ledger.charge_scalar(i, j)
-            value = self._eval_scalar(i, j)
-            self._cache[key] = value
-            return value
+        return self._eval_scalar(i, j)
 
     def query_block(self, rows, cols) -> np.ndarray:
         """Rectangular block of entries, vectorized. Atomic under a budget."""
@@ -301,6 +296,11 @@ class MeteredGram:
             self.ledger.charge_full()
             idx = np.arange(self.n)
             return self._eval_block(idx, idx)
+
+    def set_budget(self, budget: Optional[int]):
+        """Cap distinct entries from now on; None lifts the cap."""
+        with self._lock:
+            self.ledger.set_budget(budget)
 
     def ledger_report(self) -> QueryReport:
         with self._lock:

@@ -8,7 +8,7 @@ grows fourfold, at a cost ratio within 1 + 8*eps.
 """
 
 import time
-from math import ceil, comb, log, sqrt
+from math import log, sqrt
 
 import numpy as np
 import pytest

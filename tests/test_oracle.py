@@ -1,14 +1,16 @@
-"""Oracle semantics: kernel evaluation, metering, caching, budgets."""
+"""Oracle semantics: kernel evaluation, metering, ledger storage, budgets."""
 
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernel_budget.errors import BudgetExhaustedError, ContractViolationError
 from kernel_budget.instances import gen_kkmc, gen_krr, gen_mog, gen_rank
-from kernel_budget.oracle import (KernelSpec, MeteredGram, kernel_eval,
-                                  ledger_report)
+from kernel_budget.oracle import (KernelSpec, MeteredGram, QueryLedger,
+                                  kernel_eval, ledger_report)
 from kernel_budget.rng import stream
 
 
@@ -68,8 +70,22 @@ class TestQuery:
         rep = ledger_report(g)
         assert rep.budget_exhausted
         assert rep.distinct_entries == 1
-        # cached pair stays readable after exhaustion
+        # a revealed pair stays readable after exhaustion
         assert g.query(1, 0) == 0.0
+        assert ledger_report(g).total_requests == 2
+
+    def test_set_budget(self):
+        g = MeteredGram(np.eye(4))
+        with pytest.raises(ContractViolationError):
+            g.set_budget(-1)
+        assert ledger_report(g).budget is None
+        g.set_budget(1)
+        g.query(0, 1)
+        with pytest.raises(BudgetExhaustedError):
+            g.query(0, 2)
+        g.set_budget(None)
+        g.query(0, 2)
+        assert ledger_report(g).distinct_entries == 2
 
     def test_symmetry(self):
         rng = stream(0, "sym")
@@ -106,7 +122,11 @@ class TestLedger:
         rep = ledger_report(g)
         g.query(0, 0)
         assert rep.distinct_entries == 0
+        assert tuple(rep.per_row) == (0,) * 4
         assert ledger_report(g).distinct_entries == 1
+        assert tuple(ledger_report(g).per_row) == (1, 0, 0, 0)
+        with pytest.raises(ValueError):
+            rep.per_row[0] = 5
 
     def test_counter_invariants_random_walk(self):
         rng = stream(3, "walk")
@@ -156,6 +176,18 @@ class TestLedger:
         assert rep2.distinct_entries == 7 * 8 // 2
         assert rep2.total_requests == 49 + 1
 
+    def test_block_reread_after_full_adds_requests_only(self):
+        g = MeteredGram(np.eye(7), budget=28)
+        g.query_block([0, 1], [1, 5])
+        g.full()
+        before = ledger_report(g)
+        g.query_block([0, 1, 2], [3, 4, 5, 6])
+        after = ledger_report(g)
+        assert after.distinct_entries == before.distinct_entries == 28
+        assert after.total_requests == before.total_requests + 12
+        assert tuple(after.per_row) == tuple(before.per_row) == (7,) * 7
+        assert not after.budget_exhausted
+
     def test_budget_soundness_under_mixed_ops(self):
         rng = stream(5, "budget")
         pts = rng.standard_normal((10, 2))
@@ -178,6 +210,106 @@ class TestLedger:
         assert set(blob) == {"distinct_entries", "total_requests", "budget",
                              "budget_exhausted"}
         assert blob["budget"] == 3
+
+
+class TestLedgerStorage:
+    def test_unqueried_gram_holds_no_bitmap(self):
+        g = MeteredGram(np.ones((100_000, 1)))
+        assert g.ledger._bits is None
+        assert ledger_report(g).distinct_entries == 0
+        assert g.ledger._bits is None
+
+    def test_bitmap_is_lazy_and_dropped_by_full(self):
+        g = MeteredGram(np.eye(9))
+        assert g.ledger._bits is None
+        g.query(3, 8)
+        assert len(g.ledger._bits) == (9 * 10 // 2 + 7) // 8
+        g.full()
+        assert g.ledger._bits is None
+        g.query(0, 1)
+        g.query_block(np.arange(9), np.arange(9))
+        assert g.ledger._bits is None
+
+    def test_every_pair_has_its_own_bit(self):
+        n = 13
+        g = MeteredGram(np.eye(n))
+        for i in range(n):
+            for j in range(n):
+                fresh = g.ledger.charge_scalar(i, j)
+                assert fresh == (i <= j)
+        assert g.ledger.distinct_entries == n * (n + 1) // 2
+        assert all(b == 0xFF for b in g.ledger._bits[:-1])
+        assert g.ledger._bits[-1] == 0b111  # 91 = 11 * 8 + 3 bits
+
+
+class SetLedger:
+    """Reference model: revealed pairs kept as a set of (lo, hi) tuples."""
+
+    def __init__(self, n, budget):
+        self.budget, self.pairs = budget, set()
+        self.total_requests, self.budget_exhausted = 0, False
+        self.per_row = [0] * n
+
+    def charge(self, pairs):
+        fresh = {(min(i, j), max(i, j)) for i, j in pairs} - self.pairs
+        if self.budget is not None and len(self.pairs) + len(fresh) > self.budget:
+            self.budget_exhausted = True
+            raise BudgetExhaustedError("reference budget")
+        self.total_requests += len(pairs)
+        self.pairs |= fresh
+        for i, j in fresh:
+            self.per_row[i] += 1
+            if i != j:
+                self.per_row[j] += 1
+
+
+def _raises_budget(charge, *args):
+    try:
+        charge(*args)
+    except BudgetExhaustedError:
+        return True
+    return False
+
+
+def _ledger_ops(n):
+    idx = st.integers(0, n - 1)
+    rows = st.lists(idx, min_size=0, max_size=6)
+    return st.lists(st.one_of(
+        st.tuples(st.just("scalar"), idx, idx),
+        st.tuples(st.just("block"), rows, rows),
+        st.tuples(st.just("full")),
+    ), max_size=25)
+
+
+@st.composite
+def _ledger_case(draw):
+    n = draw(st.integers(1, 9))
+    budget = draw(st.one_of(st.none(), st.integers(0, n * (n + 1) // 2 + 1)))
+    return n, budget, draw(_ledger_ops(n))
+
+
+class TestLedgerMatchesSetModel:
+    @settings(max_examples=300, deadline=None)
+    @given(_ledger_case())
+    def test_random_charge_sequences(self, case):
+        n, budget, ops = case
+        ledger, ref = QueryLedger(n, budget), SetLedger(n, budget)
+        for kind, *args in ops:
+            if kind == "scalar":
+                pairs, charge = [tuple(args)], ledger.charge_scalar
+            elif kind == "block":
+                pairs = [(i, j) for i in args[0] for j in args[1]]
+                charge = ledger.charge_block
+                args = [np.asarray(a, dtype=np.int64) for a in args]
+            else:
+                pairs = [(i, j) for i in range(n) for j in range(n)]
+                charge = ledger.charge_full
+            assert _raises_budget(charge, *args) == _raises_budget(ref.charge, pairs)
+            rep = ledger.report()
+            assert rep.distinct_entries == len(ref.pairs)
+            assert rep.total_requests == ref.total_requests
+            assert rep.budget_exhausted == ref.budget_exhausted
+            assert rep.per_row.tolist() == ref.per_row
 
 
 class TestGeneratedGramProperties:
