@@ -18,8 +18,7 @@ from .errors import (BoundRangeError, BudgetExhaustedError,
                      SingularSystemError)
 from .instances import (CLASS_S1, CLASS_S2, KkmcInstance, KrrInstance,
                         MogInstance, RankInstance, block_of, gen_kkmc,
-                        gen_krr, gen_mog, gen_rank, make_balanced_kkmc,
-                        params_to_instance)
+                        gen_krr, gen_mog, gen_rank, make_balanced_kkmc)
 from .kkmc import (Clustering, CostBreakdown, block_clustering, cost_explicit,
                    cost_kernel, kappa, large_cluster_bound,
                    multi_cluster_lower_bound, rank_cost_gap, recover_labels,
@@ -28,22 +27,19 @@ from .krr import (KrrSolution, SpectralApprox, approx_solve_spectral,
                   check_guarantee, classify_rows, d_eff, d_eff_from_gram,
                   hard_instance_optimum, indicator_solve, solve_exact,
                   uniform_nystrom_approx)
-from .mog import (Bootstrap, MogResult, SketchOperator, SketchedPoint,
-                  bootstrap_extract, build_sketch, cluster_mog, estimate_means,
-                  pair_test, separation_thresholds, sketch_apply,
-                  sketched_assign)
-from .oracle import (KernelSpec, MeteredGram, QueryLedger, QueryReport,
-                     kernel_eval, ledger_report)
+from .mog import (Bootstrap, MogResult, SketchOperator, bootstrap_extract,
+                  build_sketch, cluster_mog, estimate_means, pair_test,
+                  separation_thresholds, sketch_apply_many, sketched_assign)
+from .oracle import KernelSpec, MeteredGram, QueryLedger, QueryReport, kernel_eval
 
 __all__ = [
     "__version__",
     # oracle
-    "KernelSpec", "MeteredGram", "QueryLedger", "QueryReport",
-    "kernel_eval", "ledger_report",
+    "KernelSpec", "MeteredGram", "QueryLedger", "QueryReport", "kernel_eval",
     # instances
     "CLASS_S1", "CLASS_S2", "KrrInstance", "RankInstance", "KkmcInstance",
     "MogInstance", "gen_krr", "gen_rank", "gen_kkmc", "gen_mog",
-    "make_balanced_kkmc", "block_of", "params_to_instance",
+    "make_balanced_kkmc", "block_of",
     # krr
     "KrrSolution", "SpectralApprox", "solve_exact", "d_eff", "d_eff_from_gram",
     "approx_solve_spectral", "check_guarantee", "hard_instance_optimum",
@@ -54,9 +50,9 @@ __all__ = [
     "multi_cluster_lower_bound", "large_cluster_bound", "recover_labels",
     "rank_cost_gap", "single_block_cost",
     # mog
-    "Bootstrap", "SketchOperator", "SketchedPoint", "MogResult",
-    "bootstrap_extract", "estimate_means", "pair_test", "build_sketch",
-    "sketch_apply", "sketched_assign", "cluster_mog", "separation_thresholds",
+    "Bootstrap", "SketchOperator", "MogResult", "bootstrap_extract",
+    "estimate_means", "pair_test", "build_sketch", "sketch_apply_many",
+    "sketched_assign", "cluster_mog", "separation_thresholds",
     # errors
     "ContractViolationError", "BudgetExhaustedError", "GenerationFailureError",
     "BoundRangeError", "DegenerateInstanceError", "NumericalDegeneracyError",

@@ -33,7 +33,8 @@ from .kkmc import (Clustering, block_clustering, cost_explicit, rank_cost_gap,
                    recover_labels)
 from .krr import (classify_rows, d_eff, hard_instance_optimum, indicator_solve,
                   solve_exact)
-from .mog import cluster_mog, separation_thresholds, sketch_dimension
+from .mog import (DEFAULT_SKETCH_CONST, cluster_mog, separation_thresholds,
+                  sketch_dimension)
 from .oracle import QueryReport
 from .rng import stream
 
@@ -41,18 +42,6 @@ CSV_COLUMNS = ["experiment", "seed", "n", "k", "epsilon", "metric", "value",
                "distinct_entries", "total_requests", "budget", "budget_exhausted"]
 
 AGG_COLUMNS = ["experiment", "metric", "count", "mean", "stderr", "min", "max"]
-
-KINDS = {
-    "krr-closed-form": {"n", "J", "epsilon"},
-    "krr-classify": {"n", "J", "epsilon"},
-    "krr-indicator": {"n", "J", "epsilon", "c0", "c1"},
-    "d-eff-scan": {"n", "J", "epsilon"},
-    "kkmc-cost-envelope": {"n", "k", "epsilon"},
-    "kkmc-recover": {"n", "k", "epsilon"},
-    "rank-gap": {"n", "k"},
-    "mog-pipeline": {"n", "d", "k", "epsilon", "sigma"},
-    "budget-curve": {"n", "J", "epsilon", "budgets"},
-}
 
 BUDGET_VARS = {"n", "k", "J", "eps", "m", "t"}
 
@@ -111,7 +100,8 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise UsageError(f"unknown experiment kind {self.kind!r}; "
                              f"choose from {sorted(KINDS)}")
-        missing = KINDS[self.kind] - set(self.instance)
+        _, required = KINDS[self.kind]
+        missing = required - set(self.instance)
         if missing:
             raise UsageError(f"{self.kind} requires instance parameters {sorted(missing)}")
         if self.seeds is None:
@@ -272,7 +262,7 @@ def _run_mog_pipeline(cfg, seed):
     p = cfg.instance
     n, d, k = p["n"], p["d"], p["k"]
     eps, sigma = p["epsilon"], p["sigma"]
-    c_sketch = float(p.get("C_sketch", p.get("c_sketch", 8.0)))
+    c_sketch = float(p.get("C_sketch", DEFAULT_SKETCH_CONST))
     delta_exponent = int(p.get("delta_exponent", 3))
     sep = p.get("separation", "auto")
     if sep == "auto":
@@ -338,22 +328,23 @@ def _run_budget_curve(cfg, seed):
     return rows
 
 
-_RUNNERS = {
-    "krr-closed-form": _run_krr_closed_form,
-    "krr-classify": _run_krr_classify,
-    "krr-indicator": _run_krr_indicator,
-    "d-eff-scan": _run_d_eff_scan,
-    "kkmc-cost-envelope": _run_kkmc_cost_envelope,
-    "kkmc-recover": _run_kkmc_recover,
-    "rank-gap": _run_rank_gap,
-    "mog-pipeline": _run_mog_pipeline,
-    "budget-curve": _run_budget_curve,
+# kind -> (runner, required instance parameters)
+KINDS = {
+    "krr-closed-form": (_run_krr_closed_form, {"n", "J", "epsilon"}),
+    "krr-classify": (_run_krr_classify, {"n", "J", "epsilon"}),
+    "krr-indicator": (_run_krr_indicator, {"n", "J", "epsilon", "c0", "c1"}),
+    "d-eff-scan": (_run_d_eff_scan, {"n", "J", "epsilon"}),
+    "kkmc-cost-envelope": (_run_kkmc_cost_envelope, {"n", "k", "epsilon"}),
+    "kkmc-recover": (_run_kkmc_recover, {"n", "k", "epsilon"}),
+    "rank-gap": (_run_rank_gap, {"n", "k"}),
+    "mog-pipeline": (_run_mog_pipeline, {"n", "d", "k", "epsilon", "sigma"}),
+    "budget-curve": (_run_budget_curve, {"n", "J", "epsilon", "budgets"}),
 }
 
 
 def run(config: ExperimentConfig):
     """Execute all trials; returns (rows, errors) ordered by (seed, kind)."""
-    runner = _RUNNERS[config.kind]
+    runner, _ = KINDS[config.kind]
     errors = []
 
     def one(seed):

@@ -12,7 +12,6 @@ not errors: desk-scale runs deliberately probe small regimes.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from math import comb
@@ -82,19 +81,6 @@ class KrrInstance:
         """CLASS_S1 where j_i < J/2, else CLASS_S2 (original points only)."""
         return np.where(self.basis_index < self.J // 2, CLASS_S1, CLASS_S2)
 
-    def to_params(self) -> dict:
-        return {
-            "type": "krr",
-            "n": self.n,
-            "k_or_J": self.J,
-            "epsilon": self.eps,
-            "sigma": None,
-            "d": None,
-            "separation": None,
-            "seed": self.seed,
-            "augmented": self.augmented,
-        }
-
 
 def gen_krr(n: int, J: int, eps: float, seed: int, augmented: bool = False,
             spec: KernelSpec = KernelSpec.linear(),
@@ -148,19 +134,6 @@ class RankInstance:
     gram: MeteredGram = field(repr=False)
     points: np.ndarray = field(repr=False)
 
-    def to_params(self) -> dict:
-        return {
-            "type": "rank",
-            "n": self.n,
-            "k_or_J": self.k,
-            "epsilon": None,
-            "sigma": None,
-            "d": None,
-            "separation": None,
-            "seed": self.seed,
-            "augmented": None,
-        }
-
 
 def gen_rank(n: int, k: int, seed: int, budget: Optional[int] = None) -> RankInstance:
     """Uniform draws from the first k basis vectors; with probability 1/2 one
@@ -211,19 +184,6 @@ class KkmcInstance:
     def coordinates(self) -> np.ndarray:
         """Per-point absolute coordinate indices, shape (n, 2)."""
         return self.block[:, None] * self.inv_eps + self.pair
-
-    def to_params(self) -> dict:
-        return {
-            "type": "kkmc",
-            "n": self.n,
-            "k_or_J": self.k,
-            "epsilon": self.eps,
-            "sigma": None,
-            "d": None,
-            "separation": None,
-            "seed": self.seed,
-            "augmented": None,
-        }
 
 
 def _validate_inv_eps(eps: float) -> int:
@@ -305,19 +265,6 @@ class MogInstance:
         dist = np.linalg.norm(diffs, axis=2)
         return float(dist[~np.eye(self.k, dtype=bool)].min())
 
-    def to_params(self) -> dict:
-        return {
-            "type": "mog",
-            "n": self.n,
-            "k_or_J": self.k,
-            "epsilon": None,
-            "sigma": self.sigma,
-            "d": self.d,
-            "separation": self.separation,
-            "seed": self.seed,
-            "augmented": None,
-        }
-
 
 def gen_mog(n: int, d: int, k: int, sigma: float, separation: float, seed: int,
             weights=None, budget: Optional[int] = None,
@@ -365,23 +312,3 @@ def gen_mog(n: int, d: int, k: int, sigma: float, separation: float, seed: int,
         raise GenerationFailureError("mean placement failed the separation check")
     return inst
 
-
-def params_to_instance(params: dict):
-    """Rebuild an instance from its JSON parameter block."""
-    kind = params["type"]
-    if kind == "krr":
-        return gen_krr(params["n"], params["k_or_J"], params["epsilon"],
-                       params["seed"], augmented=bool(params.get("augmented")))
-    if kind == "rank":
-        return gen_rank(params["n"], params["k_or_J"], params["seed"])
-    if kind == "kkmc":
-        return gen_kkmc(params["n"], params["k_or_J"], params["epsilon"], params["seed"])
-    if kind == "mog":
-        return gen_mog(params["n"], params["d"], params["k_or_J"], params["sigma"],
-                       params["separation"], params["seed"])
-    raise ContractViolationError(f"unknown instance type {kind!r}")
-
-
-def params_roundtrip(params: dict) -> dict:
-    """JSON-serialize and parse a parameter block (stability check helper)."""
-    return json.loads(json.dumps(params))

@@ -203,9 +203,8 @@ class SketchOperator:
         return self.pairs.reshape(-1)
 
     def project_sketched(self, sx) -> np.ndarray:
-        """Row-space coordinates from sketched values: diag(1/s) U' sx."""
-        sx = np.asarray(sx, dtype=np.float64)
-        return (self._u.T @ sx) / (self._s if sx.ndim == 1 else self._s[:, None])
+        """Row-space coordinates of the (m, N) sketched columns: diag(1/s) U' sx."""
+        return (self._u.T @ np.asarray(sx, dtype=np.float64)) / self._s[:, None]
 
     def project_direct(self, v) -> np.ndarray:
         """Row-space coordinates of an explicit frame vector: Vt v."""
@@ -236,51 +235,31 @@ def build_sketch(points, pairs, sigma: float) -> SketchOperator:
                           rows=rows, _u=u, _s=s, _vt=vt)
 
 
-@dataclass
-class SketchedPoint:
-    index: int
-    values: np.ndarray                     # (m,) sketched coordinates
-    queries_spent: int
-
-
-def sketch_apply(gram: MeteredGram, sketch: SketchOperator, i: int) -> SketchedPoint:
-    """Sketch one hidden point through the oracle: row ell of the result is
-    (K[a_ell, i] - K[b_ell, i]) / scale, two queries per row."""
-    i = int(i)
-    if i in set(int(v) for v in sketch.source_indices):
-        raise ContractViolationError(f"point {i} is a sketch source")
-    before = gram.ledger_report().distinct_entries
-    col = gram.query_block(sketch.source_indices, np.array([i]))[:, 0]
-    spent = gram.ledger_report().distinct_entries - before
-    pairs = sketch.pairs
-    lookup = {int(v): pos for pos, v in enumerate(sketch.source_indices)}
-    va = col[[lookup[int(p)] for p in pairs[:, 0]]]
-    vb = col[[lookup[int(p)] for p in pairs[:, 1]]]
-    return SketchedPoint(index=i, values=(va - vb) / sketch.scale, queries_spent=spent)
-
-
 def sketch_apply_many(gram: MeteredGram, sketch: SketchOperator, indices) -> np.ndarray:
-    """Sketch many points in one block read; returns (m, len(indices))."""
+    """Sketch hidden points through the oracle in one block read: entry
+    (ell, j) is (K[a_ell, i_j] - K[b_ell, i_j]) / scale, two queries per row
+    and point. Returns (m, len(indices)). A sketch source among the indices
+    raises before anything is read."""
     idx = np.asarray(indices, dtype=np.int64)
+    is_source = np.isin(idx, sketch.source_indices)
+    if is_source.any():
+        raise ContractViolationError(f"point {int(idx[is_source][0])} is a sketch source")
+    # block rows are pairs.reshape(-1): a_ell is row 2 ell, b_ell row 2 ell + 1
     cols = gram.query_block(sketch.source_indices, idx)
-    pairs = sketch.pairs
-    lookup = {int(v): pos for pos, v in enumerate(sketch.source_indices)}
-    a_pos = [lookup[int(p)] for p in pairs[:, 0]]
-    b_pos = [lookup[int(p)] for p in pairs[:, 1]]
-    return (cols[a_pos] - cols[b_pos]) / sketch.scale
+    return (cols[0::2] - cols[1::2]) / sketch.scale
 
 
 def sketched_assign(sketch: SketchOperator, sx, means) -> tuple:
-    """Pick a center for a sketched point: project both the point and the
-    estimated means onto the sketch row space, then run the all-pairs sign
-    tests there. Returns (center index, fallback flag); fallback means no
-    center won every test and the nearest projected mean was used."""
+    """Pick a center for each column of the (m, N) sketched block: project
+    the points and the estimated means onto the sketch row space, then run
+    the all-pairs sign tests there. Returns (assignment, fallback) arrays;
+    fallback[j] means no center won every test for point j and the nearest
+    projected mean was used."""
     means = np.asarray(means, dtype=np.float64)
-    values = sx.values if isinstance(sx, SketchedPoint) else np.asarray(sx)
-    x_proj = sketch.project_sketched(values)
+    proj_x = sketch.project_sketched(sx).T
     proj_means = np.vstack([sketch.project_direct(mu) for mu in means])
-    assignment, confident = assign_by_pair_tests(x_proj[None, :], proj_means)
-    return int(assignment[0]), not bool(confident[0])
+    assignment, confident = assign_by_pair_tests(proj_x, proj_means)
+    return assignment, ~confident
 
 
 @dataclass
@@ -318,16 +297,19 @@ def cluster_mog(gram: MeteredGram, k: int, eps: float, sigma: float, d: int,
 
     bootstrap_labels supplies ground-truth component labels for the leading
     points, standing in for a black-box mean estimator; only the first t are
-    used. Stage failures raise PipelineStageError tagged with the stage.
-    On an untouched gram the ledger ends at exactly
-    t(t+1)/2 + 2 m (n - t) distinct entries (no sketching when k = 1).
+    used. The default m is sketch_dimension capped at d. Stage failures
+    raise PipelineStageError tagged with the stage. On an untouched gram
+    the ledger ends at exactly t(t+1)/2 + 2 m (n - t) distinct entries (no
+    sketching when k = 1).
     """
     n = gram.n
     timings = {}
     flags = {"fallback_count": 0, "pair_test_confident": None, "t_squared_exceeds_n": None}
 
     if m is None:
-        m = sketch_dimension(n, k, eps, c_sketch, delta_exponent) if k > 1 else 0
+        # sketch rows are differences in a d-dimensional span, so rows past
+        # d are dependent up to round-off
+        m = min(sketch_dimension(n, k, eps, c_sketch, delta_exponent), d) if k > 1 else 0
     if t is None:
         t = max(mean_sample_size(k, d, c_mean), 2 * m + k, d)
     if t > n:
@@ -378,13 +360,10 @@ def cluster_mog(gram: MeteredGram, k: int, eps: float, sigma: float, d: int,
     timings["sketch_build"] = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    sources = set(int(v) for v in sketch.source_indices)
-    remaining = np.array([i for i in range(n) if i not in sources], dtype=np.int64)
-    sketched = sketch_apply_many(gram, sketch, remaining)
-    proj_means = np.vstack([sketch.project_direct(mu) for mu in means])
-    proj_x = sketch.project_sketched(sketched).T
-    rem_assign, rem_confident = assign_by_pair_tests(proj_x, proj_means)
-    flags["fallback_count"] = int((~rem_confident).sum())
+    remaining = np.setdiff1d(np.arange(n), sketch.source_indices)
+    rem_assign, fallback = sketched_assign(
+        sketch, sketch_apply_many(gram, sketch, remaining), means)
+    flags["fallback_count"] = int(fallback.sum())
     timings["sketch_assign"] = time.perf_counter() - tic
 
     assignment = np.empty(n, dtype=np.int64)

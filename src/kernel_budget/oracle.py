@@ -303,10 +303,6 @@ class MeteredGram:
             self.ledger.set_budget(budget)
 
     def ledger_report(self) -> QueryReport:
+        """Snapshot of the counters; later queries do not mutate it."""
         with self._lock:
             return self.ledger.report()
-
-
-def ledger_report(gram: MeteredGram) -> QueryReport:
-    """Snapshot of the gram's counters; later queries do not mutate it."""
-    return gram.ledger_report()

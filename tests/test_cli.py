@@ -7,9 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from kernel_budget.cli import (AGG_COLUMNS, CSV_COLUMNS, ExperimentConfig,
-                               ResultRow, UsageError, eval_budget_expr, main,
-                               report, run, write_results)
+from kernel_budget.cli import (AGG_COLUMNS, CSV_COLUMNS, KINDS,
+                               ExperimentConfig, ResultRow, UsageError,
+                               eval_budget_expr, main, report, run,
+                               write_results)
 
 
 class TestBudgetExpr:
@@ -50,7 +51,30 @@ class TestConfigValidation:
         assert cfg.seeds == [0, 1, 2, 3]
 
 
+# one tiny instance per experiment kind; mog-pipeline runs at the default
+# C_sketch, whose sketch_dimension (615) exceeds d
+TINY_INSTANCES = {
+    "krr-closed-form": {"n": 40, "J": 8, "epsilon": 0.25},
+    "krr-classify": {"n": 40, "J": 8, "epsilon": 0.25},
+    "krr-indicator": {"n": 40, "J": 8, "epsilon": 0.25, "c0": 0.2, "c1": 1.3},
+    "d-eff-scan": {"n": 40, "J": 8, "epsilon": 0.25},
+    "kkmc-cost-envelope": {"n": 200, "k": 2, "epsilon": 0.5},
+    "kkmc-recover": {"n": 200, "k": 2, "epsilon": 0.5},
+    "rank-gap": {"n": 20, "k": 3},
+    "mog-pipeline": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, "sigma": 1.0},
+    "budget-curve": {"n": 40, "J": 8, "epsilon": 0.25, "budgets": ["n*J/4"]},
+}
+
+
 class TestRunners:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_kind_runs(self, kind):
+        rows, errors = run(ExperimentConfig(kind=kind, seeds=[0],
+                                            instance=TINY_INSTANCES[kind]))
+        assert not errors
+        assert rows and all(r.experiment == kind for r in rows)
+        assert all(r.report is not None for r in rows)
+
     def test_krr_closed_form_rows(self):
         cfg = ExperimentConfig(kind="krr-closed-form", seeds=[0, 1, 2, 3, 4],
                                instance={"n": 200, "J": 20, "epsilon": 0.2})

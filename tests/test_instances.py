@@ -1,6 +1,5 @@
 """Instance generators: support, counts, determinism, hidden-truth consistency."""
 
-import json
 import warnings
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from kernel_budget.errors import ContractViolationError
 from kernel_budget.instances import (CLASS_S1, CLASS_S2, block_of, gen_kkmc,
                                      gen_krr, gen_mog, gen_rank,
-                                     make_balanced_kkmc, params_to_instance)
+                                     make_balanced_kkmc)
 from kernel_budget.oracle import KernelSpec
 
 
@@ -208,17 +207,16 @@ class TestHiddenTruthConsistency:
         assert np.array_equal(K, np.where(same, 1.3, 0.2))
 
 
-class TestParamsRoundTrip:
+class TestSameSeedDeterminism:
     @pytest.mark.parametrize("make", [
         lambda: gen_krr(40, 8, 0.25, seed=9, augmented=True),
         lambda: gen_rank(30, 4, seed=9),
         lambda: gen_kkmc(30, 2, 0.5, seed=9),
         lambda: gen_mog(20, 5, 2, 0.5, 9.0, seed=9),
     ])
-    def test_json_reproduces_instance(self, make):
+    def test_same_seed_same_points(self, make):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inst = make()
-            blob = json.loads(json.dumps(inst.to_params()))
-            again = params_to_instance(blob)
+            again = make()
         assert np.array_equal(inst.points, again.points)

@@ -13,10 +13,9 @@ from kernel_budget.mog import (FIRST, SECOND, assign_by_pair_tests,
                                bootstrap_extract, build_sketch,
                                certify_mean_accuracy, cluster_mog,
                                estimate_means, min_component_count, pair_test,
-                               separation_thresholds, sketch_apply,
-                               sketch_apply_many, sketch_dimension,
-                               sketched_assign)
-from kernel_budget.oracle import MeteredGram, ledger_report
+                               separation_thresholds, sketch_apply_many,
+                               sketch_dimension, sketched_assign)
+from kernel_budget.oracle import MeteredGram
 from kernel_budget.rng import stream
 
 
@@ -46,7 +45,7 @@ class TestBootstrap:
     def test_ledger_is_exactly_triangle(self):
         inst = gen_mog(100, 8, 2, 1.0, 20.0, seed=1)
         bootstrap_extract(inst.gram, 40)
-        assert ledger_report(inst.gram).distinct_entries == 40 * 41 // 2
+        assert inst.gram.ledger_report().distinct_entries == 40 * 41 // 2
 
     def test_non_psd_block_raises(self):
         with pytest.raises(NumericalDegeneracyError):
@@ -179,31 +178,35 @@ class TestSketchApply:
     def test_matches_direct_product(self):
         inst, boot, sketch = self._setup()
         i = 150
-        sx = sketch_apply(inst.gram, sketch, i)
+        sx = sketch_apply_many(inst.gram, sketch, [i])[:, 0]
         direct_rows = (inst.points[sketch.pairs[:, 0]]
                        - inst.points[sketch.pairs[:, 1]]) / sketch.scale
         expect = direct_rows @ inst.points[i]
-        assert np.abs(sx.values - expect).max() <= 1e-9
+        assert np.abs(sx - expect).max() <= 1e-9
 
     def test_fresh_point_costs_2m_distinct(self):
         inst, boot, sketch = self._setup()
-        before = ledger_report(inst.gram).distinct_entries
-        sx = sketch_apply(inst.gram, sketch, 180)
-        after = ledger_report(inst.gram).distinct_entries
+        before = inst.gram.ledger_report().distinct_entries
+        sketch_apply_many(inst.gram, sketch, [180])
+        after = inst.gram.ledger_report().distinct_entries
         assert after - before == 2 * sketch.m
-        assert sx.queries_spent == 2 * sketch.m
 
     def test_source_point_rejected(self):
+        # one source among fresh points: rejected before anything is read
         inst, boot, sketch = self._setup()
+        before = inst.gram.ledger_report()
         with pytest.raises(ContractViolationError):
-            sketch_apply(inst.gram, sketch, int(sketch.pairs[0, 0]))
+            sketch_apply_many(inst.gram, sketch, [180, int(sketch.pairs[0, 0])])
+        after = inst.gram.ledger_report()
+        assert after.distinct_entries == before.distinct_entries
+        assert after.total_requests == before.total_requests
 
     def test_orthogonal_point_gives_zero_vector(self):
         pts = np.eye(8)
         sketch = build_sketch(pts, np.array([[0, 1], [2, 3]]), 1.0)
         g = MeteredGram(pts)
-        sx = sketch_apply(g, sketch, 7)
-        assert np.abs(sx.values).max() == 0.0
+        sx = sketch_apply_many(g, sketch, [7])[:, 0]
+        assert np.abs(sx).max() == 0.0
 
     def test_many_matches_single(self):
         inst, boot, sketch = self._setup()
@@ -211,16 +214,16 @@ class TestSketchApply:
         block = sketch_apply_many(inst.gram, sketch, idx)
         inst2, boot2, sketch2 = self._setup()
         for pos, i in enumerate(idx):
-            one = sketch_apply(inst2.gram, sketch2, int(i))
-            assert np.abs(block[:, pos] - one.values).max() <= 1e-12
+            one = sketch_apply_many(inst2.gram, sketch2, [i])[:, 0]
+            assert np.abs(block[:, pos] - one).max() <= 1e-12
 
 
 class TestSketchedAssign:
     def test_single_center(self):
         pts = stream(10, "sa").standard_normal((4, 6))
         sketch = build_sketch(pts, np.array([[0, 1], [2, 3]]), 1.0)
-        center, fallback = sketched_assign(sketch, np.zeros(2), np.zeros((1, 6)))
-        assert center == 0 and not fallback
+        center, fallback = sketched_assign(sketch, np.zeros(2)[:, None], np.zeros((1, 6)))
+        assert center[0] == 0 and not fallback[0]
 
     def test_noiseless_points_always_correct(self):
         rng = stream(11, "sa0")
@@ -230,8 +233,8 @@ class TestSketchedAssign:
         sketch = build_sketch(carriers, np.arange(2 * m).reshape(m, 2), 1.0)
         for j in range(k):
             sx = sketch.rows @ means[j]
-            center, fallback = sketched_assign(sketch, sx, means)
-            assert center == j and not fallback
+            center, fallback = sketched_assign(sketch, sx[:, None], means)
+            assert center[0] == j and not fallback[0]
 
     def test_boundary_separation_always_within_tolerance(self):
         # means exactly sqrt(eps sigma^2 d) apart: any returned center is
@@ -248,7 +251,7 @@ class TestSketchedAssign:
         for trial in range(100):
             true = trial % k
             x = means[true] + sigma * rng.standard_normal(d)
-            center, _ = sketched_assign(sketch, sketch.rows @ x, means)
+            center = sketched_assign(sketch, (sketch.rows @ x)[:, None], means)[0][0]
             gap = ((means[center] - means[true]) ** 2).sum()
             assert gap <= sep2 + 1e-9
 
@@ -265,7 +268,7 @@ class TestSketchedAssign:
         for trial in range(2000):
             true = trial % k
             x = means[true] + sigma * rng.standard_normal(d)
-            center, _ = sketched_assign(sketch, sketch.rows @ x, means)
+            center = sketched_assign(sketch, (sketch.rows @ x)[:, None], means)[0][0]
             wrong += int(center != true)
         assert wrong / 2000 <= 1e-3
 
@@ -329,6 +332,23 @@ class TestClusterMog:
                            bootstrap_labels=inst.labels, c_sketch=0.25)
         assert (res1.clustering.assignment == res2.clustering.assignment).all()
         assert res1.report.distinct_entries == res2.report.distinct_entries
+
+    def test_default_sketch_size_capped_at_d(self):
+        # the default c_sketch asks for 875 rows, but the rows are differences
+        # in a 32-dimensional span; the pipeline caps m at d = 32, so t = 199
+        n, d, k, eps, sigma = 3000, 32, 3, 0.25, 1.0
+        m_planned = sketch_dimension(n, k, eps)
+        assert m_planned == 875
+        sep = separation_thresholds(n, d, k, eps, sigma, m_planned)["max"]
+        inst = gen_mog(n, d, k, sigma, sep, seed=0)
+        res = cluster_mog(inst.gram, k=k, eps=eps, sigma=sigma, d=d,
+                          bootstrap_labels=inst.labels)
+        assert res.m == d
+        assert res.report.distinct_entries == res.t * (res.t + 1) // 2 + 2 * d * (n - res.t)
+        assert res.report.distinct_entries == 199 * 200 // 2 + 2 * 32 * (3000 - 199)
+        cost = cost_explicit(inst.points, res.clustering).total
+        truth_cost = cost_explicit(inst.points, Clustering(inst.labels.copy())).total
+        assert cost <= (1 + 8 * eps) * truth_cost
 
     def test_single_component_shortcut(self):
         inst = gen_mog(400, 8, 1, 1.0, 1.0, seed=4)

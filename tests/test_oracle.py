@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from kernel_budget.errors import BudgetExhaustedError, ContractViolationError
 from kernel_budget.instances import gen_kkmc, gen_krr, gen_mog, gen_rank
-from kernel_budget.oracle import (KernelSpec, MeteredGram, QueryLedger,
-                                  kernel_eval, ledger_report)
+from kernel_budget.oracle import KernelSpec, MeteredGram, QueryLedger, kernel_eval
 from kernel_budget.rng import stream
 
 
@@ -57,7 +56,7 @@ class TestQuery:
         g = MeteredGram(np.eye(4))
         v1 = g.query(2, 2)
         v2 = g.query(2, 2)
-        rep = ledger_report(g)
+        rep = g.ledger_report()
         assert v1 == v2 == 1.0
         assert rep.distinct_entries == 1
         assert rep.total_requests == 2
@@ -67,25 +66,25 @@ class TestQuery:
         g.query(0, 1)
         with pytest.raises(BudgetExhaustedError):
             g.query(0, 2)
-        rep = ledger_report(g)
+        rep = g.ledger_report()
         assert rep.budget_exhausted
         assert rep.distinct_entries == 1
         # a revealed pair stays readable after exhaustion
         assert g.query(1, 0) == 0.0
-        assert ledger_report(g).total_requests == 2
+        assert g.ledger_report().total_requests == 2
 
     def test_set_budget(self):
         g = MeteredGram(np.eye(4))
         with pytest.raises(ContractViolationError):
             g.set_budget(-1)
-        assert ledger_report(g).budget is None
+        assert g.ledger_report().budget is None
         g.set_budget(1)
         g.query(0, 1)
         with pytest.raises(BudgetExhaustedError):
             g.query(0, 2)
         g.set_budget(None)
         g.query(0, 2)
-        assert ledger_report(g).distinct_entries == 2
+        assert g.ledger_report().distinct_entries == 2
 
     def test_symmetry(self):
         rng = stream(0, "sym")
@@ -105,7 +104,7 @@ class TestQuery:
 
 class TestLedger:
     def test_fresh_gram_report(self):
-        rep = ledger_report(MeteredGram(np.eye(5)))
+        rep = MeteredGram(np.eye(5)).ledger_report()
         assert rep.distinct_entries == 0
         assert rep.total_requests == 0
         assert not rep.budget_exhausted
@@ -115,16 +114,16 @@ class TestLedger:
         for i in range(4):
             for j in range(i, 4):
                 g.query(i, j)
-        assert ledger_report(g).distinct_entries == 10  # n(n+1)/2
+        assert g.ledger_report().distinct_entries == 10  # n(n+1)/2
 
     def test_report_is_snapshot(self):
         g = MeteredGram(np.eye(4))
-        rep = ledger_report(g)
+        rep = g.ledger_report()
         g.query(0, 0)
         assert rep.distinct_entries == 0
         assert tuple(rep.per_row) == (0,) * 4
-        assert ledger_report(g).distinct_entries == 1
-        assert tuple(ledger_report(g).per_row) == (1, 0, 0, 0)
+        assert g.ledger_report().distinct_entries == 1
+        assert tuple(g.ledger_report().per_row) == (1, 0, 0, 0)
         with pytest.raises(ValueError):
             rep.per_row[0] = 5
 
@@ -136,7 +135,7 @@ class TestLedger:
         for _ in range(200):
             i, j = (int(v) for v in rng.integers(0, 12, size=2))
             g.query(i, j)
-            rep = ledger_report(g)
+            rep = g.ledger_report()
             assert rep.distinct_entries >= prev_distinct
             assert rep.total_requests > prev_total
             assert rep.distinct_entries <= rep.total_requests
@@ -155,24 +154,24 @@ class TestLedger:
         for a, i in enumerate(rows):
             for b, j in enumerate(cols):
                 assert vals[a, b] == g2.query(int(i), int(j))
-        assert ledger_report(g1).distinct_entries == ledger_report(g2).distinct_entries
-        assert ledger_report(g1).total_requests == rows.size * cols.size
+        assert g1.ledger_report().distinct_entries == g2.ledger_report().distinct_entries
+        assert g1.ledger_report().total_requests == rows.size * cols.size
 
     def test_block_budget_is_atomic(self):
         g = MeteredGram(np.eye(6), budget=5)
         with pytest.raises(BudgetExhaustedError):
             g.query_block(np.arange(3), np.arange(3))  # 6 unordered pairs
-        assert ledger_report(g).distinct_entries == 0
+        assert g.ledger_report().distinct_entries == 0
 
     def test_full_reveal(self):
         g = MeteredGram(np.eye(7))
         K = g.full()
-        rep = ledger_report(g)
+        rep = g.ledger_report()
         assert K.shape == (7, 7)
         assert rep.distinct_entries == 7 * 8 // 2
         assert tuple(rep.per_row) == (7,) * 7
         g.query(2, 4)
-        rep2 = ledger_report(g)
+        rep2 = g.ledger_report()
         assert rep2.distinct_entries == 7 * 8 // 2
         assert rep2.total_requests == 49 + 1
 
@@ -180,9 +179,9 @@ class TestLedger:
         g = MeteredGram(np.eye(7), budget=28)
         g.query_block([0, 1], [1, 5])
         g.full()
-        before = ledger_report(g)
+        before = g.ledger_report()
         g.query_block([0, 1, 2], [3, 4, 5, 6])
-        after = ledger_report(g)
+        after = g.ledger_report()
         assert after.distinct_entries == before.distinct_entries == 28
         assert after.total_requests == before.total_requests + 12
         assert tuple(after.per_row) == tuple(before.per_row) == (7,) * 7
@@ -203,10 +202,10 @@ class TestLedger:
                     g.query_block(r, c)
             except BudgetExhaustedError:
                 pass
-            assert ledger_report(g).distinct_entries <= 17
+            assert g.ledger_report().distinct_entries <= 17
 
     def test_report_json_keys(self):
-        blob = ledger_report(MeteredGram(np.eye(2), budget=3)).to_json()
+        blob = MeteredGram(np.eye(2), budget=3).ledger_report().to_json()
         assert set(blob) == {"distinct_entries", "total_requests", "budget",
                              "budget_exhausted"}
         assert blob["budget"] == 3
@@ -216,7 +215,7 @@ class TestLedgerStorage:
     def test_unqueried_gram_holds_no_bitmap(self):
         g = MeteredGram(np.ones((100_000, 1)))
         assert g.ledger._bits is None
-        assert ledger_report(g).distinct_entries == 0
+        assert g.ledger_report().distinct_entries == 0
         assert g.ledger._bits is None
 
     def test_bitmap_is_lazy_and_dropped_by_full(self):
@@ -349,6 +348,6 @@ class TestConcurrency:
             th.start()
         for th in threads:
             th.join()
-        rep = ledger_report(g)
+        rep = g.ledger_report()
         assert rep.distinct_entries == len(set(pairs))
         assert rep.total_requests == len(pairs)
