@@ -16,10 +16,11 @@ import ast
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -33,8 +34,8 @@ from .kkmc import (Clustering, block_clustering, cost_explicit, rank_cost_gap,
                    recover_labels)
 from .krr import (classify_rows, d_eff, hard_instance_optimum, indicator_solve,
                   solve_exact)
-from .mog import (DEFAULT_SKETCH_CONST, cluster_mog, separation_thresholds,
-                  sketch_dimension)
+from .mog import (DEFAULT_SKETCH_CONST, cluster_mog, default_sketch_rows,
+                  separation_thresholds)
 from .oracle import QueryReport
 from .rng import stream
 
@@ -45,46 +46,54 @@ AGG_COLUMNS = ["experiment", "metric", "count", "mean", "stderr", "min", "max"]
 
 BUDGET_VARS = {"n", "k", "J", "eps", "m", "t"}
 
+# pairs per query_pairs call in the budget-curve probe loop; bounds the
+# (pairs, d) point gathers of each call
+_PROBE_BATCH_PAIRS = 4096
+
 
 class UsageError(ValueError):
     pass
+
+
+_BUDGET_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                  ast.Div: operator.truediv, ast.Pow: operator.pow}
+_BUDGET_NODES = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.BinOp,
+                 ast.UnaryOp, ast.USub, ast.UAdd, *_BUDGET_BINOPS)
+
+
+def parse_budget_expr(expr) -> ast.Expression:
+    """Parse a budget expression; UsageError on bad syntax or an unknown name."""
+    try:
+        tree = ast.parse(str(expr), mode="eval")
+    except (SyntaxError, ValueError) as e:  # ValueError: a null byte
+        raise UsageError(f"malformed budget expression {expr!r}") from e
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id not in BUDGET_VARS:
+            raise UsageError(f"unknown budget variable {node.id!r}")
+        if not isinstance(node, _BUDGET_NODES) or (
+                isinstance(node, ast.Constant) and not isinstance(node.value, (int, float))):
+            raise UsageError(f"unsupported syntax in budget expression {expr!r}")
+    return tree
 
 
 def eval_budget_expr(expr, env: dict) -> int:
     """Evaluate a budget expression like "0.5*n*J/4" over {n,k,J,eps,m,t}."""
     if isinstance(expr, (int, float)):
         return int(expr)
-    tree = ast.parse(str(expr), mode="eval")
-    allowed_ops = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
 
     def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant):
             return float(node.value)
         if isinstance(node, ast.Name):
-            if node.id not in BUDGET_VARS:
-                raise UsageError(f"unknown budget variable {node.id!r}")
-            if node.id not in env or env[node.id] is None:
+            if env.get(node.id) is None:
                 raise UsageError(f"budget variable {node.id!r} has no value here")
             return float(env[node.id])
-        if isinstance(node, ast.BinOp) and isinstance(node.op, allowed_ops):
-            a, b = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if isinstance(node.op, ast.Div):
-                return a / b
-            return a ** b
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, allowed_ops):
+        if isinstance(node, ast.UnaryOp):
             v = ev(node.operand)
             return -v if isinstance(node.op, ast.USub) else v
-        raise UsageError(f"unsupported syntax in budget expression {expr!r}")
+        return _BUDGET_BINOPS[type(node.op)](ev(node.left), ev(node.right))
 
-    return int(math.floor(ev(tree)))
+    return int(math.floor(ev(parse_budget_expr(expr).body)))
 
 
 @dataclass
@@ -104,6 +113,12 @@ class ExperimentConfig:
         missing = required - set(self.instance)
         if missing:
             raise UsageError(f"{self.kind} requires instance parameters {sorted(missing)}")
+        budgets = self.instance.get("budgets", [])
+        if not isinstance(budgets, list):
+            raise UsageError("instance parameter budgets must be a list of expressions")
+        for expr in [self.budget, *budgets]:
+            if expr is not None:
+                parse_budget_expr(expr)
         if self.seeds is None:
             self.seeds = list(range(self.trials))
         self.seeds = [int(s) for s in self.seeds]
@@ -266,8 +281,8 @@ def _run_mog_pipeline(cfg, seed):
     delta_exponent = int(p.get("delta_exponent", 3))
     sep = p.get("separation", "auto")
     if sep == "auto":
-        m_planned = sketch_dimension(n, k, eps, c_sketch, delta_exponent)
-        sep = separation_thresholds(n, d, k, eps, sigma, m_planned, delta_exponent)["max"]
+        m = default_sketch_rows(n, k, eps, d, c_sketch, delta_exponent)
+        sep = separation_thresholds(n, d, k, eps, sigma, m, delta_exponent)["max"]
     inst = gen_mog(n, d, k, sigma, float(sep), seed)
     result = cluster_mog(inst.gram, k=k, eps=eps, sigma=sigma, d=d,
                          bootstrap_labels=inst.labels, c_sketch=c_sketch,
@@ -290,26 +305,33 @@ def _run_mog_pipeline(cfg, seed):
 
 
 def _probe_classify(inst, probes_per_point: int, budget: int, seed: int) -> float:
-    """Classify rows by collision sampling under a hard distinct-entry budget."""
+    """Classify rows by collision sampling under a hard distinct-entry budget.
+
+    Rows are probed in order, one query_pairs call per block of rows; the
+    (rows, probes) draw gives the same partners as one draw per row. Once
+    the budget runs out, only the rows whose probes all ran are classified.
+    """
     from .instances import CLASS_S1, CLASS_S2
 
     inst.gram.set_budget(budget)
     rng = stream(seed, "budget-probe")
-    n, J = inst.n, inst.J
-    threshold = 1.5 * probes_per_point / J
+    n, J, q = inst.n, inst.J, probes_per_point
+    threshold = 1.5 * q / J
     predicted = np.full(n, CLASS_S1)
-    try:
-        for i in range(n):
-            hits = 0
-            partners = rng.integers(0, n - 1, size=probes_per_point)
-            partners = partners + (partners >= i)
-            for r in partners:
-                if inst.gram.query(i, int(r)) == 1.0:
-                    hits += 1
-            if hits > threshold:
-                predicted[i] = CLASS_S2
-    except BudgetExhaustedError:
-        pass
+    step = max(1, _PROBE_BATCH_PAIRS // q)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        partners = rng.integers(0, n - 1, size=(rows.size, q))
+        partners += partners >= rows[:, None]
+        try:
+            values = inst.gram.query_pairs(np.repeat(rows, q), partners)
+        except BudgetExhaustedError as e:
+            values = e.values  # the probes charged before the budget ran out
+        done = values.size // q
+        hits = np.count_nonzero(values[:done * q].reshape(done, q) == 1.0, axis=1)
+        predicted[rows[:done][hits > threshold]] = CLASS_S2
+        if values.size < partners.size:
+            break
     return float(np.mean(predicted == inst.classes))
 
 
@@ -452,7 +474,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             config = ExperimentConfig.from_json(args.config)
             if args.budget is not None:
-                config.budget = args.budget
+                config = replace(config, budget=args.budget)
             out_dir = args.out or config.out or "."
             rows, errors = run(config)
             path = write_results(rows, out_dir, config, errors)

@@ -8,8 +8,16 @@ class ContractViolationError(ValueError):
 class BudgetExhaustedError(RuntimeError):
     """A query would reveal a new Gram entry beyond the ledger budget.
 
-    Recoverable: callers may catch this to measure accuracy-at-budget.
+    Recoverable: callers may catch this to measure accuracy-at-budget. A
+    batched ordered read (MeteredGram.query_pairs) that the budget cuts
+    short charges its longest affordable prefix: `prefix` is that prefix's
+    length and `values` its kernel values. Other reads leave both None.
     """
+
+    def __init__(self, message: str, prefix=None):
+        super().__init__(message)
+        self.prefix = prefix
+        self.values = None
 
 
 class GenerationFailureError(RuntimeError):

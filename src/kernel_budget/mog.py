@@ -163,6 +163,14 @@ def sketch_dimension(n: int, k: int, eps: float, c_sketch: float = DEFAULT_SKETC
     return ceil(c_sketch * (1.0 / eps) * delta_exponent * log(n * k))
 
 
+def default_sketch_rows(n: int, k: int, eps: float, d: int,
+                        c_sketch: float = DEFAULT_SKETCH_CONST, delta_exponent: int = 3) -> int:
+    """The m that cluster_mog sketches with by default: sketch_dimension
+    capped at d, as sketch rows are differences in a d-dimensional span and
+    rows past d are dependent up to round-off."""
+    return min(sketch_dimension(n, k, eps, c_sketch, delta_exponent), d)
+
+
 def separation_thresholds(n: int, d: int, k: int, eps: float, sigma: float,
                           m: int, delta_exponent: int = 3) -> dict:
     """Mean-separation floors under which each pipeline stage is reliable.
@@ -297,7 +305,7 @@ def cluster_mog(gram: MeteredGram, k: int, eps: float, sigma: float, d: int,
 
     bootstrap_labels supplies ground-truth component labels for the leading
     points, standing in for a black-box mean estimator; only the first t are
-    used. The default m is sketch_dimension capped at d. Stage failures
+    used. The default m is default_sketch_rows. Stage failures
     raise PipelineStageError tagged with the stage. On an untouched gram
     the ledger ends at exactly t(t+1)/2 + 2 m (n - t) distinct entries (no
     sketching when k = 1).
@@ -307,9 +315,7 @@ def cluster_mog(gram: MeteredGram, k: int, eps: float, sigma: float, d: int,
     flags = {"fallback_count": 0, "pair_test_confident": None, "t_squared_exceeds_n": None}
 
     if m is None:
-        # sketch rows are differences in a d-dimensional span, so rows past
-        # d are dependent up to round-off
-        m = min(sketch_dimension(n, k, eps, c_sketch, delta_exponent), d) if k > 1 else 0
+        m = default_sketch_rows(n, k, eps, d, c_sketch, delta_exponent) if k > 1 else 0
     if t is None:
         t = max(mean_sample_size(k, d, c_mean), 2 * m + k, d)
     if t > n:

@@ -115,8 +115,8 @@ class QueryLedger:
 
     Counters are monotone over the gram's lifetime. Pair (lo, hi), lo <= hi,
     is bit lo*n - lo*(lo-1)/2 + (hi-lo) of a packed upper-triangle bitmap:
-    n(n+1)/16 bytes, allocated on the first scalar or block charge and freed
-    by a full reveal, which sets an all-revealed flag instead.
+    n(n+1)/16 bytes, allocated on the first scalar, block or pairs charge
+    and freed by a full reveal, which sets an all-revealed flag instead.
     """
 
     def __init__(self, n: int, budget: Optional[int] = None):
@@ -144,13 +144,34 @@ class QueryLedger:
         self.total_requests -= requests
         raise BudgetExhaustedError(message)
 
+    def _key(self, lo, hi):
+        """Bit index of pair (lo, hi), lo <= hi; ints or int64 arrays."""
+        return lo * self.n - (lo * (lo - 1) >> 1) + (hi - lo)
+
+    def _unseen(self, lo: np.ndarray, hi: np.ndarray):
+        """Sorted unique keys of the pairs not yet revealed, and the position
+        of each one's first occurrence in (lo, hi)."""
+        keys = self._key(lo, hi)
+        bits = np.frombuffer(self._bitmap(), dtype=np.uint8)
+        unseen = np.flatnonzero((bits[keys >> 3] & _BIT[keys & 7]) == 0)
+        keys, first = np.unique(keys[unseen], return_index=True)
+        return keys, unseen[first]
+
+    def _reveal(self, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """Set the bits of sorted unique unseen keys; count their pairs."""
+        bits = np.frombuffer(self._bits, dtype=np.uint8)
+        byte = keys >> 3  # sorted: OR each byte's masks once, as fancy |= drops repeats
+        starts = np.flatnonzero(np.diff(byte, prepend=-1))
+        bits[byte[starts]] |= np.bitwise_or.reduceat(_BIT[keys & 7], starts)
+        self.distinct_entries += int(keys.size)
+        self.per_row += np.bincount(np.concatenate([lo, hi[lo != hi]]), minlength=self.n)
+
     def charge_scalar(self, i: int, j: int) -> bool:
         """Count one request; returns True if the pair is newly revealed."""
         self.total_requests += 1
         if self._all_revealed:
             return False
-        lo, hi = (i, j) if i <= j else (j, i)
-        key = lo * self.n - (lo * (lo - 1) >> 1) + hi - lo
+        key = self._key(i, j) if i <= j else self._key(j, i)
         bits = self._bitmap()
         mask = 1 << (key & 7)
         if bits[key >> 3] & mask:
@@ -178,19 +199,40 @@ class QueryLedger:
             return
         lo = np.minimum.outer(rows, cols, dtype=np.int64).ravel()
         hi = np.maximum.outer(rows, cols, dtype=np.int64).ravel()
-        keys = lo * self.n - (lo * (lo - 1) >> 1) + (hi - lo)
-        bits = np.frombuffer(self._bitmap(), dtype=np.uint8)
-        unseen = np.flatnonzero((bits[keys >> 3] & _BIT[keys & 7]) == 0)
-        keys, first = np.unique(keys[unseen], return_index=True)
+        keys, first = self._unseen(lo, hi)
         if self.budget is not None and self.distinct_entries + keys.size > self.budget:
             self._refuse(requests, f"block read of {keys.size} fresh entries "
                                    f"exceeds budget {self.budget}")
-        byte = keys >> 3  # sorted: OR each byte's masks once, as fancy |= drops repeats
-        starts = np.flatnonzero(np.diff(byte, prepend=-1))
-        bits[byte[starts]] |= np.bitwise_or.reduceat(_BIT[keys & 7], starts)
-        self.distinct_entries += int(keys.size)
-        lo, hi = lo[unseen[first]], hi[unseen[first]]
-        self.per_row += np.bincount(np.concatenate([lo, hi[lo != hi]]), minlength=self.n)
+        lo, hi = lo[first], hi[first]  # drop the rectangle's arrays before _reveal
+        self._reveal(keys, lo, hi)
+
+    def charge_pairs(self, rows: np.ndarray, cols: np.ndarray):
+        """Count the ordered pairs (rows[p], cols[p]) as a charge_scalar loop would.
+
+        A pair is fresh if it is unseen and does not occur earlier in the
+        list. If the fresh pairs would exceed the budget, only the longest
+        prefix within it is charged, requests included, and the raised
+        BudgetExhaustedError carries that prefix's length as `prefix`.
+        """
+        if self._all_revealed:
+            self.total_requests += int(rows.size)
+            return
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        keys, first = self._unseen(lo, hi)
+        allowed = keys.size if self.budget is None else max(self.budget - self.distinct_entries, 0)
+        cut = None
+        if keys.size > allowed:
+            # the first fresh pair past the budget ends the prefix
+            cut = int(np.sort(first)[allowed])
+            keep = first < cut
+            keys, first = keys[keep], first[keep]
+        self._reveal(keys, lo[first], hi[first])
+        self.total_requests += int(rows.size) if cut is None else cut
+        if cut is not None:
+            self.budget_exhausted = True
+            raise BudgetExhaustedError(
+                f"budget of {self.budget} distinct entries exhausted at pair {cut} "
+                f"({rows[cut]}, {cols[cut]})", prefix=cut)
 
     def charge_full(self):
         total = self.n * (self.n + 1) // 2
@@ -221,10 +263,10 @@ class MeteredGram:
     """Kernel matrix of a hidden point set, readable only entry by entry.
 
     points: (n, d) array, one hidden point per row. All reads go through
-    query / query_block / full, which update a shared ledger; a re-read
-    costs a request but no distinct entry. No value is stored: each read is
-    evaluated from the points. Safe for concurrent readers: ledger updates
-    hold a lock, so final counts match some serialization.
+    query / query_pairs / query_block / full, which update a shared ledger;
+    a re-read costs a request but no distinct entry. No value is stored:
+    each read is evaluated from the points. Safe for concurrent readers:
+    ledger updates hold a lock, so final counts match some serialization.
     """
 
     def __init__(self, points, spec: KernelSpec = KernelSpec.linear(),
@@ -259,6 +301,11 @@ class MeteredGram:
         same = self._basis[rows][:, None] == self._basis[cols][None, :]
         return np.where(same, self.spec.c1, self.spec.c0)
 
+    def _eval_pairs(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        if self.spec.kind == LINEAR:
+            return np.einsum("ij,ij->i", self._points[rows], self._points[cols])
+        return np.where(self._basis[rows] == self._basis[cols], self.spec.c1, self.spec.c0)
+
     def _check_index(self, i: int):
         if not 0 <= i < self.n:
             raise ContractViolationError(f"index {i} out of range [0, {self.n})")
@@ -273,6 +320,32 @@ class MeteredGram:
         with self._lock:
             self.ledger.charge_scalar(i, j)
         return self._eval_scalar(i, j)
+
+    def query_pairs(self, rows, cols) -> np.ndarray:
+        """Entries (rows[p], cols[p]) in list order, charged as a query loop would be.
+
+        Every index is checked before anything is charged. Under a budget the
+        longest affordable prefix is charged and BudgetExhaustedError is
+        raised with that prefix's length as `prefix` and its values as
+        `values`. Temporaries grow with the list (two (len, d) gathers for a
+        linear kernel), so callers pass bounded batches.
+        """
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        if rows.size != cols.size:
+            raise ContractViolationError(
+                f"query_pairs needs equal lengths, got {rows.size} and {cols.size}")
+        if rows.size == 0:
+            return np.zeros(0)
+        for idx in (int(rows.min()), int(rows.max()), int(cols.min()), int(cols.max())):
+            self._check_index(idx)
+        with self._lock:
+            try:
+                self.ledger.charge_pairs(rows, cols)
+            except BudgetExhaustedError as e:
+                e.values = self._eval_pairs(rows[:e.prefix], cols[:e.prefix])
+                raise
+        return self._eval_pairs(rows, cols)
 
     def query_block(self, rows, cols) -> np.ndarray:
         """Rectangular block of entries, vectorized. Atomic under a budget."""

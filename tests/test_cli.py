@@ -7,10 +7,15 @@ import os
 import numpy as np
 import pytest
 
+from kernel_budget import cli
 from kernel_budget.cli import (AGG_COLUMNS, CSV_COLUMNS, KINDS,
                                ExperimentConfig, ResultRow, UsageError,
                                eval_budget_expr, main, report, run,
                                write_results)
+from kernel_budget.errors import BudgetExhaustedError
+from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
+from kernel_budget.mog import separation_thresholds
+from kernel_budget.rng import stream
 
 
 class TestBudgetExpr:
@@ -36,6 +41,11 @@ class TestBudgetExpr:
         with pytest.raises(UsageError):
             eval_budget_expr("__import__('os')", {})
 
+    def test_rejects_malformed_syntax(self):
+        for expr in ("nonsense(", "n*", "'n'", "", "n\0"):
+            with pytest.raises(UsageError):
+                eval_budget_expr(expr, {"n": 10})
+
 
 class TestConfigValidation:
     def test_unknown_kind(self):
@@ -45,6 +55,19 @@ class TestConfigValidation:
     def test_missing_params_detected_before_rng(self):
         with pytest.raises(UsageError):
             ExperimentConfig(kind="krr-classify", instance={"n": 100})
+
+    @pytest.mark.parametrize("budget, budgets", [
+        ("nonsense(", ["n*J/4"]),
+        ("n*q", ["n*J/4"]),
+        (None, ["n*J/4", "nonsense("]),
+        (None, ["n*q"]),
+        (None, "n*J/4"),
+    ])
+    def test_budget_expressions_checked_up_front(self, budget, budgets):
+        with pytest.raises(UsageError):
+            ExperimentConfig(kind="budget-curve", budget=budget,
+                             instance={"n": 40, "J": 8, "epsilon": 0.25,
+                                       "budgets": budgets})
 
     def test_seed_defaults(self):
         cfg = ExperimentConfig(kind="rank-gap", instance={"n": 20, "k": 3}, trials=4)
@@ -147,6 +170,91 @@ class TestRunners:
         assert rows[0].metric == "error"
 
 
+def scalar_probe_reference(inst, q, budget, seed):
+    """The per-query form of cli._probe_classify: one gram.query per probe."""
+    inst.gram.set_budget(budget)
+    rng = stream(seed, "budget-probe")
+    n = inst.n
+    predicted = np.full(n, CLASS_S1)
+    try:
+        for i in range(n):
+            partners = rng.integers(0, n - 1, size=q)
+            partners = partners + (partners >= i)
+            hits = sum(inst.gram.query(i, int(r)) == 1.0 for r in partners)
+            if hits > 1.5 * q / inst.J:
+                predicted[i] = CLASS_S2
+    except BudgetExhaustedError:
+        pass
+    return float(np.mean(predicted == inst.classes))
+
+
+class TestProbeMatchesScalarLoop:
+    @staticmethod
+    def _both(q, budget, seed, n=500, J=20):
+        batched, scalar = (gen_krr(n, J, 0.1, seed) for _ in range(2))
+        got = cli._probe_classify(batched, q, budget, seed)
+        want = scalar_probe_reference(scalar, q, budget, seed)
+        return got, want, batched.gram.ledger_report(), scalar.gram.ledger_report()
+
+    @pytest.mark.parametrize("batch_pairs", [4096, 7])
+    @pytest.mark.parametrize("q, budget, seed", [
+        (1, 3, 0), (1, 250, 1),        # budget < n: q = 1, exhausted mid-run
+        (3, 100, 0), (3, 250, 1),      # cut in the middle of a row's probes
+        (10, 5000, 2),                 # not exhausted, several blocks
+    ])
+    def test_accuracy_and_counts(self, q, budget, seed, batch_pairs, monkeypatch):
+        monkeypatch.setattr(cli, "_PROBE_BATCH_PAIRS", batch_pairs)
+        got, want, rep, ref = self._both(q, budget, seed)
+        assert got == want
+        assert rep.distinct_entries == ref.distinct_entries
+        assert rep.total_requests == ref.total_requests
+        assert rep.budget_exhausted == ref.budget_exhausted == (budget < 5000)
+        assert rep.per_row.tolist() == ref.per_row.tolist()
+        if q == 3:
+            assert rep.total_requests % q != 0  # the cut falls inside a row
+
+    def test_budget_curve_rows_match_reference(self):
+        cfg = ExperimentConfig(kind="budget-curve", seeds=[0],
+                               instance={"n": 500, "J": 20, "epsilon": 0.1,
+                                         "budgets": ["3", "n/2", "n*J/4"]})
+        rows, errors = run(cfg)
+        assert not errors
+        for row, budget in zip(rows, (3, 250, 2500)):
+            inst = gen_krr(500, 20, 0.1, 0)
+            want = scalar_probe_reference(inst, max(1, budget // 500), budget, 0)
+            ref = inst.gram.ledger_report()
+            assert row.budget == budget and row.value == want
+            assert row.report.distinct_entries == ref.distinct_entries
+            assert row.report.total_requests == ref.total_requests
+            assert row.report.budget_exhausted == ref.budget_exhausted
+
+
+class _StopAfterGen(Exception):
+    pass
+
+
+@pytest.mark.parametrize("instance, m, m_uncapped", [
+    # the default C_sketch asks for 875 sketch rows; cluster_mog uses d = 32
+    ({"n": 3000, "d": 32, "k": 3, "epsilon": 0.25, "sigma": 1.0}, 32, 875),
+    # the mog-sketch benchmark config: 34 rows fit in d = 64, no cap
+    ({"n": 20000, "d": 64, "k": 4, "epsilon": 0.25, "sigma": 1.0, "C_sketch": 0.25}, 34, 34),
+])
+def test_mog_auto_separation_uses_pipeline_sketch_rows(instance, m, m_uncapped, monkeypatch):
+    seen = {}
+
+    def fake_gen_mog(n, d, k, sigma, separation, seed):
+        seen["separation"] = separation
+        raise _StopAfterGen
+
+    monkeypatch.setattr(cli, "gen_mog", fake_gen_mog)
+    cfg = ExperimentConfig(kind="mog-pipeline", seeds=[0], instance=instance)
+    with pytest.raises(_StopAfterGen):
+        cli._run_mog_pipeline(cfg, 0)
+    args = (instance["n"], instance["d"], instance["k"], instance["epsilon"], 1.0)
+    assert seen["separation"] == separation_thresholds(*args, m=m)["max"]
+    assert seen["separation"] <= separation_thresholds(*args, m=m_uncapped)["max"]
+
+
 class TestReport:
     def test_single_row_aggregate(self):
         rows = [ResultRow("rank-gap", 0, 10, 2.0, None, "gap", 1.5)]
@@ -226,3 +334,13 @@ class TestCliEndToEnd:
     def test_usage_error_exit_code(self, tmp_path):
         cfg = self._config_file(tmp_path, {"kind": "nope", "instance": {}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_malformed_budget_exits_2_before_any_trial(self, tmp_path):
+        instance = {"n": 40, "J": 8, "epsilon": 0.25, "budgets": ["n*J/4"]}
+        bad = self._config_file(tmp_path, {"kind": "budget-curve", "instance": {
+            **instance, "budgets": ["n*J/4", "nonsense("]}})
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "a")]) == 2
+        good = self._config_file(tmp_path, {"kind": "budget-curve", "instance": instance})
+        assert main(["run", "--config", good, "--out", str(tmp_path / "b"),
+                     "--budget", "nonsense("]) == 2
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()

@@ -204,11 +204,121 @@ class TestLedger:
                 pass
             assert g.ledger_report().distinct_entries <= 17
 
+    def test_pairs_after_full_add_requests_only(self):
+        g = MeteredGram(np.eye(5), budget=15)
+        g.full()
+        before = g.ledger_report()
+        assert g.query_pairs([0, 4, 4], [3, 1, 4]).tolist() == [0.0, 0.0, 1.0]
+        after = g.ledger_report()
+        assert after.distinct_entries == before.distinct_entries == 15
+        assert after.total_requests == before.total_requests + 3
+        assert not after.budget_exhausted
+
     def test_report_json_keys(self):
         blob = MeteredGram(np.eye(2), budget=3).ledger_report().to_json()
         assert set(blob) == {"distinct_entries", "total_requests", "budget",
                              "budget_exhausted"}
         assert blob["budget"] == 3
+
+
+def _scalar_loop(gram, rows, cols):
+    """Values of query(rows[p], cols[p]) in order, and the pairs read before
+    a BudgetExhaustedError (None if none was raised)."""
+    values = []
+    for i, j in zip(rows, cols):
+        try:
+            values.append(gram.query(int(i), int(j)))
+        except BudgetExhaustedError:
+            return values, len(values)
+    return values, None
+
+
+def _random_pairs(n, size, seed):
+    rng = stream(seed, "query-pairs")
+    rows = rng.integers(0, n, size=size)
+    cols = rng.integers(0, n, size=size)
+    cols[::7] = rows[::7]  # diagonal pairs
+    return np.concatenate([rows, cols[:20]]), np.concatenate([cols, rows[:20]])
+
+
+class TestQueryPairs:
+    @pytest.mark.parametrize("make", [
+        lambda: gen_krr(60, 8, 0.25, seed=0),
+        lambda: gen_krr(60, 8, 0.25, seed=1, augmented=True),
+        lambda: gen_krr(60, 8, 0.25, seed=2, spec=KernelSpec.indicator(0.3, 1.0)),
+        lambda: gen_kkmc(60, 3, 0.25, seed=3),
+    ])
+    def test_values_equal_scalar_query_exactly(self, make):
+        a, b = make().gram, make().gram
+        rows, cols = _random_pairs(a.n, 400, 5)
+        got = a.query_pairs(rows, cols)
+        want, cut = _scalar_loop(b, rows, cols)
+        assert cut is None
+        assert got.tolist() == want
+        ra, rb = a.ledger_report(), b.ledger_report()
+        assert (ra.distinct_entries, ra.total_requests) == (rb.distinct_entries,
+                                                            rb.total_requests)
+        assert ra.per_row.tolist() == rb.per_row.tolist()
+
+    def test_values_match_scalar_query_on_mixture(self):
+        a, b = (gen_mog(80, 12, 3, 1.0, 10.0, seed=6).gram for _ in range(2))
+        rows, cols = _random_pairs(a.n, 400, 7)
+        got = a.query_pairs(rows, cols)
+        want, _ = _scalar_loop(b, rows, cols)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_budget_charges_longest_prefix(self):
+        # fresh pairs at positions 0, 1, 3, 5 (2 repeats 0; 4 is 3 reversed);
+        # budget 3 stops at position 5
+        rows, cols = [0, 1, 1, 2, 3, 2, 0], [1, 1, 0, 3, 2, 2, 0]
+        a = MeteredGram(np.eye(4), budget=3)
+        b = MeteredGram(np.eye(4), budget=3)
+        with pytest.raises(BudgetExhaustedError) as exc:
+            a.query_pairs(rows, cols)
+        want, cut = _scalar_loop(b, rows, cols)
+        assert exc.value.prefix == cut == 5
+        assert exc.value.values.tolist() == want == [0.0, 1.0, 0.0, 0.0, 0.0]
+        ra, rb = a.ledger_report(), b.ledger_report()
+        assert ra.budget_exhausted and rb.budget_exhausted
+        assert (ra.distinct_entries, ra.total_requests) == (3, 5)
+        assert (rb.distinct_entries, rb.total_requests) == (3, 5)
+        assert ra.per_row.tolist() == rb.per_row.tolist() == [1, 2, 1, 1]
+        # revealed pairs stay readable, without a new fresh entry
+        assert a.query_pairs([1, 3], [0, 2]).tolist() == [0.0, 0.0]
+
+    def test_cut_at_first_pair_returns_empty_prefix(self):
+        g = MeteredGram(np.eye(3), budget=1)
+        g.query(0, 0)
+        with pytest.raises(BudgetExhaustedError) as exc:
+            g.query_pairs([0, 1], [0, 2])
+        assert exc.value.prefix == 1
+        with pytest.raises(BudgetExhaustedError) as exc:
+            g.query_pairs([2], [1])
+        assert exc.value.prefix == 0 and exc.value.values.size == 0
+        assert g.ledger_report().total_requests == 2
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 1, 5], [1, 2, 0]),
+        ([0, 1], [-1, 2]),
+    ])
+    def test_out_of_range_raises_before_charging(self, rows, cols):
+        g = MeteredGram(np.eye(5), budget=4)
+        g.query(0, 1)
+        before = g.ledger_report()
+        with pytest.raises(ContractViolationError):
+            g.query_pairs(rows, cols)
+        after = g.ledger_report()
+        assert (after.distinct_entries, after.total_requests) == (1, 1)
+        assert after.per_row.tolist() == before.per_row.tolist()
+        assert not after.budget_exhausted
+
+    def test_length_mismatch_and_empty(self):
+        g = MeteredGram(np.eye(3))
+        with pytest.raises(ContractViolationError):
+            g.query_pairs([0, 1], [1])
+        assert g.query_pairs([], []).shape == (0,)
+        assert g.ledger_report().total_requests == 0
+        assert g.ledger._bits is None
 
 
 class TestLedgerStorage:
@@ -261,6 +371,14 @@ class SetLedger:
             if i != j:
                 self.per_row[j] += 1
 
+    def charge_loop(self, pairs):
+        """Charge pairs one at a time, as a loop of scalar queries; returns
+        the number charged before the budget refused one, or None."""
+        for p, pair in enumerate(pairs):
+            if _raises_budget(self.charge, [pair]):
+                return p
+        return None
+
 
 def _raises_budget(charge, *args):
     try:
@@ -276,6 +394,7 @@ def _ledger_ops(n):
     return st.lists(st.one_of(
         st.tuples(st.just("scalar"), idx, idx),
         st.tuples(st.just("block"), rows, rows),
+        st.tuples(st.just("pairs"), st.lists(st.tuples(idx, idx), max_size=12)),
         st.tuples(st.just("full")),
     ), max_size=25)
 
@@ -294,7 +413,17 @@ class TestLedgerMatchesSetModel:
         n, budget, ops = case
         ledger, ref = QueryLedger(n, budget), SetLedger(n, budget)
         for kind, *args in ops:
-            if kind == "scalar":
+            if kind == "pairs":
+                (pairs,) = args
+                rows, cols = (np.asarray([p[a] for p in pairs], dtype=np.int64)
+                              for a in (0, 1))
+                try:
+                    ledger.charge_pairs(rows, cols)
+                    prefix = None
+                except BudgetExhaustedError as e:
+                    prefix = e.prefix
+                assert prefix == ref.charge_loop(pairs)
+            elif kind == "scalar":
                 pairs, charge = [tuple(args)], ledger.charge_scalar
             elif kind == "block":
                 pairs = [(i, j) for i in args[0] for j in args[1]]
@@ -303,7 +432,8 @@ class TestLedgerMatchesSetModel:
             else:
                 pairs = [(i, j) for i in range(n) for j in range(n)]
                 charge = ledger.charge_full
-            assert _raises_budget(charge, *args) == _raises_budget(ref.charge, pairs)
+            if kind != "pairs":
+                assert _raises_budget(charge, *args) == _raises_budget(ref.charge, pairs)
             rep = ledger.report()
             assert rep.distinct_entries == len(ref.pairs)
             assert rep.total_requests == ref.total_requests
