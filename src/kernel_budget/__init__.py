@@ -2,7 +2,7 @@
 
 Kernel values are only reachable through a counting (optionally budgeted)
 Gram oracle. On top of it: seeded hard-instance generators with hidden
-ground truth, exact and approximate kernel ridge regression with its
+ground truth, exact and landmark kernel ridge regression with its
 effective dimension and closed-form hard-instance optimum, kernel k-means
 cost calculus with lower-bound formulas and neighbor-sampling label
 recovery, and a query-efficient clustering pipeline for Gaussian mixtures.
@@ -23,10 +23,8 @@ from .kkmc import (Clustering, CostBreakdown, block_clustering, cost_explicit,
                    cost_kernel, kappa, large_cluster_bound,
                    multi_cluster_lower_bound, rank_cost_gap, recover_labels,
                    single_block_cost, small_cluster_lower_bound)
-from .krr import (KrrSolution, SpectralApprox, approx_solve_spectral,
-                  check_guarantee, classify_rows, d_eff, d_eff_from_gram,
-                  hard_instance_optimum, indicator_solve, solve_exact,
-                  uniform_nystrom_approx)
+from .krr import (check_guarantee, classify_rows, d_eff, hard_instance_optimum,
+                  indicator_solve, nystrom_solve, solve_exact)
 from .mog import (Bootstrap, MogResult, SketchOperator, bootstrap_extract,
                   build_sketch, cluster_mog, estimate_means, pair_test,
                   separation_thresholds, sketch_apply_many, sketched_assign)
@@ -41,9 +39,8 @@ __all__ = [
     "MogInstance", "gen_krr", "gen_rank", "gen_kkmc", "gen_mog",
     "make_balanced_kkmc", "block_of",
     # krr
-    "KrrSolution", "SpectralApprox", "solve_exact", "d_eff", "d_eff_from_gram",
-    "approx_solve_spectral", "check_guarantee", "hard_instance_optimum",
-    "classify_rows", "indicator_solve", "uniform_nystrom_approx",
+    "solve_exact", "nystrom_solve", "d_eff", "check_guarantee",
+    "hard_instance_optimum", "classify_rows", "indicator_solve",
     # kkmc
     "Clustering", "CostBreakdown", "cost_kernel", "cost_explicit",
     "block_clustering", "kappa", "small_cluster_lower_bound",

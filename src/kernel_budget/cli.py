@@ -186,8 +186,8 @@ def _krr_common(cfg, seed):
 def _run_krr_closed_form(cfg, seed):
     inst = _krr_common(cfg, seed)
     K = inst.gram.full()
-    sol = solve_exact(K, inst.z, inst.lam)
-    diff = float(np.max(np.abs(sol.alpha - hard_instance_optimum(inst))))
+    alpha = solve_exact(K, inst.z, inst.lam)
+    diff = float(np.max(np.abs(alpha - hard_instance_optimum(inst))))
     return [ResultRow("krr-closed-form", seed, inst.n, inst.k, inst.eps,
                       "max_abs_diff", diff, inst.gram.ledger_report())]
 
@@ -195,8 +195,8 @@ def _run_krr_closed_form(cfg, seed):
 def _run_krr_classify(cfg, seed):
     inst = _krr_common(cfg, seed)
     K = inst.gram.full()
-    sol = solve_exact(K, inst.z, inst.lam)
-    labels = classify_rows(sol.alpha[:inst.n], inst.n, inst.k, inst.eps)
+    alpha = solve_exact(K, inst.z, inst.lam)
+    labels = classify_rows(alpha[:inst.n], inst.n, inst.k, inst.eps)
     acc = float(np.mean(labels == inst.classes))
     return [ResultRow("krr-classify", seed, inst.n, inst.k, inst.eps,
                       "accuracy", acc, inst.gram.ledger_report())]
@@ -210,7 +210,7 @@ def _run_krr_indicator(cfg, seed):
     fast = indicator_solve(G, inst.z, inst.lam, c0, c1)
     K = c0 * np.ones_like(G) + (c1 - c0) * G
     direct = solve_exact(K, inst.z, inst.lam)
-    diff = float(np.max(np.abs(fast.alpha - direct.alpha)))
+    diff = float(np.max(np.abs(fast - direct)))
     return [ResultRow("krr-indicator", seed, inst.n, inst.k, inst.eps,
                       "max_abs_diff", diff, inst.gram.ledger_report())]
 

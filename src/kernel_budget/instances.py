@@ -83,8 +83,7 @@ class KrrInstance:
 
 
 def gen_krr(n: int, J: int, eps: float, seed: int, augmented: bool = False,
-            spec: KernelSpec = KernelSpec.linear(),
-            budget: Optional[int] = None) -> KrrInstance:
+            spec: KernelSpec = KernelSpec.linear()) -> KrrInstance:
     """Draw a ridge-regression hard instance.
 
     Each of the n points is, with probability 1/2, uniform over the first
@@ -116,7 +115,7 @@ def gen_krr(n: int, J: int, eps: float, seed: int, augmented: bool = False,
         points = _one_hot(idx, dim + k_int, scales)
     else:
         points = _one_hot(basis_index, dim)
-    gram = MeteredGram(points, spec=spec, budget=budget)
+    gram = MeteredGram(points, spec=spec)
     return KrrInstance(n=n, J=J, eps=eps, seed=seed, basis_index=basis_index,
                        augmented=augmented, spec=spec, gram=gram, points=points)
 
@@ -135,7 +134,7 @@ class RankInstance:
     points: np.ndarray = field(repr=False)
 
 
-def gen_rank(n: int, k: int, seed: int, budget: Optional[int] = None) -> RankInstance:
+def gen_rank(n: int, k: int, seed: int) -> RankInstance:
     """Uniform draws from the first k basis vectors; with probability 1/2 one
     uniformly chosen position is overwritten by the (k+1)-st."""
     if not n > k >= 1:
@@ -148,7 +147,7 @@ def gen_rank(n: int, k: int, seed: int, budget: Optional[int] = None) -> RankIns
         planted_index = int(rng.integers(0, n))
         basis_index[planted_index] = k
     points = _one_hot(basis_index, k + 1)
-    gram = MeteredGram(points, budget=budget)
+    gram = MeteredGram(points)
     return RankInstance(n=n, k=k, seed=seed, basis_index=basis_index,
                         planted=planted, planted_index=planted_index,
                         gram=gram, points=points)
@@ -202,8 +201,7 @@ def _two_hot_points(block: np.ndarray, pair: np.ndarray, inv_eps: int, dim: int)
     return pts
 
 
-def gen_kkmc(n: int, k: int, eps: float, seed: int,
-             budget: Optional[int] = None) -> KkmcInstance:
+def gen_kkmc(n: int, k: int, eps: float, seed: int) -> KkmcInstance:
     """Draw n i.i.d. two-hot block vectors."""
     if n < 1 or k < 1:
         raise ContractViolationError("n and k must be positive")
@@ -217,7 +215,7 @@ def gen_kkmc(n: int, k: int, eps: float, seed: int,
     pair_list = np.array([(a, b) for a in range(inv_eps) for b in range(a + 1, inv_eps)])
     pair = pair_list[rng.integers(0, len(pair_list), size=n)]
     points = _two_hot_points(block, pair, inv_eps, k * inv_eps)
-    gram = MeteredGram(points, budget=budget)
+    gram = MeteredGram(points)
     return KkmcInstance(n=n, k=k, eps=eps, seed=seed, block=block, pair=pair,
                         gram=gram, points=points)
 
@@ -267,8 +265,7 @@ class MogInstance:
 
 
 def gen_mog(n: int, d: int, k: int, sigma: float, separation: float, seed: int,
-            weights=None, budget: Optional[int] = None,
-            max_retries: int = 50) -> MogInstance:
+            weights=None, max_retries: int = 50) -> MogInstance:
     """Sample a separated Gaussian mixture.
 
     Means sit at separation * (random orthonormal directions) when k <= d,
@@ -307,7 +304,7 @@ def gen_mog(n: int, d: int, k: int, sigma: float, separation: float, seed: int,
     points = means[labels] + sigma * rng.standard_normal((n, d))
     inst = MogInstance(n=n, d=d, k=k, sigma=sigma, separation=separation, seed=seed,
                        means=means, weights=weights, labels=labels,
-                       gram=MeteredGram(points, budget=budget), points=points)
+                       gram=MeteredGram(points), points=points)
     if k > 1 and inst.min_separation() < separation * (1 - 1e-12):
         raise GenerationFailureError("mean placement failed the separation check")
     return inst

@@ -1,75 +1,82 @@
-"""Kernel ridge regression: exact and approximate solvers, effective
-dimension, the hard-instance closed form, and the rank-one indicator path.
+"""Kernel ridge regression: the exact dense solve, a metered landmark
+(Nystrom) solve, effective dimension, the hard-instance closed form, and the
+rank-one indicator path.
 
 The regularized objective ||K a - z||^2 + lam * a' K a has minimizer
-a = (K + lam I)^{-1} z. Everything here is dense, factored through a
-symmetric positive-definite Cholesky solve; desk scale (n <= 5000) needs
-no iterative machinery.
+a = (K + lam I)^{-1} z. `solve_exact` and `indicator_solve` take a dense
+matrix the caller has already revealed and factor it through a symmetric
+positive-definite Cholesky solve; desk scale (n <= 5000) needs no iterative
+machinery. `nystrom_solve` reads only the landmark columns of a metered gram
+and never builds an n x n array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ContractViolationError, SingularSystemError
 from .instances import CLASS_S1, CLASS_S2, KrrInstance
-from .rng import stream
+from .oracle import MeteredGram
 
 _SYM_TOL = 1e-8
 
 
-@dataclass
-class KrrSolution:
-    """Solver output: coefficients plus the residual and objective at them."""
-
-    alpha: np.ndarray
-    lam: float
-    residual_norm: float
-    objective: float
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "alpha": [float(a) for a in self.alpha],
-            "objective": self.objective,
-            "residual_norm": self.residual_norm,
-        }
-
-
-def _check_symmetric(K: np.ndarray, what: str = "K"):
+def _check_system(K, z, lam: float, what: str = "K"):
+    """K and z as float arrays, once lam > 0 and K is square, symmetric and
+    conforms with z."""
+    if lam <= 0:
+        raise ContractViolationError("lam must be positive")
+    K = np.asarray(K, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or z.shape != (K.shape[0],):
+        raise ContractViolationError(f"{what} must be square and conform with z")
     skew = np.abs(K - K.T).max()
     scale = 1.0 + np.abs(K).max()
     if skew > _SYM_TOL * scale:
         raise ContractViolationError(f"{what} is not symmetric (max skew {skew:.3g})")
+    return K, z
 
 
-def _solution_from_alpha(K: np.ndarray, z: np.ndarray, lam: float,
-                         alpha: np.ndarray) -> KrrSolution:
-    resid = K @ alpha - z
-    return KrrSolution(
-        alpha=alpha,
-        lam=float(lam),
-        residual_norm=float(np.linalg.norm(resid)),
-        objective=float(resid @ resid + lam * (alpha @ (K @ alpha))),
-    )
-
-
-def solve_exact(K, z, lam: float) -> KrrSolution:
+def solve_exact(K, z, lam: float) -> np.ndarray:
     """Minimize the ridge objective: alpha = (K + lam I)^{-1} z."""
-    K = np.asarray(K, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if lam <= 0:
-        raise ContractViolationError("lam must be positive")
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] != z.shape[0]:
-        raise ContractViolationError("K must be square and conform with z")
-    _check_symmetric(K)
+    K, z = _check_system(K, z, lam)
     reg = K + lam * np.eye(K.shape[0])
     cho = scipy.linalg.cho_factor(reg, lower=True, check_finite=False)
-    alpha = scipy.linalg.cho_solve(cho, z, check_finite=False)
-    return _solution_from_alpha(K, z, lam, alpha)
+    return scipy.linalg.cho_solve(cho, z, check_finite=False)
+
+
+def nystrom_solve(gram: MeteredGram, landmarks, z, lam: float) -> np.ndarray:
+    """Ridge solve against the landmark approximation K_tilde = C W^+ C'.
+
+    C = K[:, landmarks] is read in one metered block, the only read: n*L
+    requests and n*L - L(L-1)/2 distinct entries for L fresh landmarks. With
+    W = C[landmarks] = V diag(w) V' and B = C V_k / sqrt(w_k) over the
+    eigenvalues above round-off, K_tilde = B B', and Woodbury gives
+
+        alpha = (K_tilde + lam I)^{-1} z = (z - B (B'B + lam I)^{-1} B'z) / lam
+
+    with no n x n array. K - K_tilde is positive semidefinite (a Schur
+    complement); once its top eigenvalue is at most lam * eps, alpha is
+    within eps relative distance of the exact minimizer. The caller chooses
+    the landmarks: distinct indices, at least one.
+    """
+    if lam <= 0:
+        raise ContractViolationError("lam must be positive")
+    landmarks = np.asarray(landmarks, dtype=np.int64)
+    if (landmarks.ndim != 1 or landmarks.size == 0
+            or np.unique(landmarks).size != landmarks.size):
+        raise ContractViolationError("landmarks must be a nonempty list of distinct indices")
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (gram.n,):
+        raise ContractViolationError("z must have one entry per point")
+    C = gram.query_block(np.arange(gram.n), landmarks)
+    W = C[landmarks]
+    w, V = np.linalg.eigh(0.5 * (W + W.T))
+    keep = w > max(1e-12, 1e-12 * np.abs(w).max())
+    B = C @ (V[:, keep] / np.sqrt(w[keep]))
+    small = B.T @ B + lam * np.eye(B.shape[1])
+    return (z - B @ np.linalg.solve(small, B.T @ z)) / lam
 
 
 def d_eff(eigenvalues, lam: float) -> float:
@@ -81,68 +88,6 @@ def d_eff(eigenvalues, lam: float) -> float:
         raise ContractViolationError("eigenvalues must be nonnegative")
     s = np.clip(s, 0.0, None)
     return float(np.sum(s / (s + lam)))
-
-
-def d_eff_from_gram(K, lam: float) -> float:
-    """trace(K (K + lam I)^{-1}), computed through the eigenvalues of K."""
-    K = np.asarray(K, dtype=np.float64)
-    _check_symmetric(K)
-    return d_eff(np.linalg.eigvalsh(K), lam)
-
-
-@dataclass
-class SpectralApprox:
-    """An approximation K_tilde together with a certified one-sided bound b
-    such that K - K_tilde <= b * I in the semidefinite order. The bound is
-    measured on the instance at build time, never assumed."""
-
-    k_tilde: np.ndarray
-    bound: float
-
-
-def uniform_nystrom_approx(K, n_landmarks: int, seed: int = 0) -> SpectralApprox:
-    """Low-rank approximation from uniformly sampled landmark columns.
-
-    K_tilde = C W^+ C' with C the sampled columns and W the landmark block,
-    so K - K_tilde is positive semidefinite (a Schur complement); the
-    certified bound is its measured top eigenvalue.
-    """
-    K = np.asarray(K, dtype=np.float64)
-    _check_symmetric(K)
-    n = K.shape[0]
-    if not 1 <= n_landmarks <= n:
-        raise ContractViolationError("n_landmarks must be in [1, n]")
-    rng = stream(seed, "nystrom")
-    landmarks = np.sort(rng.choice(n, size=n_landmarks, replace=False))
-    C = K[:, landmarks]
-    W = K[np.ix_(landmarks, landmarks)]
-    w_vals, w_vecs = np.linalg.eigh(W)
-    tol = max(1e-12, 1e-12 * abs(w_vals).max()) if w_vals.size else 0.0
-    keep = w_vals > tol
-    if keep.any():
-        inv = (w_vecs[:, keep] / w_vals[keep]) @ w_vecs[:, keep].T
-        k_tilde = C @ inv @ C.T
-    else:
-        k_tilde = np.zeros_like(K)
-    k_tilde = 0.5 * (k_tilde + k_tilde.T)
-    bound = float(np.linalg.eigvalsh(K - k_tilde).max())
-    return SpectralApprox(k_tilde=k_tilde, bound=max(bound, 0.0))
-
-
-def approx_solve_spectral(approx: SpectralApprox, z, lam: float) -> KrrSolution:
-    """Solve against the approximation: alpha_hat = (K_tilde + lam I)^{-1} z.
-
-    Whenever the certificate bound <= lam * eps holds (and K_tilde is PSD),
-    alpha_hat is within eps relative distance of the exact minimizer.
-    Residual and objective in the result are measured against K_tilde.
-    """
-    if lam <= 0:
-        raise ContractViolationError("lam must be positive")
-    kt = np.asarray(approx.k_tilde, dtype=np.float64)
-    _check_symmetric(kt, "K_tilde")
-    z = np.asarray(z, dtype=np.float64)
-    alpha = np.linalg.solve(kt + lam * np.eye(kt.shape[0]), z)
-    return _solution_from_alpha(kt, z, lam, alpha)
 
 
 def check_guarantee(alpha_hat, alpha_opt, eps: float) -> bool:
@@ -189,7 +134,7 @@ def classify_rows(alpha_hat, n: int, k: float, eps: float) -> np.ndarray:
     return np.where(scaled > classification_midpoint(eps), CLASS_S1, CLASS_S2)
 
 
-def indicator_solve(G, z, lam: float, c0: float, c1: float) -> KrrSolution:
+def indicator_solve(G, z, lam: float, c0: float, c1: float) -> np.ndarray:
     """Ridge solve for K = c0 * ones + (c1 - c0) * G without assembling K.
 
     The all-ones offset is a rank-one update of (c1 - c0) G + lam I, so with
@@ -198,16 +143,11 @@ def indicator_solve(G, z, lam: float, c0: float, c1: float) -> KrrSolution:
         alpha = A^{-1} z - A^{-1} 1 * (c0 * 1' A^{-1} z) / (1 + C),
 
     which for z = 1 collapses to (1 / ((c1 - c0)(1 + C))) *
-    (G + (lam / (c1 - c0)) I)^{-1} z. The reported residual and objective
-    are measured against the assembled K.
+    (G + (lam / (c1 - c0)) I)^{-1} z.
     """
     if not c1 > c0:
         raise ContractViolationError(f"need c1 > c0, got c0={c0}, c1={c1}")
-    if lam <= 0:
-        raise ContractViolationError("lam must be positive")
-    G = np.asarray(G, dtype=np.float64)
-    _check_symmetric(G, "G")
-    z = np.asarray(z, dtype=np.float64)
+    G, z = _check_system(G, z, lam, "G")
     n = G.shape[0]
     A = (c1 - c0) * G + lam * np.eye(n)
     cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
@@ -217,6 +157,4 @@ def indicator_solve(G, z, lam: float, c0: float, c1: float) -> KrrSolution:
     denom = 1.0 + c0 * (ones @ w)
     if abs(denom) < 1e-12:
         raise SingularSystemError("rank-one update denominator vanished")
-    alpha = y - w * (c0 * (ones @ y) / denom)
-    K = c0 * np.ones((n, n)) + (c1 - c0) * G
-    return _solution_from_alpha(K, z, lam, alpha)
+    return y - w * (c0 * (ones @ y) / denom)

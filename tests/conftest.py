@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from kernel_budget.krr import d_eff
+
 
 def set_partitions(n: int, max_blocks: int):
     """All partitions of range(n) into at most max_blocks nonempty blocks,
@@ -23,3 +25,11 @@ def set_partitions(n: int, max_blocks: int):
 def random_psd(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((n, rank))
     return a @ a.T
+
+
+def d_eff_from_gram(K, lam: float) -> float:
+    """Dense reference for the effective dimension trace(K (K + lam I)^{-1}),
+    computed through the eigenvalues of a symmetric K."""
+    K = np.asarray(K, dtype=np.float64)
+    assert np.allclose(K, K.T), "K must be symmetric"
+    return d_eff(np.linalg.eigvalsh(K), lam)

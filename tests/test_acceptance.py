@@ -12,7 +12,7 @@ from math import log, sqrt
 
 import numpy as np
 import pytest
-from conftest import set_partitions
+from conftest import d_eff_from_gram, set_partitions
 
 from kernel_budget.cli import ExperimentConfig, run as run_experiment
 from kernel_budget.errors import BoundRangeError
@@ -22,9 +22,8 @@ from kernel_budget.kkmc import (Clustering, block_clustering, cost_explicit,
                                 coordinate_counts, multi_cluster_lower_bound,
                                 rank_cost_gap, recover_labels,
                                 single_block_cost, small_cluster_lower_bound)
-from kernel_budget.krr import (classify_rows, d_eff, d_eff_from_gram,
-                               hard_instance_optimum, indicator_solve,
-                               solve_exact)
+from kernel_budget.krr import (classify_rows, d_eff, hard_instance_optimum,
+                               indicator_solve, solve_exact)
 from kernel_budget.mog import (FIRST, SECOND, build_sketch, cluster_mog,
                                pair_test, separation_thresholds,
                                sketch_dimension)
@@ -48,9 +47,9 @@ class TestA01HardInstanceClosedForm:
         for seed in range(5):
             inst = gen_krr(n, J, eps, seed=seed)
             K = inst.gram.full()
-            sol = solve_exact(K, inst.z, inst.lam)
-            worst = max(worst, float(np.abs(sol.alpha - hard_instance_optimum(inst)).max()))
-            scaled = (inst.n / inst.k) * sol.alpha
+            alpha = solve_exact(K, inst.z, inst.lam)
+            worst = max(worst, float(np.abs(alpha - hard_instance_optimum(inst)).max()))
+            scaled = (inst.n / inst.k) * alpha
             s1_vals.append(scaled[inst.classes == CLASS_S1])
             s2_vals.append(scaled[inst.classes == CLASS_S2])
         dev1 = abs(np.concatenate(s1_vals).mean() - 1 / (1 + eps))
@@ -100,8 +99,8 @@ class TestA03ClassificationReduction:
         for seed in range(20):
             inst = gen_krr(n, J, eps, seed=seed)
             K = inst.points @ inst.points.T
-            sol = solve_exact(K, inst.z, inst.lam)
-            labels = classify_rows(sol.alpha, inst.n, inst.k, inst.eps)
+            alpha = solve_exact(K, inst.z, inst.lam)
+            labels = classify_rows(alpha, inst.n, inst.k, inst.eps)
             acc = float(np.mean(labels == inst.classes))
             accs.append(acc)
             passes += int(acc >= 0.9)
@@ -124,7 +123,7 @@ class TestA04IndicatorPath:
             fast = indicator_solve(G, inst.z, inst.lam, c0, c1)
             K = c0 * np.ones((n, n)) + (c1 - c0) * G
             direct = solve_exact(K, inst.z, inst.lam)
-            worst = max(worst, float(np.abs(fast.alpha - direct.alpha).max()))
+            worst = max(worst, float(np.abs(fast - direct).max()))
         ok = worst <= 1e-9
         announce("a04 indicator-kernel path", ok,
                  f"max |rank-one path - direct assembly| {worst:.2e} over 50 draws")

@@ -71,7 +71,8 @@ class TestCosts:
             assert abs(ck.total - ck.per_cluster.sum()) <= 1e-8
 
     def test_cost_kernel_budget_propagates(self):
-        inst = gen_kkmc(30, 2, 0.5, seed=3, budget=10)
+        inst = gen_kkmc(30, 2, 0.5, seed=3)
+        inst.gram.set_budget(10)
         with pytest.raises(BudgetExhaustedError):
             cost_kernel(inst.gram, Clustering(np.zeros(30, dtype=int)))
 

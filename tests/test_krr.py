@@ -2,42 +2,40 @@
 
 import numpy as np
 import pytest
-from conftest import random_psd
+from conftest import d_eff_from_gram, random_psd
 
-from kernel_budget.errors import ContractViolationError
+from kernel_budget.errors import BudgetExhaustedError, ContractViolationError
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
-from kernel_budget.krr import (SpectralApprox, approx_solve_spectral,
-                               check_guarantee, classification_midpoint,
-                               classify_rows, d_eff, d_eff_from_gram,
-                               hard_instance_optimum, indicator_solve,
-                               solve_exact, uniform_nystrom_approx)
-from kernel_budget.oracle import KernelSpec
+from kernel_budget.krr import (check_guarantee, classification_midpoint,
+                               classify_rows, d_eff, hard_instance_optimum,
+                               indicator_solve, nystrom_solve, solve_exact)
+from kernel_budget.oracle import KernelSpec, MeteredGram
 from kernel_budget.rng import stream
 
 
 class TestSolveExact:
     def test_identity_kernel(self):
-        sol = solve_exact(np.eye(2), np.ones(2), 1.0)
-        assert np.allclose(sol.alpha, [0.5, 0.5], atol=1e-14)
+        alpha = solve_exact(np.eye(2), np.ones(2), 1.0)
+        assert np.allclose(alpha, [0.5, 0.5], atol=1e-14)
 
     def test_pure_ridge(self):
-        sol = solve_exact(np.zeros((2, 2)), np.array([4.0, 6.0]), 2.0)
-        assert np.allclose(sol.alpha, [2.0, 3.0], atol=1e-14)
+        alpha = solve_exact(np.zeros((2, 2)), np.array([4.0, 6.0]), 2.0)
+        assert np.allclose(alpha, [2.0, 3.0], atol=1e-14)
 
     def test_matches_independent_dense_solve(self):
         rng = stream(0, "psd")
         K = random_psd(6, 6, rng)
         z = rng.standard_normal(6)
-        sol = solve_exact(K, z, 0.7)
+        alpha = solve_exact(K, z, 0.7)
         ref = np.linalg.solve(K + 0.7 * np.eye(6), z)
-        assert np.abs(sol.alpha - ref).max() <= 1e-10
+        assert np.abs(alpha - ref).max() <= 1e-10
 
     def test_solution_solves_system(self):
         rng = stream(1, "psd2")
         K = random_psd(20, 5, rng)
         z = rng.standard_normal(20)
-        sol = solve_exact(K, z, 1.3)
-        resid = (K + 1.3 * np.eye(20)) @ sol.alpha - z
+        alpha = solve_exact(K, z, 1.3)
+        resid = (K + 1.3 * np.eye(20)) @ alpha - z
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(z)
 
     def test_rejects_asymmetric(self):
@@ -53,14 +51,32 @@ class TestSolveExact:
         rng = stream(2, "scale")
         K = random_psd(8, 8, rng)
         z = rng.standard_normal(8)
-        base = solve_exact(K, z, 0.5).alpha
+        base = solve_exact(K, z, 0.5)
         for c in (0.2, 3.0, 17.0):
-            scaled = solve_exact(c * K, c * z, c * 0.5).alpha
+            scaled = solve_exact(c * K, c * z, c * 0.5)
             assert np.abs(scaled - base).max() <= 1e-9
 
-    def test_json_shape(self):
-        blob = solve_exact(np.eye(2), np.ones(2), 1.0).to_json()
-        assert set(blob) == {"lambda", "alpha", "objective", "residual_norm"}
+
+DENSE_SOLVERS = {
+    "exact": solve_exact,
+    "indicator": lambda K, z, lam: indicator_solve(K, z, lam, 0.1, 1.0),
+}
+
+
+class TestCheckSystem:
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    @pytest.mark.parametrize("K, z, lam", [
+        (np.ones((3, 2)), np.ones(3), 1.0),
+        (np.eye(3), np.ones(4), 1.0),
+        (np.eye(3), np.ones((3, 1)), 1.0),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2), 1.0),
+        (np.eye(2), np.ones(2), 0.0),
+        (np.eye(2), np.ones(2), -1.0),
+    ], ids=["non-square", "non-conforming", "z-matrix", "asymmetric",
+            "lam-zero", "lam-negative"])
+    def test_dense_solvers_reject_malformed_systems(self, solver, K, z, lam):
+        with pytest.raises(ContractViolationError):
+            DENSE_SOLVERS[solver](K, z, lam)
 
 
 class TestEffectiveDimension:
@@ -105,50 +121,144 @@ class TestEffectiveDimension:
             d_eff([-1.0], 1.0)
 
 
-class TestSpectralApprox:
-    def test_exact_approximation_recovers_optimum(self):
-        rng = stream(5, "spec")
-        K = random_psd(10, 10, rng)
-        z = rng.standard_normal(10)
-        opt = solve_exact(K, z, 1.0)
-        hat = approx_solve_spectral(SpectralApprox(K.copy(), 0.0), z, 1.0)
-        assert np.abs(hat.alpha - opt.alpha).max() <= 1e-12
+def nystrom_gap(K, landmarks):
+    """K - C W^+ C', the Schur complement the landmarks leave, with W^+ over
+    the landmark block's eigenvalues above round-off (the solver's cut)."""
+    C = K[:, landmarks]
+    w, V = np.linalg.eigh(K[np.ix_(landmarks, landmarks)])
+    keep = w > max(1e-12, 1e-12 * np.abs(w).max())
+    B = C @ (V[:, keep] / np.sqrt(w[keep]))
+    return K - B @ B.T
 
-    def test_shifted_approximation_meets_guarantee(self):
-        rng = stream(6, "shift")
-        lam, eps = 2.0, 0.5
-        K = random_psd(30, 30, rng) + lam * eps * np.eye(30)
-        z = rng.standard_normal(30)
-        approx = SpectralApprox(K - lam * eps * np.eye(30), lam * eps)
-        opt = solve_exact(K, z, lam)
-        hat = approx_solve_spectral(approx, z, lam)
-        assert check_guarantee(hat.alpha, opt.alpha, eps)
+
+def uniform_landmarks(n, m, seed):
+    return np.sort(stream(seed, "nystrom").choice(n, size=m, replace=False))
+
+
+def certified_landmarks(K, lam, eps, seed):
+    """Grow m in steps of 4 until the dense certificate is at most lam * eps."""
+    n = K.shape[0]
+    for m in range(4, n + 1, 4):
+        landmarks = uniform_landmarks(n, m, seed)
+        if np.linalg.eigvalsh(nystrom_gap(K, landmarks)).max() <= lam * eps:
+            return landmarks
+    return None
+
+
+def one_landmark_per_direction(inst):
+    """The first point on each coordinate direction the instance uses."""
+    return np.unique(inst.points.argmax(axis=1), return_index=True)[1]
+
+
+class TestSpectralApprox:
+    """nystrom_solve, the landmark approximation K_tilde = C W^+ C'."""
+
+    def test_exact_approximation_recovers_optimum(self):
+        # every point a landmark: K_tilde = K
+        rng = stream(5, "spec")
+        pts = rng.standard_normal((10, 10))
+        z = rng.standard_normal(10)
+        opt = solve_exact(pts @ pts.T, z, 1.0)
+        hat = nystrom_solve(MeteredGram(pts), np.arange(10), z, 1.0)
+        assert np.abs(hat - opt).max() <= 1e-12
 
     def test_nystrom_certificate_implies_guarantee(self):
         # guarantee chain: certified bound <= lam * eps forces eps-closeness
         lam, eps = 1.5, 0.4
         for seed in range(100):
             rng = stream(seed, "ny")
-            K = random_psd(64, 12, rng) + 0.05 * random_psd(64, 64, rng)
+            pts = np.hstack([rng.standard_normal((64, 12)),
+                             np.sqrt(0.05) * rng.standard_normal((64, 64))])
+            K = pts @ pts.T
             z = rng.standard_normal(64)
-            approx = None
-            for m in range(4, 65, 4):
-                cand = uniform_nystrom_approx(K, m, seed=seed)
-                if cand.bound <= lam * eps:
-                    approx = cand
-                    break
-            assert approx is not None
-            opt = solve_exact(K, z, lam)
-            hat = approx_solve_spectral(approx, z, lam)
-            assert check_guarantee(hat.alpha, opt.alpha, eps)
+            landmarks = certified_landmarks(K, lam, eps, seed)
+            assert landmarks is not None
+            hat = nystrom_solve(MeteredGram(pts), landmarks, z, lam)
+            assert check_guarantee(hat, solve_exact(K, z, lam), eps)
+
+    def test_certificate_below_full_rank(self):
+        # at noise 0.05 above, every seed needs all 64 landmarks; at 0.001 the
+        # certificate holds with a proper subset, so the chain is exercised
+        lam, eps = 1.5, 0.4
+        for seed in range(20):
+            rng = stream(seed, "ny")
+            pts = np.hstack([rng.standard_normal((64, 12)),
+                             np.sqrt(0.001) * rng.standard_normal((64, 64))])
+            K = pts @ pts.T
+            z = rng.standard_normal(64)
+            landmarks = certified_landmarks(K, lam, eps, seed)
+            assert landmarks is not None and landmarks.size < 64
+            hat = nystrom_solve(MeteredGram(pts), landmarks, z, lam)
+            assert check_guarantee(hat, solve_exact(K, z, lam), eps)
 
     def test_nystrom_bound_is_real(self):
         rng = stream(7, "nyb")
-        K = random_psd(40, 40, rng)
-        approx = uniform_nystrom_approx(K, 10, seed=0)
-        gap_eigs = np.linalg.eigvalsh(K - approx.k_tilde)
-        assert gap_eigs.max() <= approx.bound + 1e-8
+        pts = rng.standard_normal((40, 40))
+        K = pts @ pts.T
+        z = rng.standard_normal(40)
+        landmarks = uniform_landmarks(40, 10, seed=0)
+        gap = nystrom_gap(K, landmarks)
+        gap_eigs = np.linalg.eigvalsh(gap)
         assert gap_eigs.min() >= -1e-8  # K_tilde never exceeds K
+        # the solve is against K_tilde, and its error is within bound / lam
+        lam = 1.0
+        hat = nystrom_solve(MeteredGram(pts), landmarks, z, lam)
+        ref = np.linalg.solve(K - gap + lam * np.eye(40), z)
+        assert np.abs(hat - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert check_guarantee(hat, solve_exact(K, z, lam), gap_eigs.max() / lam)
+
+    def test_zero_kernel_gives_pure_ridge(self):
+        # no landmark eigenvalue survives the cut, so K_tilde = 0
+        z = np.array([4.0, 6.0, -2.0, 1.0])
+        alpha = nystrom_solve(MeteredGram(np.zeros((4, 2))), [0, 2], z, 2.0)
+        assert np.array_equal(alpha, z / 2.0)
+
+    @pytest.mark.parametrize("n_landmarks", [1, 7, 50])
+    def test_reads_only_the_landmark_columns(self, n_landmarks):
+        pts = stream(8, "nycount").standard_normal((50, 6))
+        gram = MeteredGram(pts)
+        nystrom_solve(gram, uniform_landmarks(50, n_landmarks, seed=1), np.ones(50), 1.0)
+        rep = gram.ledger_report()
+        L = n_landmarks
+        assert rep.distinct_entries == 50 * L - L * (L - 1) // 2
+        assert rep.total_requests == 50 * L
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_hard_instance_exact(self, augmented):
+        inst = gen_krr(5000, 100, 0.1, seed=0, augmented=augmented)
+        landmarks = one_landmark_per_direction(inst)
+        alpha = nystrom_solve(inst.gram, landmarks, inst.z, inst.lam)
+        assert np.abs(alpha - hard_instance_optimum(inst)).max() <= 1e-12
+        n, L = inst.n_total, landmarks.size
+        assert L == np.count_nonzero(inst.counts) + (round(inst.k) if augmented else 0)
+        assert inst.gram.ledger_report().distinct_entries == n * L - L * (L - 1) // 2
+
+    def test_budget_below_column_read_moves_nothing(self):
+        inst = gen_krr(400, 20, 0.25, seed=3)
+        inst.gram.query(0, 0)
+        before = inst.gram.ledger_report()
+        landmarks = one_landmark_per_direction(inst)
+        L = landmarks.size
+        fresh = 400 * L - L * (L - 1) // 2 - int(0 in landmarks)
+        inst.gram.set_budget(before.distinct_entries + fresh - 1)
+        with pytest.raises(BudgetExhaustedError):
+            nystrom_solve(inst.gram, landmarks, inst.z, inst.lam)
+        after = inst.gram.ledger_report()
+        assert after.distinct_entries == before.distinct_entries
+        assert after.total_requests == before.total_requests
+        assert np.array_equal(after.per_row, before.per_row)
+        inst.gram.set_budget(before.distinct_entries + fresh)
+        nystrom_solve(inst.gram, landmarks, inst.z, inst.lam)
+        assert inst.gram.ledger_report().distinct_entries == before.distinct_entries + fresh
+
+    @pytest.mark.parametrize("landmarks, z_len, lam", [
+        ([], 6, 1.0), ([2, 2], 6, 1.0), ([[0, 1]], 6, 1.0),
+        ([0, 1], 5, 1.0), ([0, 1], 6, 0.0)])
+    def test_rejects_bad_arguments_before_reading(self, landmarks, z_len, lam):
+        gram = MeteredGram(np.eye(6))
+        with pytest.raises(ContractViolationError):
+            nystrom_solve(gram, landmarks, np.ones(z_len), lam)
+        assert gram.ledger_report().total_requests == 0
 
 
 class TestCheckGuarantee:
@@ -180,21 +290,21 @@ class TestHardInstanceOptimum:
     def test_matches_exact_solver(self):
         inst = gen_krr(200, 20, 0.2, seed=1)
         K = inst.points @ inst.points.T
-        sol = solve_exact(K, inst.z, inst.lam)
-        assert np.abs(sol.alpha - hard_instance_optimum(inst)).max() <= 1e-9
+        alpha = solve_exact(K, inst.z, inst.lam)
+        assert np.abs(alpha - hard_instance_optimum(inst)).max() <= 1e-9
 
     def test_closed_form_consistency_many_seeds(self):
         for seed in range(20):
             inst = gen_krr(160, 16, 0.25, seed=seed)
             K = inst.points @ inst.points.T
-            sol = solve_exact(K, inst.z, inst.lam)
-            assert np.abs(sol.alpha - hard_instance_optimum(inst)).max() <= 1e-9
+            alpha = solve_exact(K, inst.z, inst.lam)
+            assert np.abs(alpha - hard_instance_optimum(inst)).max() <= 1e-9
 
     def test_augmented_matches_exact_solver(self):
         inst = gen_krr(120, 12, 0.25, seed=2, augmented=True)
         K = inst.points @ inst.points.T
-        sol = solve_exact(K, inst.z, inst.lam)
-        assert np.abs(sol.alpha - hard_instance_optimum(inst)).max() <= 1e-9
+        alpha = solve_exact(K, inst.z, inst.lam)
+        assert np.abs(alpha - hard_instance_optimum(inst)).max() <= 1e-9
 
     def test_hard_instance_dimension_is_theta_k(self):
         inst = gen_krr(100_000, 100, 0.1, seed=3)
@@ -221,8 +331,8 @@ class TestClassifyRows:
     def test_end_to_end_accuracy(self):
         inst = gen_krr(5000, 100, 0.1, seed=4)
         K = inst.points @ inst.points.T
-        sol = solve_exact(K, inst.z, inst.lam)
-        labels = classify_rows(sol.alpha, inst.n, inst.k, inst.eps)
+        alpha = solve_exact(K, inst.z, inst.lam)
+        labels = classify_rows(alpha, inst.n, inst.k, inst.eps)
         assert np.mean(labels == inst.classes) >= 0.9
 
 
@@ -233,14 +343,14 @@ class TestIndicatorSolve:
         z = rng.standard_normal(12)
         fast = indicator_solve(G, z, 0.9, 0.0, 1.0)
         ref = solve_exact(G, z, 0.9)
-        assert np.abs(fast.alpha - ref.alpha).max() <= 1e-10
+        assert np.abs(fast - ref).max() <= 1e-10
 
     def test_pure_scaling(self):
         inst = gen_krr(8, 4, 0.5, seed=9)
         G = inst.points @ inst.points.T
         fast = indicator_solve(G, inst.z, 1.0, 0.0, 2.0)
         ref = solve_exact(2.0 * G, inst.z, 1.0)
-        assert np.abs(fast.alpha - ref.alpha).max() <= 1e-10
+        assert np.abs(fast - ref).max() <= 1e-10
 
     def test_offset_matches_direct_assembly(self):
         inst = gen_krr(50, 8, 0.25, seed=10)
@@ -249,7 +359,7 @@ class TestIndicatorSolve:
         K = c0 * np.ones((50, 50)) + (c1 - c0) * G
         fast = indicator_solve(G, inst.z, inst.lam, c0, c1)
         ref = solve_exact(K, inst.z, inst.lam)
-        assert np.abs(fast.alpha - ref.alpha).max() <= 1e-9
+        assert np.abs(fast - ref).max() <= 1e-9
 
     def test_general_target_vector(self):
         rng = stream(11, "indz")
@@ -259,7 +369,7 @@ class TestIndicatorSolve:
         K = c0 * np.ones((20, 20)) + (c1 - c0) * G
         fast = indicator_solve(G, z, 2.0, c0, c1)
         ref = solve_exact(K, z, 2.0)
-        assert np.abs(fast.alpha - ref.alpha).max() <= 1e-9
+        assert np.abs(fast - ref).max() <= 1e-9
 
     def test_rejects_bad_constants(self):
         with pytest.raises(ContractViolationError):
@@ -272,4 +382,4 @@ class TestIndicatorSolve:
         G = inst.points @ inst.points.T
         fast = indicator_solve(G, inst.z, inst.lam, 0.2, 1.4)
         ref = solve_exact(K, inst.z, inst.lam)
-        assert np.abs(fast.alpha - ref.alpha).max() <= 1e-9
+        assert np.abs(fast - ref).max() <= 1e-9

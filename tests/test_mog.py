@@ -12,7 +12,8 @@ from kernel_budget.kkmc import Clustering, cost_explicit
 from kernel_budget.mog import (FIRST, SECOND, assign_by_pair_tests,
                                bootstrap_extract, build_sketch,
                                certify_mean_accuracy, cluster_mog,
-                               estimate_means, min_component_count, pair_test,
+                               default_sketch_rows, estimate_means,
+                               min_component_count, pair_test,
                                separation_thresholds, sketch_apply_many,
                                sketch_dimension, sketched_assign)
 from kernel_budget.oracle import MeteredGram
@@ -278,7 +279,7 @@ class TestClusterMog:
 
     def _instance(self, seed, **overrides):
         cfg = {**self.CFG, **overrides}
-        m = sketch_dimension(cfg["n"], cfg["k"], cfg["eps"], c_sketch=0.25)
+        m = default_sketch_rows(cfg["n"], cfg["k"], cfg["eps"], cfg["d"], c_sketch=0.25)
         sep = separation_thresholds(cfg["n"], cfg["d"], cfg["k"], cfg["eps"],
                                     cfg["sigma"], m)["max"]
         return gen_mog(cfg["n"], cfg["d"], cfg["k"], cfg["sigma"], sep, seed=seed)
