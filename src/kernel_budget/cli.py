@@ -208,7 +208,8 @@ def _run_krr_indicator(cfg, seed):
     c0, c1 = float(p["c0"]), float(p["c1"])
     G = inst.gram.full()
     fast = indicator_solve(G, inst.z, inst.lam, c0, c1)
-    K = c0 * np.ones_like(G) + (c1 - c0) * G
+    K = (c1 - c0) * G
+    K += c0
     direct = solve_exact(K, inst.z, inst.lam)
     diff = float(np.max(np.abs(fast - direct)))
     return [ResultRow("krr-indicator", seed, inst.n, inst.k, inst.eps,

@@ -6,8 +6,11 @@ The regularized objective ||K a - z||^2 + lam * a' K a has minimizer
 a = (K + lam I)^{-1} z. `solve_exact` and `indicator_solve` take a dense
 matrix the caller has already revealed and factor it through a symmetric
 positive-definite Cholesky solve; desk scale (n <= 5000) needs no iterative
-machinery. `nystrom_solve` reads only the landmark columns of a metered gram
-and never builds an n x n array.
+machinery. Each dense solve checks its input in one tiled pass (finite,
+symmetric) and factors one n x n working copy in place, so it holds one
+n x n array beyond its input; the caller's arrays are never written to.
+`nystrom_solve` reads only the landmark columns of a metered gram and never
+builds an n x n array.
 """
 
 from __future__ import annotations
@@ -15,34 +18,64 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import ContractViolationError, SingularSystemError
+from .errors import (ContractViolationError, NumericalDegeneracyError,
+                     SingularSystemError)
 from .instances import CLASS_S1, CLASS_S2, KrrInstance
 from .oracle import MeteredGram
 
 _SYM_TOL = 1e-8
+_SYM_TILE = 256
+
+
+def _max_skew(K) -> float:
+    """max |K - K'|, compared tile by tile over the upper tiles so that no
+    full-size transpose or difference is ever held."""
+    n, t = K.shape[0], _SYM_TILE
+    skew = 0.0
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            d = K[i:i + t, j:j + t] - K[j:j + t, i:i + t].T
+            skew = max(skew, float(np.abs(d).max()))
+    return skew
 
 
 def _check_system(K, z, lam: float, what: str = "K"):
-    """K and z as float arrays, once lam > 0 and K is square, symmetric and
-    conforms with z."""
+    """K and z as float arrays, once lam > 0, K is square and conforms with
+    z, both are finite, and K is symmetric."""
     if lam <= 0:
         raise ContractViolationError("lam must be positive")
     K = np.asarray(K, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or z.shape != (K.shape[0],):
         raise ContractViolationError(f"{what} must be square and conform with z")
-    skew = np.abs(K - K.T).max()
-    scale = 1.0 + np.abs(K).max()
+    hi, lo = K.max(), K.min()
+    if not (np.isfinite(hi) and np.isfinite(lo) and np.isfinite(z).all()):
+        raise ContractViolationError(f"{what} and z must be finite")
+    skew = _max_skew(K)
+    scale = 1.0 + max(hi, -lo)
     if skew > _SYM_TOL * scale:
         raise ContractViolationError(f"{what} is not symmetric (max skew {skew:.3g})")
     return K, z
 
 
+def _factor(A, lam: float):
+    """Cholesky factor of A + lam I, computed in A: a symmetric C-order
+    working copy that the solver owns.
+
+    A.T is Fortran-ordered, so LAPACK factors its lower triangle (the upper
+    triangle of A) without another copy."""
+    A.flat[::A.shape[0] + 1] += lam
+    try:
+        return scipy.linalg.cho_factor(A.T, lower=True, overwrite_a=True,
+                                       check_finite=False)
+    except np.linalg.LinAlgError as e:
+        raise NumericalDegeneracyError(str(e)) from e
+
+
 def solve_exact(K, z, lam: float) -> np.ndarray:
     """Minimize the ridge objective: alpha = (K + lam I)^{-1} z."""
     K, z = _check_system(K, z, lam)
-    reg = K + lam * np.eye(K.shape[0])
-    cho = scipy.linalg.cho_factor(reg, lower=True, check_finite=False)
+    cho = _factor(np.array(K, order="C"), lam)
     return scipy.linalg.cho_solve(cho, z, check_finite=False)
 
 
@@ -148,10 +181,8 @@ def indicator_solve(G, z, lam: float, c0: float, c1: float) -> np.ndarray:
     if not c1 > c0:
         raise ContractViolationError(f"need c1 > c0, got c0={c0}, c1={c1}")
     G, z = _check_system(G, z, lam, "G")
-    n = G.shape[0]
-    A = (c1 - c0) * G + lam * np.eye(n)
-    cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    ones = np.ones(n)
+    cho = _factor(np.multiply(c1 - c0, G, order="C"), lam)
+    ones = np.ones(G.shape[0])
     w = scipy.linalg.cho_solve(cho, ones, check_finite=False)
     y = scipy.linalg.cho_solve(cho, z, check_finite=False)
     denom = 1.0 + c0 * (ones @ w)

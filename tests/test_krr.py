@@ -1,14 +1,20 @@
 """Ridge regression: solvers, effective dimension, closed form, indicator path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import d_eff_from_gram, random_psd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernel_budget.errors import BudgetExhaustedError, ContractViolationError
+from kernel_budget.errors import (BudgetExhaustedError, ContractViolationError,
+                                  NumericalDegeneracyError)
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
-from kernel_budget.krr import (check_guarantee, classification_midpoint,
-                               classify_rows, d_eff, hard_instance_optimum,
-                               indicator_solve, nystrom_solve, solve_exact)
+from kernel_budget.krr import (_SYM_TILE, _check_system, check_guarantee,
+                               classification_midpoint, classify_rows, d_eff,
+                               hard_instance_optimum, indicator_solve,
+                               nystrom_solve, solve_exact)
 from kernel_budget.oracle import KernelSpec, MeteredGram
 from kernel_budget.rng import stream
 
@@ -72,11 +78,108 @@ class TestCheckSystem:
         (np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2), 1.0),
         (np.eye(2), np.ones(2), 0.0),
         (np.eye(2), np.ones(2), -1.0),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2), 1.0),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2), 1.0),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), np.ones(2), 1.0),
+        (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), np.ones(2), 1.0),
+        (np.eye(2), np.array([1.0, np.nan]), 1.0),
+        (np.eye(2), np.array([np.inf, 1.0]), 1.0),
     ], ids=["non-square", "non-conforming", "z-matrix", "asymmetric",
-            "lam-zero", "lam-negative"])
+            "lam-zero", "lam-negative", "nan-diagonal", "nan-off-diagonal",
+            "inf-off-diagonal", "neg-inf-off-diagonal", "z-nan", "z-inf"])
     def test_dense_solvers_reject_malformed_systems(self, solver, K, z, lam):
         with pytest.raises(ContractViolationError):
             DENSE_SOLVERS[solver](K, z, lam)
+
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    def test_dense_solvers_reject_indefinite_systems(self, solver):
+        # exact: -I + 0.5 I; indicator: 0.9 (-I) + 0.5 I; both are -c I.
+        with pytest.raises(NumericalDegeneracyError, match="not positive definite"):
+            DENSE_SOLVERS[solver](-np.eye(2), np.ones(2), 0.5)
+
+    @staticmethod
+    @st.composite
+    def _planted_skew(draw):
+        """A symmetric definite K (either sign) around the tile size with one
+        entry moved by about the symmetry tolerance, in a diagonal tile, an
+        off-diagonal tile or the ragged last tile."""
+        T = _SYM_TILE
+        n = draw(st.sampled_from([1, T - 1, T, T + 1, 2 * T + 3]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        S = rng.random((n, n))
+        K = draw(st.sampled_from([1.0, -1.0])) * (S + S.T + 2 * n * np.eye(n))
+        regions = ["diagonal"] + (["off-diagonal"] if n > T else [])
+        regions += ["ragged"] if n % T else []
+        region = draw(st.sampled_from(regions))
+        last = (n - 1) // T * T
+        if region == "diagonal":
+            t = draw(st.integers(0, (n - 1) // T)) * T
+            i, j = (draw(st.integers(t, min(t + T, n) - 1)) for _ in range(2))
+        elif region == "off-diagonal":
+            i = draw(st.integers(0, T - 1))
+            j = draw(st.integers(T, n - 1))
+        else:
+            i = draw(st.integers(last, n - 1))
+            j = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            i, j = j, i
+        factor = draw(st.floats(0.0, 3.0))
+        K[i, j] += factor * 1e-8 * (1.0 + np.abs(K).max())
+        return K
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=_planted_skew())
+    def test_tiled_check_matches_dense_reference(self, K):
+        skew = np.abs(K - K.T).max()
+        z = np.ones(K.shape[0])
+        if skew <= 1e-8 * (1.0 + np.abs(K).max()):
+            _check_system(K, z, 1.0)
+        else:
+            with pytest.raises(ContractViolationError) as err:
+                _check_system(K, z, 1.0)
+            assert f"(max skew {skew:.3g})" in str(err.value)
+
+
+def _layout_case():
+    rng = stream(5, "layout")
+    A = rng.integers(-3, 4, size=(40, 7))
+    K = A @ A.T
+    z = rng.standard_normal(40)
+    return K, z
+
+
+class TestDenseSolverInputs:
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    def test_inputs_are_not_written(self, solver):
+        K, z = _layout_case()
+        K = K.astype(np.float64)  # float input is the caller's own array, not a converted copy
+        for M in (K, np.asfortranarray(K)):
+            before = (M.tobytes(order="A"), z.tobytes())
+            DENSE_SOLVERS[solver](M, z, 0.7)
+            assert (M.tobytes(order="A"), z.tobytes()) == before
+
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    def test_layout_and_dtype_do_not_change_alpha(self, solver):
+        K, z = _layout_case()
+        ref = DENSE_SOLVERS[solver](K.astype(np.float64), z, 0.7)
+        big = np.zeros((2 * K.shape[0], 2 * K.shape[1]))
+        big[::2, ::2] = K
+        for M in (K, np.asfortranarray(K.astype(np.float64)), big[::2, ::2]):
+            np.testing.assert_array_equal(DENSE_SOLVERS[solver](M, z, 0.7), ref)
+
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    def test_one_working_copy(self, solver):
+        n = 1000
+        K = random_psd(n, 20, stream(6, "copy")) / n
+        z = np.ones(n)
+        for M in (K, np.asfortranarray(K)):
+            tracemalloc.start()
+            try:
+                DENSE_SOLVERS[solver](M, z, 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * K.nbytes
 
 
 class TestEffectiveDimension:
