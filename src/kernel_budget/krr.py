@@ -39,15 +39,21 @@ def _max_skew(K) -> float:
     return skew
 
 
+def _check_lam(lam: float):
+    """lam > 0; a NaN lam fails too."""
+    if not lam > 0:
+        raise ContractViolationError(f"lam must be positive, got {lam}")
+
+
 def _check_system(K, z, lam: float, what: str = "K"):
-    """K and z as float arrays, once lam > 0, K is square and conforms with
-    z, both are finite, and K is symmetric."""
-    if lam <= 0:
-        raise ContractViolationError("lam must be positive")
+    """K and z as float arrays, once lam > 0, K is nonempty, square and
+    conforms with z, both are finite, and K is symmetric."""
+    _check_lam(lam)
     K = np.asarray(K, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or z.shape != (K.shape[0],):
-        raise ContractViolationError(f"{what} must be square and conform with z")
+    if (K.ndim != 2 or K.shape[0] == 0 or K.shape[0] != K.shape[1]
+            or z.shape != (K.shape[0],)):
+        raise ContractViolationError(f"{what} must be nonempty, square and conform with z")
     hi, lo = K.max(), K.min()
     if not (np.isfinite(hi) and np.isfinite(lo) and np.isfinite(z).all()):
         raise ContractViolationError(f"{what} and z must be finite")
@@ -94,8 +100,7 @@ def nystrom_solve(gram: MeteredGram, landmarks, z, lam: float) -> np.ndarray:
     within eps relative distance of the exact minimizer. The caller chooses
     the landmarks: distinct indices, at least one.
     """
-    if lam <= 0:
-        raise ContractViolationError("lam must be positive")
+    _check_lam(lam)
     landmarks = np.asarray(landmarks, dtype=np.int64)
     if (landmarks.ndim != 1 or landmarks.size == 0
             or np.unique(landmarks).size != landmarks.size):
@@ -114,8 +119,7 @@ def nystrom_solve(gram: MeteredGram, landmarks, z, lam: float) -> np.ndarray:
 
 def d_eff(eigenvalues, lam: float) -> float:
     """Effective statistical dimension sum(s / (s + lam)) over eigenvalues s."""
-    if lam <= 0:
-        raise ContractViolationError("lam must be positive")
+    _check_lam(lam)
     s = np.asarray(eigenvalues, dtype=np.float64)
     if (s < -1e-8).any():
         raise ContractViolationError("eigenvalues must be nonnegative")

@@ -114,7 +114,7 @@ class QueryLedger:
     """Audit record for one gram: distinct entries, requests, per-row touches.
 
     Counters are monotone over the gram's lifetime. Pair (lo, hi), lo <= hi,
-    is bit lo*n - lo*(lo-1)/2 + (hi-lo) of a packed upper-triangle bitmap:
+    is bit lo*n - lo*(lo+1)/2 + hi of a packed upper-triangle bitmap:
     n(n+1)/16 bytes, allocated on the first scalar, block or pairs charge
     and freed by a full reveal, which sets an all-revealed flag instead.
     """
@@ -145,26 +145,25 @@ class QueryLedger:
         raise BudgetExhaustedError(message)
 
     def _key(self, lo, hi):
-        """Bit index of pair (lo, hi), lo <= hi; ints or int64 arrays."""
-        return lo * self.n - (lo * (lo - 1) >> 1) + (hi - lo)
+        """Bit index of pair (lo, hi), lo <= hi; ints or broadcastable int64
+        arrays (only the final + hi is full-size)."""
+        return lo * self.n - (lo * (lo + 1) >> 1) + hi
 
-    def _unseen(self, lo: np.ndarray, hi: np.ndarray):
-        """Sorted unique keys of the pairs not yet revealed, and the position
-        of each one's first occurrence in (lo, hi)."""
-        keys = self._key(lo, hi)
+    def _unset(self, keys: np.ndarray) -> np.ndarray:
+        """True where the bit of a key is not yet set."""
         bits = np.frombuffer(self._bitmap(), dtype=np.uint8)
-        unseen = np.flatnonzero((bits[keys >> 3] & _BIT[keys & 7]) == 0)
-        keys, first = np.unique(keys[unseen], return_index=True)
-        return keys, unseen[first]
+        return (bits[keys >> 3] & _BIT[keys & 7]) == 0
 
-    def _reveal(self, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        """Set the bits of sorted unique unseen keys; count their pairs."""
+    def _set(self, keys: np.ndarray):
+        """Set the bits of sorted unique keys."""
         bits = np.frombuffer(self._bits, dtype=np.uint8)
         byte = keys >> 3  # sorted: OR each byte's masks once, as fancy |= drops repeats
-        starts = np.flatnonzero(np.diff(byte, prepend=-1))
-        bits[byte[starts]] |= np.bitwise_or.reduceat(_BIT[keys & 7], starts)
-        self.distinct_entries += int(keys.size)
-        self.per_row += np.bincount(np.concatenate([lo, hi[lo != hi]]), minlength=self.n)
+        last = np.ones(byte.size, dtype=bool)
+        np.not_equal(byte[1:], byte[:-1], out=last[:-1])
+        last = np.flatnonzero(last)
+        # a byte's masks are distinct bits, so their sum (mod 256) is their OR
+        sums = np.cumsum(_BIT[keys & 7], dtype=np.uint8)[last]
+        bits[byte[last]] |= np.diff(sums, prepend=np.uint8(0))
 
     def charge_scalar(self, i: int, j: int) -> bool:
         """Count one request; returns True if the pair is newly revealed."""
@@ -191,20 +190,42 @@ class QueryLedger:
 
         The request count grows by rows*cols; the distinct count only by the
         previously unseen unordered pairs in the rectangle. If the fresh
-        pairs would exceed the budget, nothing in the block is revealed.
+        pairs would exceed the budget, nothing in the block is revealed; a
+        block with no fresh pair is never refused, as a re-read adds none.
+
+        With R and C the sorted distinct rows and columns, each unordered
+        pair of R x C is (lo, hi), lo <= hi, in exactly one of three runs:
+        R x C, C x (R - C) and (C - R) x (R & C). A run is read row-major
+        over sorted indices; a key grows with hi for fixed lo, and each lo's
+        keys lie past the previous lo's, so a run's keys with lo <= hi come
+        out sorted and unique without a sort.
         """
         requests = int(rows.size) * int(cols.size)
         self.total_requests += requests
-        if self._all_revealed:
+        if self._all_revealed or requests == 0:
             return
-        lo = np.minimum.outer(rows, cols, dtype=np.int64).ravel()
-        hi = np.maximum.outer(rows, cols, dtype=np.int64).ravel()
-        keys, first = self._unseen(lo, hi)
-        if self.budget is not None and self.distinct_entries + keys.size > self.budget:
-            self._refuse(requests, f"block read of {keys.size} fresh entries "
+        R, C = np.unique(rows), np.unique(cols)
+        r_in_c, c_in_r = np.isin(R, C, assume_unique=True), np.isin(C, R, assume_unique=True)
+        runs = []
+        for run, (lo, hi) in enumerate(((R, C), (C, R[~r_in_c]), (C[~c_in_r], R[r_in_c]))):
+            keys = self._key(lo[:, None], hi)
+            fresh = lo[:, None] <= hi
+            fresh &= self._unset(keys)
+            runs.append((lo, hi, keys[fresh],
+                         np.count_nonzero(fresh, axis=1), np.count_nonzero(fresh, axis=0)))
+            if run == 0:  # diagonal pairs lie in R x C only
+                diag = fresh[np.flatnonzero(r_in_c), np.flatnonzero(c_in_r)]
+            del keys, fresh  # hold one run's rectangle at a time
+        total = sum(run[2].size for run in runs)
+        if total and self.budget is not None and self.distinct_entries + total > self.budget:
+            self._refuse(requests, f"block read of {total} fresh entries "
                                    f"exceeds budget {self.budget}")
-        lo, hi = lo[first], hi[first]  # drop the rectangle's arrays before _reveal
-        self._reveal(keys, lo, hi)
+        for lo, hi, keys, lo_count, hi_count in runs:
+            self._set(keys)
+            self.per_row[lo] += lo_count
+            self.per_row[hi] += hi_count
+        self.per_row[R[r_in_c]] -= diag  # a fresh diagonal pair touches its row once
+        self.distinct_entries += total
 
     def charge_pairs(self, rows: np.ndarray, cols: np.ndarray):
         """Count the ordered pairs (rows[p], cols[p]) as a charge_scalar loop would.
@@ -218,7 +239,10 @@ class QueryLedger:
             self.total_requests += int(rows.size)
             return
         lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        keys, first = self._unseen(lo, hi)
+        keys = self._key(lo, hi)
+        unseen = np.flatnonzero(self._unset(keys))
+        keys, first = np.unique(keys[unseen], return_index=True)
+        first = unseen[first]
         allowed = keys.size if self.budget is None else max(self.budget - self.distinct_entries, 0)
         cut = None
         if keys.size > allowed:
@@ -226,7 +250,10 @@ class QueryLedger:
             cut = int(np.sort(first)[allowed])
             keep = first < cut
             keys, first = keys[keep], first[keep]
-        self._reveal(keys, lo[first], hi[first])
+        self._set(keys)
+        self.distinct_entries += int(keys.size)
+        lo, hi = lo[first], hi[first]
+        self.per_row += np.bincount(np.concatenate([lo, hi[lo != hi]]), minlength=self.n)
         self.total_requests += int(rows.size) if cut is None else cut
         if cut is not None:
             self.budget_exhausted = True

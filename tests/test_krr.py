@@ -84,12 +84,29 @@ class TestCheckSystem:
         (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), np.ones(2), 1.0),
         (np.eye(2), np.array([1.0, np.nan]), 1.0),
         (np.eye(2), np.array([np.inf, 1.0]), 1.0),
+        (np.eye(2), np.ones(2), np.nan),
+        (np.zeros((0, 0)), np.zeros(0), 1.0),
     ], ids=["non-square", "non-conforming", "z-matrix", "asymmetric",
             "lam-zero", "lam-negative", "nan-diagonal", "nan-off-diagonal",
-            "inf-off-diagonal", "neg-inf-off-diagonal", "z-nan", "z-inf"])
+            "inf-off-diagonal", "neg-inf-off-diagonal", "z-nan", "z-inf",
+            "lam-nan", "empty"])
     def test_dense_solvers_reject_malformed_systems(self, solver, K, z, lam):
         with pytest.raises(ContractViolationError):
             DENSE_SOLVERS[solver](K, z, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan],
+                             ids=["lam-zero", "lam-negative", "lam-nan"])
+    def test_nystrom_rejects_bad_lam_before_reading(self, lam):
+        gram = MeteredGram(np.eye(4))
+        with pytest.raises(ContractViolationError):
+            nystrom_solve(gram, [0, 1], np.ones(4), lam)
+        assert gram.ledger_report().total_requests == 0
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan],
+                             ids=["lam-zero", "lam-negative", "lam-nan"])
+    def test_d_eff_rejects_bad_lam(self, lam):
+        with pytest.raises(ContractViolationError):
+            d_eff([1.0], lam)
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_dense_solvers_reject_indefinite_systems(self, solver):

@@ -1,10 +1,11 @@
 """Oracle semantics: kernel evaluation, metering, ledger storage, budgets."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernel_budget.errors import BudgetExhaustedError, ContractViolationError
@@ -439,6 +440,84 @@ class TestLedgerMatchesSetModel:
             assert rep.total_requests == ref.total_requests
             assert rep.budget_exhausted == ref.budget_exhausted
             assert rep.per_row.tolist() == ref.per_row
+
+
+def _state(ledger):
+    """Everything a charge can change, bitmap bytes included."""
+    return (bytes(ledger._bitmap()), ledger.distinct_entries, ledger.total_requests,
+            ledger.per_row.tolist())
+
+
+@st.composite
+def _block_case(draw):
+    """A ledger size that spans several bitmap bytes per row, some pairs
+    charged beforehand, and a block whose rows and columns come unsorted and
+    repeated from two overlapping pools, so that any of the three runs of
+    charge_block may be empty (rows inside cols, cols inside rows, disjoint
+    pools, a single shared index)."""
+    n = draw(st.integers(1, 70))
+    idx = st.integers(0, n - 1)
+    prior = draw(st.lists(st.tuples(idx, idx), max_size=40))
+    pools = []
+    for _ in range(2):
+        a, b = sorted((draw(idx), draw(idx)))
+        pools.append(draw(st.lists(st.integers(a, b), min_size=1, max_size=20)))
+    slack = draw(st.one_of(st.none(), st.integers(-3, 1)))
+    return n, prior, pools[0], pools[1], slack
+
+
+class TestBlockChargeBytes:
+    @settings(max_examples=400, deadline=None)
+    @given(_block_case())
+    @example((1, [(0, 0)], [0], [0, 0], -1))  # a re-read under a lowered budget is free
+    @example((9, [], [], [3], -1))  # an empty block
+    def test_block_matches_scalar_loop(self, case):
+        n, prior, rows, cols, slack = case
+        block, loop = QueryLedger(n), QueryLedger(n)
+        for i, j in prior:
+            block.charge_scalar(i, j)
+            loop.charge_scalar(i, j)
+        before = _state(block)
+        for i in rows:
+            for j in cols:
+                loop.charge_scalar(i, j)
+        fresh = loop.distinct_entries - block.distinct_entries
+        if slack is not None:  # a budget at, just below or just above the need
+            block.set_budget(max(block.distinct_entries + fresh + slack, 0))
+        args = [np.asarray(a, dtype=np.int64) for a in (rows, cols)]
+        if slack is not None and slack < 0 and fresh > 0:
+            with pytest.raises(BudgetExhaustedError):
+                block.charge_block(*args)
+            assert _state(block) == before
+            assert block.budget_exhausted
+        else:
+            block.charge_block(*args)
+            assert _state(block) == _state(loop)
+            assert not block.budget_exhausted
+
+
+def _disjoint_rectangle():
+    idx = stream(0, "block-memory").permutation(20_000)
+    return 20_000, idx[:68], idx[68:], 68 * 19_932
+
+
+class TestBlockChargeMemory:
+    @pytest.mark.parametrize("n, rows, cols, fresh", [
+        (5000, np.arange(1000, 2000), np.arange(1000, 2000), 1000 * 1001 // 2),
+        _disjoint_rectangle(),
+        (5000, np.arange(0, 1000), np.arange(500, 1500), 1000 * 1000 - 500 * 499 // 2),
+    ], ids=["fresh-square", "disjoint-rectangle", "half-overlap"])
+    def test_peak_per_requested_entry(self, n, rows, cols, fresh):
+        ledger = QueryLedger(n)
+        ledger.charge_scalar(n - 1, n - 1)  # the bitmap is the ledger's, not the block's
+        tracemalloc.start()
+        try:
+            ledger.charge_block(rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ledger.distinct_entries == 1 + fresh
+        assert peak <= 48 * rows.size * cols.size
 
 
 class TestGeneratedGramProperties:
