@@ -28,12 +28,12 @@ from .krr import (check_guarantee, classify_rows, d_eff, hard_instance_optimum,
 from .mog import (Bootstrap, MogResult, SketchOperator, bootstrap_extract,
                   build_sketch, cluster_mog, estimate_means, pair_test,
                   separation_thresholds, sketch_apply_many, sketched_assign)
-from .oracle import KernelSpec, MeteredGram, QueryLedger, QueryReport, kernel_eval
+from .oracle import MeteredGram, QueryLedger, QueryReport
 
 __all__ = [
     "__version__",
     # oracle
-    "KernelSpec", "MeteredGram", "QueryLedger", "QueryReport", "kernel_eval",
+    "MeteredGram", "QueryLedger", "QueryReport",
     # instances
     "CLASS_S1", "CLASS_S2", "KrrInstance", "RankInstance", "KkmcInstance",
     "MogInstance", "gen_krr", "gen_rank", "gen_kkmc", "gen_mog",

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolationError, GenerationFailureError
-from .oracle import INDICATOR, KernelSpec, MeteredGram
+from .oracle import MeteredGram
 from .rng import stream
 
 CLASS_S1 = 1
@@ -43,6 +43,9 @@ class KrrInstance:
     The regression target is all ones and the regularizer is n/k with
     k = eps * J. The augmented variant appends k extra points (n/k) e_j in
     k fresh directions, each alone in its own coordinate.
+
+    The gram is the dot product, 1 on equal and 0 on distinct basis vectors;
+    krr.indicator_solve solves the two-valued kernel c0 + (c1 - c0) K from it.
     """
 
     n: int
@@ -51,7 +54,6 @@ class KrrInstance:
     seed: int
     basis_index: np.ndarray          # per-point j_i in [0, 3J/4)
     augmented: bool
-    spec: KernelSpec
     gram: MeteredGram = field(repr=False)
     points: np.ndarray = field(repr=False)
 
@@ -82,8 +84,7 @@ class KrrInstance:
         return np.where(self.basis_index < self.J // 2, CLASS_S1, CLASS_S2)
 
 
-def gen_krr(n: int, J: int, eps: float, seed: int, augmented: bool = False,
-            spec: KernelSpec = KernelSpec.linear()) -> KrrInstance:
+def gen_krr(n: int, J: int, eps: float, seed: int, augmented: bool = False) -> KrrInstance:
     """Draw a ridge-regression hard instance.
 
     Each of the n points is, with probability 1/2, uniform over the first
@@ -98,9 +99,6 @@ def gen_krr(n: int, J: int, eps: float, seed: int, augmented: bool = False,
     if J * J > 16 * n:
         warnings.warn(f"J^2 = {J * J} is large relative to n = {n}; "
                       "count concentration will be poor", stacklevel=2)
-    if augmented and spec.kind == INDICATOR:
-        raise ContractViolationError(
-            "augmented points are not basis vectors; indicator kernel does not apply")
     rng = stream(seed, "gen-krr")
     coin = rng.random(n) < 0.5
     s1 = rng.integers(0, J // 2, size=n)
@@ -115,9 +113,8 @@ def gen_krr(n: int, J: int, eps: float, seed: int, augmented: bool = False,
         points = _one_hot(idx, dim + k_int, scales)
     else:
         points = _one_hot(basis_index, dim)
-    gram = MeteredGram(points, spec=spec)
     return KrrInstance(n=n, J=J, eps=eps, seed=seed, basis_index=basis_index,
-                       augmented=augmented, spec=spec, gram=gram, points=points)
+                       augmented=augmented, gram=MeteredGram(points), points=points)
 
 
 @dataclass

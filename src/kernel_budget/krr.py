@@ -101,7 +101,7 @@ def nystrom_solve(gram: MeteredGram, landmarks, z, lam: float) -> np.ndarray:
     the landmarks: distinct indices, at least one.
     """
     _check_lam(lam)
-    landmarks = np.asarray(landmarks, dtype=np.int64)
+    landmarks = np.asarray(landmarks)
     if (landmarks.ndim != 1 or landmarks.size == 0
             or np.unique(landmarks).size != landmarks.size):
         raise ContractViolationError("landmarks must be a nonempty list of distinct indices")

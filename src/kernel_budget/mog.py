@@ -248,7 +248,7 @@ def sketch_apply_many(gram: MeteredGram, sketch: SketchOperator, indices) -> np.
     (ell, j) is (K[a_ell, i_j] - K[b_ell, i_j]) / scale, two queries per row
     and point. Returns (m, len(indices)). A sketch source among the indices
     raises before anything is read."""
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
     is_source = np.isin(idx, sketch.source_indices)
     if is_source.any():
         raise ContractViolationError(f"point {int(idx[is_source][0])} is a sketch source")

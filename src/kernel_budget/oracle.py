@@ -10,13 +10,16 @@ may catch to emulate a query-bounded adversary.
 Entries are counted as unordered pairs, the diagonal counting once, because
 a re-read carries no new information. The ledger keeps one bit per pair in
 a packed upper-triangle bitmap (see QueryLedger); no value is kept, since a
-value is a pure function of the hidden points. Values for the instances in
-this package lie in {0, 1/2, 1, c0, c1} and small dot products, so float64
-is exact for all comparisons that matter.
+value is a pure function of the hidden points. The kernel is the dot
+product; a two-valued kernel on basis vectors is algebra on this gram
+(krr.indicator_solve). Values for the instances in this package lie in
+{0, 1/2, 1} and small dot products, so float64 is exact for all
+comparisons that matter.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -25,70 +28,10 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, ContractViolationError
 
-LINEAR = "linear"
-INDICATOR = "indicator"
-
 # full() materializes a dense n x n matrix; refuse beyond this size
 _FULL_REVEAL_MAX_N = 20_000
 # mask of bit b within a bitmap byte
 _BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel selector: plain dot product, or a two-valued kernel on basis vectors.
-
-    The indicator kind models any kernel that takes a value c1 on a basis
-    vector paired with itself and c0 < c1 on two distinct basis vectors
-    (dot-product and distance kernels restricted to the standard basis all
-    have this form).
-    """
-
-    kind: str
-    c0: Optional[float] = None
-    c1: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == LINEAR:
-            if self.c0 is not None or self.c1 is not None:
-                raise ContractViolationError("linear kernel carries no parameters")
-        elif self.kind == INDICATOR:
-            if self.c0 is None or self.c1 is None:
-                raise ContractViolationError("indicator kernel needs c0 and c1")
-            if not self.c1 > self.c0:
-                raise ContractViolationError(
-                    f"indicator kernel requires c1 > c0, got c0={self.c0}, c1={self.c1}"
-                )
-        else:
-            raise ContractViolationError(f"unknown kernel kind {self.kind!r}")
-
-    @staticmethod
-    def linear() -> "KernelSpec":
-        return KernelSpec(LINEAR)
-
-    @staticmethod
-    def indicator(c0: float, c1: float) -> "KernelSpec":
-        return KernelSpec(INDICATOR, c0=float(c0), c1=float(c1))
-
-
-def _basis_index(x: np.ndarray) -> int:
-    """Index of the 1 in a standard basis vector; error if x is not one."""
-    x = np.asarray(x, dtype=np.float64)
-    nz = np.flatnonzero(x)
-    if nz.size != 1 or x[nz[0]] != 1.0:
-        raise ContractViolationError("indicator kernel applies to standard basis vectors only")
-    return int(nz[0])
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate the kernel on two explicit vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ContractViolationError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if spec.kind == LINEAR:
-        return float(np.dot(x, y))
-    return spec.c1 if _basis_index(x) == _basis_index(y) else spec.c0
 
 
 @dataclass(frozen=True)
@@ -130,14 +73,24 @@ class QueryLedger:
         self._bits: Optional[bytearray] = None
 
     def set_budget(self, budget: Optional[int]):
-        if budget is not None and budget < 0:
-            raise ContractViolationError("budget must be nonnegative")
+        if budget is not None:
+            try:
+                budget = operator.index(budget)
+            except TypeError:
+                raise ContractViolationError(
+                    f"budget must be None or an integer, got {budget!r}") from None
+            if budget < 0:
+                raise ContractViolationError("budget must be nonnegative")
         self.budget = budget
 
     def _bitmap(self) -> bytearray:
         if self._bits is None:
             self._bits = bytearray((self.n * (self.n + 1) // 2 + 7) // 8)
         return self._bits
+
+    def _over_budget(self, fresh: int) -> bool:
+        """Whether fresh pairs would pass the budget; a read with none never does."""
+        return fresh > 0 and self.budget is not None and self.distinct_entries + fresh > self.budget
 
     def _refuse(self, requests: int, message: str):
         self.budget_exhausted = True
@@ -175,7 +128,7 @@ class QueryLedger:
         mask = 1 << (key & 7)
         if bits[key >> 3] & mask:
             return False
-        if self.budget is not None and self.distinct_entries + 1 > self.budget:
+        if self._over_budget(1):
             self._refuse(1, f"budget of {self.budget} distinct entries "
                             f"exhausted at ({i}, {j})")
         bits[key >> 3] |= mask
@@ -217,7 +170,7 @@ class QueryLedger:
                 diag = fresh[np.flatnonzero(r_in_c), np.flatnonzero(c_in_r)]
             del keys, fresh  # hold one run's rectangle at a time
         total = sum(run[2].size for run in runs)
-        if total and self.budget is not None and self.distinct_entries + total > self.budget:
+        if self._over_budget(total):
             self._refuse(requests, f"block read of {total} fresh entries "
                                    f"exceeds budget {self.budget}")
         for lo, hi, keys, lo_count, hi_count in runs:
@@ -266,9 +219,10 @@ class QueryLedger:
         self.total_requests += self.n * self.n
         if self._all_revealed:
             return
-        if self.budget is not None and total > self.budget:
-            self._refuse(self.n * self.n,
-                         f"full reveal of {total} entries exceeds budget {self.budget}")
+        fresh = total - self.distinct_entries
+        if self._over_budget(fresh):
+            self._refuse(self.n * self.n, f"full reveal of {fresh} fresh entries "
+                                          f"exceeds budget {self.budget}")
         self._all_revealed = True
         self._bits = None
         self.distinct_entries = total
@@ -286,67 +240,56 @@ class QueryLedger:
         )
 
 
+def _index_array(x) -> np.ndarray:
+    """x as an int64 array; floats and booleans are refused unless x is empty."""
+    idx = np.asarray(x)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ContractViolationError(f"indices must be integers, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 class MeteredGram:
     """Kernel matrix of a hidden point set, readable only entry by entry.
 
     points: (n, d) array, one hidden point per row. All reads go through
     query / query_pairs / query_block / full, which update a shared ledger;
     a re-read costs a request but no distinct entry. No value is stored:
-    each read is evaluated from the points. Safe for concurrent readers:
+    each read is a dot product of the points. Safe for concurrent readers:
     ledger updates hold a lock, so final counts match some serialization.
     """
 
-    def __init__(self, points, spec: KernelSpec = KernelSpec.linear(),
-                 budget: Optional[int] = None):
+    def __init__(self, points, budget: Optional[int] = None):
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ContractViolationError("points must be a nonempty (n, d) array")
         self._points = pts
-        self.spec = spec
         self.n = pts.shape[0]
-        self.dim = pts.shape[1]
         self.ledger = QueryLedger(self.n, budget)
         self._lock = threading.Lock()
-        if spec.kind == INDICATOR:
-            # all points must be basis vectors; remember their indices
-            self._basis = np.empty(self.n, dtype=np.int64)
-            for i in range(self.n):
-                self._basis[i] = _basis_index(pts[i])
-        else:
-            self._basis = None
 
-    # -- evaluation (no metering) ---------------------------------------
+    def _check_range(self, *indices: np.ndarray):
+        for idx in indices:
+            for i in (int(idx.min()), int(idx.max())):
+                if not 0 <= i < self.n:
+                    raise ContractViolationError(f"index {i} out of range [0, {self.n})")
 
-    def _eval_scalar(self, i: int, j: int) -> float:
-        if self.spec.kind == LINEAR:
-            return float(np.dot(self._points[i], self._points[j]))
-        return self.spec.c1 if self._basis[i] == self._basis[j] else self.spec.c0
-
-    def _eval_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        if self.spec.kind == LINEAR:
-            return self._points[rows] @ self._points[cols].T
-        same = self._basis[rows][:, None] == self._basis[cols][None, :]
-        return np.where(same, self.spec.c1, self.spec.c0)
-
-    def _eval_pairs(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        if self.spec.kind == LINEAR:
-            return np.einsum("ij,ij->i", self._points[rows], self._points[cols])
-        return np.where(self._basis[rows] == self._basis[cols], self.spec.c1, self.spec.c0)
-
-    def _check_index(self, i: int):
-        if not 0 <= i < self.n:
-            raise ContractViolationError(f"index {i} out of range [0, {self.n})")
+    def _dots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", self._points[rows], self._points[cols])
 
     # -- metered access --------------------------------------------------
 
     def query(self, i: int, j: int) -> float:
         """One kernel entry; charges a distinct entry on first touch."""
-        i, j = int(i), int(j)
-        self._check_index(i)
-        self._check_index(j)
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise ContractViolationError(
+                f"indices must be integers, got ({i!r}, {j!r})") from None
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ContractViolationError(f"index ({i}, {j}) out of range [0, {self.n})")
         with self._lock:
             self.ledger.charge_scalar(i, j)
-        return self._eval_scalar(i, j)
+        return float(np.dot(self._points[i], self._points[j]))
 
     def query_pairs(self, rows, cols) -> np.ndarray:
         """Entries (rows[p], cols[p]) in list order, charged as a query loop would be.
@@ -354,37 +297,38 @@ class MeteredGram:
         Every index is checked before anything is charged. Under a budget the
         longest affordable prefix is charged and BudgetExhaustedError is
         raised with that prefix's length as `prefix` and its values as
-        `values`. Temporaries grow with the list (two (len, d) gathers for a
-        linear kernel), so callers pass bounded batches.
+        `values`. Temporaries grow with the list (two (len, d) gathers), so
+        callers pass bounded batches.
         """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
+        rows, cols = _index_array(rows).ravel(), _index_array(cols).ravel()
         if rows.size != cols.size:
             raise ContractViolationError(
                 f"query_pairs needs equal lengths, got {rows.size} and {cols.size}")
         if rows.size == 0:
             return np.zeros(0)
-        for idx in (int(rows.min()), int(rows.max()), int(cols.min()), int(cols.max())):
-            self._check_index(idx)
+        self._check_range(rows, cols)
         with self._lock:
             try:
                 self.ledger.charge_pairs(rows, cols)
             except BudgetExhaustedError as e:
-                e.values = self._eval_pairs(rows[:e.prefix], cols[:e.prefix])
+                e.values = self._dots(rows[:e.prefix], cols[:e.prefix])
                 raise
-        return self._eval_pairs(rows, cols)
+        return self._dots(rows, cols)
 
     def query_block(self, rows, cols) -> np.ndarray:
-        """Rectangular block of entries, vectorized. Atomic under a budget."""
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
+        """Rectangular block of entries, vectorized. Atomic under a budget.
+
+        rows and cols are integer scalars or 1-D arrays."""
+        rows, cols = np.atleast_1d(_index_array(rows)), np.atleast_1d(_index_array(cols))
         if rows.size == 0 or cols.size == 0:
             return np.zeros((rows.size, cols.size))
-        for idx in (int(rows.min()), int(rows.max()), int(cols.min()), int(cols.max())):
-            self._check_index(idx)
+        if rows.ndim != 1 or cols.ndim != 1:
+            raise ContractViolationError(
+                f"query_block needs 1-D rows and cols, got shapes {rows.shape} and {cols.shape}")
+        self._check_range(rows, cols)
         with self._lock:
             self.ledger.charge_block(rows, cols)
-            return self._eval_block(rows, cols)
+            return self._points[rows] @ self._points[cols].T
 
     def full(self) -> np.ndarray:
         """The entire matrix; ledger jumps to n(n+1)/2 distinct entries."""
@@ -394,8 +338,7 @@ class MeteredGram:
             )
         with self._lock:
             self.ledger.charge_full()
-            idx = np.arange(self.n)
-            return self._eval_block(idx, idx)
+            return self._points @ self._points.T
 
     def set_budget(self, budget: Optional[int]):
         """Cap distinct entries from now on; None lifts the cap."""

@@ -9,7 +9,6 @@ from kernel_budget.errors import ContractViolationError
 from kernel_budget.instances import (CLASS_S1, CLASS_S2, block_of, gen_kkmc,
                                      gen_krr, gen_mog, gen_rank,
                                      make_balanced_kkmc)
-from kernel_budget.oracle import KernelSpec
 
 
 class TestGenKrr:
@@ -54,11 +53,6 @@ class TestGenKrr:
         assert np.allclose(norms, 40 / inst.k)
         # appended directions are fresh: orthogonal to every original point
         assert np.abs(tail @ inst.points[:40].T).max() == 0.0
-
-    def test_augmented_indicator_rejected(self):
-        with pytest.raises(ContractViolationError):
-            gen_krr(40, 8, 0.25, seed=1, augmented=True,
-                    spec=KernelSpec.indicator(0.0, 1.0))
 
     def test_determinism(self):
         a = gen_krr(200, 20, 0.2, seed=11)
@@ -201,10 +195,12 @@ class TestHiddenTruthConsistency:
                 np.allclose(K, inst.points @ inst.points.T, atol=0)
 
     def test_indicator_instance_consistency(self):
-        inst = gen_krr(30, 8, 0.25, seed=6, spec=KernelSpec.indicator(0.2, 1.3))
+        # the gram is the indicator of equal basis indices, so a two-valued
+        # kernel c0 + (c1 - c0) K (krr.indicator_solve) needs no other oracle
+        inst = gen_krr(30, 8, 0.25, seed=6)
         K = inst.gram.full()
         same = inst.basis_index[:, None] == inst.basis_index[None, :]
-        assert np.array_equal(K, np.where(same, 1.3, 0.2))
+        assert np.array_equal(K, same.astype(np.float64))
 
 
 class TestSameSeedDeterminism:

@@ -15,7 +15,7 @@ from kernel_budget.krr import (_SYM_TILE, _check_system, check_guarantee,
                                classification_midpoint, classify_rows, d_eff,
                                hard_instance_optimum, indicator_solve,
                                nystrom_solve, solve_exact)
-from kernel_budget.oracle import KernelSpec, MeteredGram
+from kernel_budget.oracle import MeteredGram
 from kernel_budget.rng import stream
 
 
@@ -373,7 +373,7 @@ class TestSpectralApprox:
 
     @pytest.mark.parametrize("landmarks, z_len, lam", [
         ([], 6, 1.0), ([2, 2], 6, 1.0), ([[0, 1]], 6, 1.0),
-        ([0, 1], 5, 1.0), ([0, 1], 6, 0.0)])
+        ([0, 1], 5, 1.0), ([0, 1], 6, 0.0), ([1.7, 3.2], 6, 1.0)])
     def test_rejects_bad_arguments_before_reading(self, landmarks, z_len, lam):
         gram = MeteredGram(np.eye(6))
         with pytest.raises(ContractViolationError):
@@ -496,10 +496,11 @@ class TestIndicatorSolve:
             indicator_solve(np.eye(3), np.ones(3), 1.0, 1.0, 0.5)
 
     def test_indicator_kernel_instance_end_to_end(self):
-        spec = KernelSpec.indicator(0.2, 1.4)
-        inst = gen_krr(60, 8, 0.25, seed=12, spec=spec)
-        K = inst.gram.full()
-        G = inst.points @ inst.points.T
-        fast = indicator_solve(G, inst.z, inst.lam, 0.2, 1.4)
+        # the two-valued kernel on the hidden basis indices against
+        # indicator_solve on the oracle's dot-product gram
+        inst = gen_krr(60, 8, 0.25, seed=12)
+        same = inst.basis_index[:, None] == inst.basis_index[None, :]
+        K = np.where(same, 1.4, 0.2)
+        fast = indicator_solve(inst.gram.full(), inst.z, inst.lam, 0.2, 1.4)
         ref = solve_exact(K, inst.z, inst.lam)
         assert np.abs(fast - ref).max() <= 1e-9

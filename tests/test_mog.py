@@ -202,6 +202,13 @@ class TestSketchApply:
         assert after.distinct_entries == before.distinct_entries
         assert after.total_requests == before.total_requests
 
+    def test_float_indices_rejected(self):
+        inst, boot, sketch = self._setup()
+        before = inst.gram.ledger_report()
+        with pytest.raises(ContractViolationError):
+            sketch_apply_many(inst.gram, sketch, [180.6])
+        assert inst.gram.ledger_report().total_requests == before.total_requests
+
     def test_orthogonal_point_gives_zero_vector(self):
         pts = np.eye(8)
         sketch = build_sketch(pts, np.array([[0, 1], [2, 3]]), 1.0)

@@ -1,5 +1,6 @@
 """Oracle semantics: kernel evaluation, metering, ledger storage, budgets."""
 
+import json
 import threading
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from kernel_budget.errors import BudgetExhaustedError, ContractViolationError
 from kernel_budget.instances import gen_kkmc, gen_krr, gen_mog, gen_rank
-from kernel_budget.oracle import KernelSpec, MeteredGram, QueryLedger, kernel_eval
+from kernel_budget.oracle import MeteredGram, QueryLedger
 from kernel_budget.rng import stream
 
 
@@ -22,34 +23,12 @@ def basis(j, d):
 
 class TestKernelEval:
     def test_linear_unit_basis_self_product(self):
-        assert kernel_eval(KernelSpec.linear(), basis(0, 4), basis(0, 4)) == 1.0
+        assert MeteredGram(np.eye(4)).query(0, 0) == 1.0
 
     def test_linear_two_hot_overlap(self):
         x = (basis(0, 4) + basis(1, 4)) / np.sqrt(2)
         y = (basis(1, 4) + basis(2, 4)) / np.sqrt(2)
-        assert kernel_eval(KernelSpec.linear(), x, y) == pytest.approx(0.5, abs=1e-15)
-
-    def test_indicator_distinct_basis(self):
-        spec = KernelSpec.indicator(0.2, 1.5)
-        assert kernel_eval(spec, basis(2, 8), basis(6, 8)) == 0.2
-        assert kernel_eval(spec, basis(6, 8), basis(6, 8)) == 1.5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            kernel_eval(KernelSpec.linear(), basis(0, 4), basis(0, 5))
-
-    def test_indicator_rejects_non_basis(self):
-        spec = KernelSpec.indicator(0.0, 1.0)
-        with pytest.raises(ContractViolationError):
-            kernel_eval(spec, 0.5 * basis(0, 4), basis(1, 4))
-
-    def test_spec_validation(self):
-        with pytest.raises(ContractViolationError):
-            KernelSpec.indicator(1.0, 1.0)
-        with pytest.raises(ContractViolationError):
-            KernelSpec("linear", c0=0.0, c1=1.0)
-        with pytest.raises(ContractViolationError):
-            KernelSpec("rbf")
+        assert MeteredGram(np.stack([x, y])).query(0, 1) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestQuery:
@@ -86,6 +65,25 @@ class TestQuery:
         g.set_budget(None)
         g.query(0, 2)
         assert g.ledger_report().distinct_entries == 2
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 2.5, 3.0, "3"],
+                             ids=["nan", "inf", "2.5", "float-3", "str"])
+    def test_set_budget_rejects_non_integer(self, budget):
+        with pytest.raises(ContractViolationError):
+            MeteredGram(np.eye(4), budget=budget)
+        g = MeteredGram(np.eye(4), budget=1)
+        with pytest.raises(ContractViolationError):
+            g.set_budget(budget)
+        assert g.ledger_report().budget == 1
+        with pytest.raises(BudgetExhaustedError):
+            g.query_block(np.arange(4), np.arange(4))
+        assert g.ledger_report().distinct_entries == 0
+
+    def test_numpy_integer_budget_is_stored_as_int(self):
+        g = MeteredGram(np.eye(4), budget=np.int64(3))
+        g.set_budget(np.uint8(2))
+        assert type(g.ledger_report().to_json()["budget"]) is int
+        assert json.dumps(g.ledger_report().to_json()["budget"]) == "2"
 
     def test_symmetry(self):
         rng = stream(0, "sym")
@@ -205,6 +203,16 @@ class TestLedger:
                 pass
             assert g.ledger_report().distinct_entries <= 17
 
+    def test_full_reveal_without_fresh_pairs_is_free_under_lowered_budget(self):
+        g = MeteredGram(np.eye(2))
+        g.query_block([0, 1], [0, 1])
+        g.set_budget(1)
+        assert g.full().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        rep = g.ledger_report()
+        assert (rep.distinct_entries, rep.total_requests) == (3, 8)
+        assert rep.per_row.tolist() == [2, 2]
+        assert not rep.budget_exhausted
+
     def test_pairs_after_full_add_requests_only(self):
         g = MeteredGram(np.eye(5), budget=15)
         g.full()
@@ -246,7 +254,7 @@ class TestQueryPairs:
     @pytest.mark.parametrize("make", [
         lambda: gen_krr(60, 8, 0.25, seed=0),
         lambda: gen_krr(60, 8, 0.25, seed=1, augmented=True),
-        lambda: gen_krr(60, 8, 0.25, seed=2, spec=KernelSpec.indicator(0.3, 1.0)),
+        lambda: gen_rank(60, 4, seed=2),
         lambda: gen_kkmc(60, 3, 0.25, seed=3),
     ])
     def test_values_equal_scalar_query_exactly(self, make):
@@ -322,6 +330,39 @@ class TestQueryPairs:
         assert g.ledger._bits is None
 
 
+_BAD_INDEX_READS = {
+    "query-float": lambda g: g.query(1.7, 0.2),
+    "query-numpy-float": lambda g: g.query(0, np.float64(1.0)),
+    "block-float": lambda g: g.query_block([1.9], [1.2]),
+    "block-mask": lambda g: g.query_block(np.ones(4, dtype=bool), [0, 1]),
+    "block-2d": lambda g: g.query_block(np.array([[0, 1], [2, 3]]), [0]),
+    "pairs-float": lambda g: g.query_pairs([0.0, 1.0], [2, 3]),
+    "pairs-mask": lambda g: g.query_pairs(np.array([True, False]), [2, 3]),
+}
+
+
+class TestIndexValidation:
+    @pytest.mark.parametrize("read", _BAD_INDEX_READS.values(), ids=_BAD_INDEX_READS.keys())
+    def test_rejected_before_charging(self, read):
+        g = MeteredGram(np.eye(4), budget=5)
+        g.query(0, 1)
+        before = _state(g.ledger)
+        with pytest.raises(ContractViolationError):
+            read(g)
+        assert _state(g.ledger) == before
+        assert not g.ledger.budget_exhausted
+
+    def test_integer_dtypes_and_empty_inputs_are_read(self):
+        g = MeteredGram(np.eye(4))
+        assert g.query(np.int32(1), np.uint8(1)) == 1.0
+        assert g.query_block(np.array([0, 1], dtype=np.int32), np.uint16(1)).tolist() == [
+            [0.0], [1.0]]
+        # query_pairs flattens 2-D indices: the budget-curve probe loop passes 2-D partners
+        assert g.query_pairs(np.arange(4), np.array([[0, 1], [2, 3]])).tolist() == [1.0] * 4
+        assert g.query_block([], [9]).shape == (0, 1)
+        assert g.ledger_report().distinct_entries == 5
+
+
 class TestLedgerStorage:
     def test_unqueried_gram_holds_no_bitmap(self):
         g = MeteredGram(np.ones((100_000, 1)))
@@ -361,8 +402,9 @@ class SetLedger:
         self.per_row = [0] * n
 
     def charge(self, pairs):
+        """Refuse only a read with a fresh pair past the budget; re-reads are free."""
         fresh = {(min(i, j), max(i, j)) for i, j in pairs} - self.pairs
-        if self.budget is not None and len(self.pairs) + len(fresh) > self.budget:
+        if fresh and self.budget is not None and len(self.pairs) + len(fresh) > self.budget:
             self.budget_exhausted = True
             raise BudgetExhaustedError("reference budget")
         self.total_requests += len(pairs)
@@ -389,6 +431,10 @@ def _raises_budget(charge, *args):
     return False
 
 
+def _budgets(n):
+    return st.one_of(st.none(), st.integers(0, n * (n + 1) // 2 + 1))
+
+
 def _ledger_ops(n):
     idx = st.integers(0, n - 1)
     rows = st.lists(idx, min_size=0, max_size=6)
@@ -397,24 +443,30 @@ def _ledger_ops(n):
         st.tuples(st.just("block"), rows, rows),
         st.tuples(st.just("pairs"), st.lists(st.tuples(idx, idx), max_size=12)),
         st.tuples(st.just("full")),
+        st.tuples(st.just("budget"), _budgets(n)),
     ), max_size=25)
 
 
 @st.composite
 def _ledger_case(draw):
     n = draw(st.integers(1, 9))
-    budget = draw(st.one_of(st.none(), st.integers(0, n * (n + 1) // 2 + 1)))
-    return n, budget, draw(_ledger_ops(n))
+    return n, draw(_budgets(n)), draw(_ledger_ops(n))
 
 
 class TestLedgerMatchesSetModel:
     @settings(max_examples=300, deadline=None)
     @given(_ledger_case())
+    # re-reads under a budget lowered below the count are free, full reveal included
+    @example((2, None, [("block", [0, 1], [0, 1]), ("budget", 1), ("full",),
+                        ("scalar", 1, 0), ("block", [1], [0, 1])]))
     def test_random_charge_sequences(self, case):
         n, budget, ops = case
         ledger, ref = QueryLedger(n, budget), SetLedger(n, budget)
         for kind, *args in ops:
-            if kind == "pairs":
+            if kind == "budget":
+                ledger.set_budget(*args)
+                ref.budget = args[0]
+            elif kind == "pairs":
                 (pairs,) = args
                 rows, cols = (np.asarray([p[a] for p in pairs], dtype=np.int64)
                               for a in (0, 1))
@@ -433,7 +485,7 @@ class TestLedgerMatchesSetModel:
             else:
                 pairs = [(i, j) for i in range(n) for j in range(n)]
                 charge = ledger.charge_full
-            if kind != "pairs":
+            if kind in ("scalar", "block", "full"):
                 assert _raises_budget(charge, *args) == _raises_budget(ref.charge, pairs)
             rep = ledger.report()
             assert rep.distinct_entries == len(ref.pairs)
@@ -524,7 +576,7 @@ class TestGeneratedGramProperties:
     def test_generated_instances_are_psd(self):
         grams = [
             gen_krr(40, 8, 0.25, seed=0).gram,
-            gen_krr(40, 8, 0.25, seed=1, spec=KernelSpec.indicator(0.3, 1.0)).gram,
+            gen_krr(40, 8, 0.25, seed=1, augmented=True).gram,
             gen_kkmc(30, 2, 0.5, seed=2).gram,
             gen_rank(30, 4, seed=3).gram,
             gen_mog(25, 6, 2, 0.5, 10.0, seed=4).gram,
