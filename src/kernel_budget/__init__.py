@@ -25,9 +25,9 @@ from .kkmc import (Clustering, CostBreakdown, block_clustering, cost_explicit,
                    single_block_cost, small_cluster_lower_bound)
 from .krr import (check_guarantee, classify_rows, d_eff, hard_instance_optimum,
                   indicator_solve, nystrom_solve, solve_exact)
-from .mog import (Bootstrap, MogResult, SketchOperator, bootstrap_extract,
-                  build_sketch, cluster_mog, estimate_means, pair_test,
-                  separation_thresholds, sketch_apply_many, sketched_assign)
+from .mog import (MogResult, SketchOperator, bootstrap_extract, build_sketch,
+                  cluster_mog, estimate_means, separation_thresholds,
+                  sketch_apply_many, sketched_assign)
 from .oracle import MeteredGram, QueryLedger, QueryReport
 
 __all__ = [
@@ -47,9 +47,9 @@ __all__ = [
     "multi_cluster_lower_bound", "large_cluster_bound", "recover_labels",
     "rank_cost_gap", "single_block_cost",
     # mog
-    "Bootstrap", "SketchOperator", "MogResult", "bootstrap_extract",
-    "estimate_means", "pair_test", "build_sketch", "sketch_apply_many",
-    "sketched_assign", "cluster_mog", "separation_thresholds",
+    "SketchOperator", "MogResult", "bootstrap_extract", "estimate_means",
+    "build_sketch", "sketch_apply_many", "sketched_assign", "cluster_mog",
+    "separation_thresholds",
     # errors
     "ContractViolationError", "BudgetExhaustedError", "GenerationFailureError",
     "BoundRangeError", "DegenerateInstanceError", "NumericalDegeneracyError",

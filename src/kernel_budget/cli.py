@@ -106,9 +106,11 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise UsageError(f"unknown experiment kind {self.kind!r}; "
                              f"choose from {sorted(KINDS)}")
+        if not isinstance(self.instance, dict):
+            raise UsageError(f"instance must be an object, got {self.instance!r}")
         _, required = KINDS[self.kind]
         missing = required - set(self.instance)
         if missing:
@@ -119,14 +121,26 @@ class ExperimentConfig:
         for expr in [self.budget, *budgets]:
             if expr is not None:
                 parse_budget_expr(expr)
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
+            raise UsageError(f"trials must be an integer, got {self.trials!r}")
         if self.seeds is None:
             self.seeds = list(range(self.trials))
-        self.seeds = [int(s) for s in self.seeds]
+        try:
+            if not isinstance(self.seeds, list):
+                raise TypeError
+            self.seeds = [operator.index(s) for s in self.seeds]
+        except TypeError:
+            raise UsageError(f"seeds must be a list of integers, got {self.seeds!r}") from None
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         with open(path) as fh:
-            blob = json.load(fh)
+            try:
+                blob = json.load(fh)
+            except ValueError as e:  # JSONDecodeError, or bytes that are not text
+                raise UsageError(f"config {path} is not valid JSON: {e}") from e
+        if not isinstance(blob, dict) or "kind" not in blob:
+            raise UsageError(f"config {path} must be a JSON object with a kind")
         return ExperimentConfig(
             kind=blob["kind"],
             instance=blob.get("instance", {}),
@@ -147,7 +161,6 @@ class ResultRow:
     metric: str
     value: float
     report: Optional[QueryReport] = None
-    budget: Optional[int] = None
 
     def as_csv(self) -> list:
         rep = self.report
@@ -161,7 +174,7 @@ class ResultRow:
             _fmt(self.value),
             rep.distinct_entries if rep else "",
             rep.total_requests if rep else "",
-            self.budget if self.budget is not None else "",
+            rep.budget if rep and rep.budget is not None else "",
             (str(rep.budget_exhausted).lower() if rep else ""),
         ]
 
@@ -290,9 +303,8 @@ def _run_mog_pipeline(cfg, seed):
                          delta_exponent=delta_exponent)
     cost = cost_explicit(inst.points, result.clustering).total
     truth_cost = cost_explicit(inst.points, Clustering(inst.labels.copy())).total
-    result.cost = cost
     ratio = cost / truth_cost if truth_cost > 0 else 1.0
-    rep = result.report
+    rep = inst.gram.ledger_report()
     closed_form = result.t * (result.t + 1) // 2 + 2 * result.m * (n - result.t)
     return [
         ResultRow("mog-pipeline", seed, n, float(k), eps, "cost_ratio", ratio, rep),
@@ -346,8 +358,7 @@ def _run_budget_curve(cfg, seed):
         q = max(1, budget // inst.n)
         acc = _probe_classify(inst, q, budget, seed)
         rows.append(ResultRow("budget-curve", seed, inst.n, inst.k, inst.eps,
-                              f"accuracy@{expr}", acc, inst.gram.ledger_report(),
-                              budget=budget))
+                              f"accuracy@{expr}", acc, inst.gram.ledger_report()))
     return rows
 
 

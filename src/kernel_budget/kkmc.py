@@ -55,17 +55,11 @@ class Clustering:
     def members(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == j)
 
-    def to_json(self) -> list:
-        return [int(c) for c in self.assignment]
-
 
 @dataclass
 class CostBreakdown:
     total: float
     per_cluster: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"total": self.total, "per_cluster": [float(c) for c in self.per_cluster]}
 
 
 def _breakdown(per_cluster: np.ndarray) -> CostBreakdown:

@@ -15,7 +15,6 @@ rotating the hidden point set changes nothing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from math import ceil, log, sqrt
 from typing import Optional
@@ -26,10 +25,7 @@ from .errors import (ContractViolationError, DegenerateRowError,
                      DegenerateSketchError, EstimationFailureError,
                      NumericalDegeneracyError, PipelineStageError)
 from .kkmc import Clustering
-from .oracle import MeteredGram, QueryReport
-
-FIRST = 1
-SECOND = 2
+from .oracle import MeteredGram
 
 # Gaussian-mean test threshold constant: separation^2 >= 144 sigma^2 ln(1/delta)
 # keeps sigma at most a twelfth of the separation, which the midpoint sign
@@ -37,22 +33,13 @@ SECOND = 2
 PAIR_TEST_SEPARATION_CONST = 144.0
 
 DEFAULT_SKETCH_CONST = 8.0
-DEFAULT_MEAN_SAMPLE_CONST = 2.0
+MEAN_SAMPLE_CONST = 2.0
 
 
-@dataclass
-class Bootstrap:
-    """Points recovered from the leading t x t Gram block, in an arbitrary
-    rotation of the original frame."""
-
-    t: int
-    points: np.ndarray                     # (t, t), row i is recovered point i
-    labels: Optional[np.ndarray] = None
-    means: Optional[np.ndarray] = None     # (k, t) estimated means, same frame
-
-
-def bootstrap_extract(gram: MeteredGram, t: int) -> Bootstrap:
-    """Read the leading t x t block and factor it into explicit points.
+def bootstrap_extract(gram: MeteredGram, t: int) -> np.ndarray:
+    """Read the leading t x t block and factor it into explicit points: row
+    i of the returned (t, t) array is point i, in an arbitrary rotation of
+    the original frame.
 
     Eigenvalues are clipped at zero; anything below -1e-8 (relative) means
     the block is not a Gram matrix to working precision and is an error.
@@ -69,13 +56,12 @@ def bootstrap_extract(gram: MeteredGram, t: int) -> Bootstrap:
         raise NumericalDegeneracyError(
             f"bootstrap block has eigenvalue {vals.min():.3g} below tolerance")
     vals = np.clip(vals, 0.0, None)
-    points = vecs * np.sqrt(vals)
-    return Bootstrap(t=t, points=points)
+    return vecs * np.sqrt(vals)
 
 
-def mean_sample_size(k: int, d: int, c: float = DEFAULT_MEAN_SAMPLE_CONST) -> int:
+def mean_sample_size(k: int, d: int) -> int:
     """Labeled bootstrap sample large enough for sigma-accurate empirical means."""
-    return ceil(c * k * (d + log(max(k, 2))))
+    return ceil(MEAN_SAMPLE_CONST * k * (d + log(max(k, 2))))
 
 
 def min_component_count(k: int, d: int) -> int:
@@ -98,34 +84,6 @@ def estimate_means(points, labels, k: int, min_count: int) -> np.ndarray:
     for ell in range(k):
         means[ell] = pts[lab == ell].mean(axis=0)
     return means
-
-
-def certify_mean_accuracy(recovered_points, true_points, est_means, true_means,
-                          sigma: float) -> bool:
-    """Harness-side check that estimated means are within sigma of truth.
-
-    The recovered frame differs from the original by an unknown isometry;
-    align by orthogonal Procrustes on the bootstrap points, map the true
-    means through it, and compare.
-    """
-    Y = np.asarray(recovered_points, dtype=np.float64)
-    X = np.asarray(true_points, dtype=np.float64)
-    M = X.T @ Y
-    u, _, vt = np.linalg.svd(M, full_matrices=False)
-    q = u @ vt
-    mapped = np.asarray(true_means, dtype=np.float64) @ q
-    err = np.linalg.norm(np.asarray(est_means) - mapped, axis=1)
-    return bool((err <= sigma + 1e-6).all())
-
-
-def pair_test(x_rep, mu1_hat, mu2_hat) -> int:
-    """Decide which of two estimated means generated x: FIRST iff
-    (x - c) . (mu1 - c) > 0 with c the midpoint; an exact zero goes SECOND."""
-    x = np.asarray(x_rep, dtype=np.float64)
-    m1 = np.asarray(mu1_hat, dtype=np.float64)
-    m2 = np.asarray(mu2_hat, dtype=np.float64)
-    c = 0.5 * (m1 + m2)
-    return FIRST if float((x - c) @ (m1 - c)) > 0.0 else SECOND
 
 
 def assign_by_pair_tests(X, means):
@@ -237,7 +195,8 @@ def build_sketch(points, pairs, sigma: float) -> SketchOperator:
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateRowError(f"pair {pairs[bad].tolist()} gives a zero row")
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.min() <= 1e-10 * s.max():
+    # more rows than the frame has dimensions (m > t) leaves only t singular values
+    if s.size < pairs.shape[0] or s.min() <= 1e-10 * s.max():
         raise DegenerateSketchError("sketch rows are linearly dependent")
     return SketchOperator(m=pairs.shape[0], pairs=pairs, scale=scale,
                           rows=rows, _u=u, _s=s, _vt=vt)
@@ -272,23 +231,13 @@ def sketched_assign(sketch: SketchOperator, sx, means) -> tuple:
 
 @dataclass
 class MogResult:
+    """The partition and the sizes that set its query count; the gram's
+    ledger is the record of what was read."""
+
     clustering: Clustering
-    report: QueryReport
     m: int
     t: int
-    flags: dict
-    stage_timings: dict
-    cost: Optional[float] = None
-    bootstrap: Optional[Bootstrap] = None
-    sketch: Optional[SketchOperator] = None
-
-    def to_json(self) -> dict:
-        return {
-            "assignment": self.clustering.to_json(),
-            "cost": self.cost,
-            "query_report": self.report.to_json(),
-            "stage_timings": self.stage_timings,
-        }
+    sketch: Optional[SketchOperator] = None    # None when k = 1
 
 
 def _pair_up(indices: np.ndarray) -> list:
@@ -298,8 +247,8 @@ def _pair_up(indices: np.ndarray) -> list:
 
 def cluster_mog(gram: MeteredGram, k: int, eps: float, sigma: float, d: int,
                 bootstrap_labels, c_sketch: float = DEFAULT_SKETCH_CONST,
-                c_mean: float = DEFAULT_MEAN_SAMPLE_CONST, delta_exponent: int = 3,
-                m: Optional[int] = None, t: Optional[int] = None) -> MogResult:
+                delta_exponent: int = 3, m: Optional[int] = None,
+                t: Optional[int] = None) -> MogResult:
     """Full pipeline: bootstrap, estimate means, pick same-mean pairs, sketch
     everything else, and assign by sketched sign tests.
 
@@ -311,46 +260,31 @@ def cluster_mog(gram: MeteredGram, k: int, eps: float, sigma: float, d: int,
     sketching when k = 1).
     """
     n = gram.n
-    timings = {}
-    flags = {"fallback_count": 0, "pair_test_confident": None, "t_squared_exceeds_n": None}
-
     if m is None:
         m = default_sketch_rows(n, k, eps, d, c_sketch, delta_exponent) if k > 1 else 0
     if t is None:
-        t = max(mean_sample_size(k, d, c_mean), 2 * m + k, d)
+        t = max(mean_sample_size(k, d), 2 * m + k, d)
     if t > n:
         raise PipelineStageError("configure", f"bootstrap size t = {t} exceeds n = {n}")
-    flags["t_squared_exceeds_n"] = t * t > n
     labels = np.asarray(bootstrap_labels)
     if labels.shape[0] < t:
         raise PipelineStageError("configure", f"need labels for {t} bootstrap points")
     if sigma <= 0 and k > 1:
         raise PipelineStageError("configure", "sigma = 0 degenerates every sketch row")
 
-    tic = time.perf_counter()
     try:
-        boot = bootstrap_extract(gram, t)
+        points = bootstrap_extract(gram, t)
     except (NumericalDegeneracyError, ContractViolationError) as e:
         raise PipelineStageError("bootstrap", str(e)) from e
-    boot.labels = labels[:t]
-    timings["bootstrap"] = time.perf_counter() - tic
-
-    tic = time.perf_counter()
     try:
-        means = estimate_means(boot.points, boot.labels, k, min_component_count(k, d))
+        means = estimate_means(points, labels[:t], k, min_component_count(k, d))
     except EstimationFailureError as e:
         raise PipelineStageError("estimate-means", str(e)) from e
-    boot.means = means
-    timings["estimate_means"] = time.perf_counter() - tic
 
     if k == 1:
-        clustering = Clustering(np.zeros(n, dtype=np.int64))
-        return MogResult(clustering=clustering, report=gram.ledger_report(),
-                         m=0, t=t, flags=flags, stage_timings=timings, bootstrap=boot)
+        return MogResult(clustering=Clustering(np.zeros(n, dtype=np.int64)), m=0, t=t)
 
-    tic = time.perf_counter()
-    boot_assign, confident = assign_by_pair_tests(boot.points, means)
-    flags["pair_test_confident"] = int(confident.sum())
+    boot_assign, confident = assign_by_pair_tests(points, means)
     pairs = []
     for ell in range(k):
         members = np.flatnonzero((boot_assign == ell) & confident)
@@ -360,23 +294,17 @@ def cluster_mog(gram: MeteredGram, k: int, eps: float, sigma: float, d: int,
             "pairing", f"only {len(pairs)} same-mean pairs available, need {m}")
     pairs = np.asarray(sorted(pairs[:m]), dtype=np.int64)
     try:
-        sketch = build_sketch(boot.points, pairs, sigma)
+        sketch = build_sketch(points, pairs, sigma)
     except (DegenerateRowError, DegenerateSketchError) as e:
         raise PipelineStageError("sketch", str(e)) from e
-    timings["sketch_build"] = time.perf_counter() - tic
 
-    tic = time.perf_counter()
     remaining = np.setdiff1d(np.arange(n), sketch.source_indices)
-    rem_assign, fallback = sketched_assign(
+    rem_assign, _ = sketched_assign(
         sketch, sketch_apply_many(gram, sketch, remaining), means)
-    flags["fallback_count"] = int(fallback.sum())
-    timings["sketch_assign"] = time.perf_counter() - tic
 
     assignment = np.empty(n, dtype=np.int64)
     assignment[remaining] = rem_assign
     for (a, b), owner in zip(pairs, boot_assign[pairs[:, 0]]):
         assignment[a] = owner
         assignment[b] = owner
-    return MogResult(clustering=Clustering(assignment), report=gram.ledger_report(),
-                     m=m, t=t, flags=flags, stage_timings=timings,
-                     bootstrap=boot, sketch=sketch)
+    return MogResult(clustering=Clustering(assignment), m=m, t=t, sketch=sketch)

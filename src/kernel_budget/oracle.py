@@ -44,14 +44,6 @@ class QueryReport:
     budget_exhausted: bool
     per_row: np.ndarray = field(compare=False)
 
-    def to_json(self) -> dict:
-        return {
-            "distinct_entries": self.distinct_entries,
-            "total_requests": self.total_requests,
-            "budget": self.budget,
-            "budget_exhausted": self.budget_exhausted,
-        }
-
 
 class QueryLedger:
     """Audit record for one gram: distinct entries, requests, per-row touches.
@@ -281,6 +273,8 @@ class MeteredGram:
     def query(self, i: int, j: int) -> float:
         """One kernel entry; charges a distinct entry on first touch."""
         try:
+            if isinstance(i, bool) or isinstance(j, bool):  # operator.index(True) is 1
+                raise TypeError
             i, j = operator.index(i), operator.index(j)
         except TypeError:
             raise ContractViolationError(

@@ -33,3 +33,21 @@ def d_eff_from_gram(K, lam: float) -> float:
     K = np.asarray(K, dtype=np.float64)
     assert np.allclose(K, K.T), "K must be symmetric"
     return d_eff(np.linalg.eigvalsh(K), lam)
+
+
+def certify_mean_accuracy(recovered_points, true_points, est_means, true_means,
+                          sigma: float) -> bool:
+    """Whether estimated means are within sigma of the truth.
+
+    The recovered frame differs from the original by an unknown isometry;
+    align by orthogonal Procrustes on the bootstrap points, map the true
+    means through it, and compare.
+    """
+    Y = np.asarray(recovered_points, dtype=np.float64)
+    X = np.asarray(true_points, dtype=np.float64)
+    M = X.T @ Y
+    u, _, vt = np.linalg.svd(M, full_matrices=False)
+    q = u @ vt
+    mapped = np.asarray(true_means, dtype=np.float64) @ q
+    err = np.linalg.norm(np.asarray(est_means) - mapped, axis=1)
+    return bool((err <= sigma + 1e-6).all())

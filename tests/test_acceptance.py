@@ -24,8 +24,8 @@ from kernel_budget.kkmc import (Clustering, block_clustering, cost_explicit,
                                 single_block_cost, small_cluster_lower_bound)
 from kernel_budget.krr import (classify_rows, d_eff, hard_instance_optimum,
                                indicator_solve, solve_exact)
-from kernel_budget.mog import (FIRST, SECOND, build_sketch, cluster_mog,
-                               pair_test, separation_thresholds,
+from kernel_budget.mog import (assign_by_pair_tests, build_sketch,
+                               cluster_mog, separation_thresholds,
                                sketch_dimension)
 from kernel_budget.rng import stream
 
@@ -290,7 +290,7 @@ def mog_trial(k: int, seed: int) -> tuple:
                       c_sketch=cfg["c_sketch"])
     cost = cost_explicit(inst.points, res.clustering).total
     truth = cost_explicit(inst.points, Clustering(inst.labels.copy())).total
-    return cost / truth, res.report.distinct_entries, res.t, res.m
+    return cost / truth, inst.gram.ledger_report().distinct_entries, res.t, res.m
 
 
 @pytest.fixture(scope="module")
@@ -372,9 +372,9 @@ class TestA11PairTestCalibration:
             c = 0.5 * (mu1_hat + mu2_hat)
             scores = (x - c) @ (mu1_hat - c)
             rates[delta] = float((scores <= 0).mean())
-            for row in range(0, trials, 20_000):
-                want = FIRST if scores[row] > 0 else SECOND
-                assert pair_test(x[row], mu1_hat, mu2_hat) == want
+            rows = np.arange(0, trials, 20_000)
+            assign, _ = assign_by_pair_tests(x[rows], np.vstack([mu1_hat, mu2_hat]))
+            assert (assign == 0).tolist() == (scores[rows] > 0).tolist()
         ok = all(rates[d_] <= d_ for d_ in rates)
         announce("a11 distinguishing-test calibration", ok,
                  f"error rates {rates} at separation^2 = 144 sigma^2 ln(1/delta)")

@@ -121,8 +121,8 @@ class TestRunners:
         means = [np.mean(acc[f"accuracy@{b}"])
                  for b in ("0.1*n*J/4", "n*J/4", "2*n*J/4")]
         assert means[0] <= means[1] <= means[2]
-        assert all(r.budget is not None for r in rows)
-        assert all(r.report.distinct_entries <= r.budget for r in rows)
+        assert all(r.report.budget is not None for r in rows)
+        assert all(r.report.distinct_entries <= r.report.budget for r in rows)
 
     def test_mog_rows_shape(self):
         cfg = ExperimentConfig(
@@ -223,7 +223,7 @@ class TestProbeMatchesScalarLoop:
             inst = gen_krr(500, 20, 0.1, 0)
             want = scalar_probe_reference(inst, max(1, budget // 500), budget, 0)
             ref = inst.gram.ledger_report()
-            assert row.budget == budget and row.value == want
+            assert row.report.budget == budget and row.value == want
             assert row.report.distinct_entries == ref.distinct_entries
             assert row.report.total_requests == ref.total_requests
             assert row.report.budget_exhausted == ref.budget_exhausted
@@ -334,6 +334,23 @@ class TestCliEndToEnd:
     def test_usage_error_exit_code(self, tmp_path):
         cfg = self._config_file(tmp_path, {"kind": "nope", "instance": {}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "rank-gap",',
+        '[{"kind": "rank-gap", "instance": {"n": 20, "k": 3}}]',
+        '{"instance": {"n": 20, "k": 3}}',
+        '{"kind": "rank-gap", "instance": ["n", "k"]}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "seeds": 5}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "trials": "2"}',
+    ], ids=["invalid-json", "top-level-list", "missing-kind", "instance-list",
+            "seeds-int", "trials-str"])
+    def test_malformed_config_exits_2_writing_nothing(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
 
     def test_malformed_budget_exits_2_before_any_trial(self, tmp_path):
         instance = {"n": 40, "J": 8, "epsilon": 0.25, "budgets": ["n*J/4"]}

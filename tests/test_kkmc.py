@@ -28,14 +28,10 @@ class TestClustering:
         assert c.n_clusters == 3
         assert sorted(c.sizes.tolist()) == [1, 1, 2]
 
-    def test_json_is_id_list(self):
-        assert Clustering(np.array([1, 1, 0])).to_json() == [1, 1, 0]
-
     def test_cost_breakdown_json(self):
         pts = np.array([[0.0], [2.0], [5.0]])
-        blob = cost_explicit(pts, Clustering(np.array([0, 0, 1]))).to_json()
-        assert set(blob) == {"total", "per_cluster"}
-        assert blob["total"] == pytest.approx(2.0)
+        cost = cost_explicit(pts, Clustering(np.array([0, 0, 1])))
+        assert cost.total == pytest.approx(2.0)
 
 
 class TestCosts:

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import certify_mean_accuracy
 
 from kernel_budget.errors import (ContractViolationError, DegenerateRowError,
+                                  DegenerateSketchError,
                                   EstimationFailureError,
                                   NumericalDegeneracyError, PipelineStageError)
 from kernel_budget.instances import gen_mog
 from kernel_budget.kkmc import Clustering, cost_explicit
-from kernel_budget.mog import (FIRST, SECOND, assign_by_pair_tests,
-                               bootstrap_extract, build_sketch,
-                               certify_mean_accuracy, cluster_mog,
-                               default_sketch_rows, estimate_means,
-                               min_component_count, pair_test,
+from kernel_budget.mog import (assign_by_pair_tests, bootstrap_extract,
+                               build_sketch, cluster_mog, default_sketch_rows,
+                               estimate_means, min_component_count,
                                separation_thresholds, sketch_apply_many,
                                sketch_dimension, sketched_assign)
 from kernel_budget.oracle import MeteredGram
@@ -33,15 +33,15 @@ class _PoisonedGram:
 class TestBootstrap:
     def test_orthonormal_pair(self):
         g = MeteredGram(np.eye(2))
-        boot = bootstrap_extract(g, 2)
-        gram = boot.points @ boot.points.T
+        points = bootstrap_extract(g, 2)
+        gram = points @ points.T
         assert np.allclose(gram, np.eye(2), atol=1e-10)
 
     def test_factorization_residual(self):
         inst = gen_mog(300, 16, 3, 1.0, 25.0, seed=0)
-        boot = bootstrap_extract(inst.gram, 200)
+        points = bootstrap_extract(inst.gram, 200)
         block = inst.points[:200] @ inst.points[:200].T
-        assert np.abs(boot.points @ boot.points.T - block).max() <= 1e-6
+        assert np.abs(points @ points.T - block).max() <= 1e-6
 
     def test_ledger_is_exactly_triangle(self):
         inst = gen_mog(100, 8, 2, 1.0, 20.0, seed=1)
@@ -84,29 +84,32 @@ class TestEstimateMeans:
 
     def test_certification_detects_mislabeling(self):
         inst = gen_mog(400, 8, 2, 1.0, 30.0, seed=4)
-        boot = bootstrap_extract(inst.gram, 300)
-        good = estimate_means(boot.points, inst.labels[:300], 2,
+        points = bootstrap_extract(inst.gram, 300)
+        good = estimate_means(points, inst.labels[:300], 2,
                               min_component_count(2, 8))
-        assert certify_mean_accuracy(boot.points, inst.points[:300], good,
+        assert certify_mean_accuracy(points, inst.points[:300], good,
                                      inst.means, inst.sigma)
         shuffled = np.roll(inst.labels[:300], 1)
-        bad = estimate_means(boot.points, shuffled, 2, min_component_count(2, 8))
-        assert not certify_mean_accuracy(boot.points, inst.points[:300], bad,
+        bad = estimate_means(points, shuffled, 2, min_component_count(2, 8))
+        assert not certify_mean_accuracy(points, inst.points[:300], bad,
                                          inst.means, inst.sigma)
 
 
 class TestPairTest:
+    MEANS = np.array([[1.0, 0.0], [-1.0, 0.0]])
+
     def test_at_first_mean(self):
-        m1, m2 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        assert pair_test(m1, m1, m2) == FIRST
+        assign, confident = assign_by_pair_tests(self.MEANS[0], self.MEANS)
+        assert assign.tolist() == [0] and confident.tolist() == [True]
 
     def test_at_second_mean(self):
-        m1, m2 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        assert pair_test(m2, m1, m2) == SECOND
+        assign, confident = assign_by_pair_tests(self.MEANS[1], self.MEANS)
+        assert assign.tolist() == [1] and confident.tolist() == [True]
 
-    def test_tie_goes_second(self):
-        m1, m2 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        assert pair_test(np.zeros(2), m1, m2) == SECOND
+    def test_tie_is_not_confident(self):
+        # the midpoint wins neither strict sign test
+        _, confident = assign_by_pair_tests(np.zeros(2), self.MEANS)
+        assert confident.tolist() == [False]
 
     def test_error_rate_at_threshold_separation(self):
         # separation^2 = 144 sigma^2 ln(1/delta), adversarial sigma-size
@@ -124,16 +127,27 @@ class TestPairTest:
         scores = (x - c) @ (mu1_hat - c)
         errors = int((scores <= 0).sum())
         assert errors / 100_000 <= delta
-        # spot-check the vectorized scores against pair_test itself
-        for row in range(0, 100_000, 12_500):
-            want = FIRST if scores[row] > 0 else SECOND
-            assert pair_test(x[row], mu1_hat, mu2_hat) == want
+        # spot-check the scores against the pipeline's own sign test
+        rows = np.arange(0, 100_000, 12_500)
+        assign, _ = assign_by_pair_tests(x[rows], np.vstack([mu1_hat, mu2_hat]))
+        assert (assign == 0).tolist() == (scores[rows] > 0).tolist()
 
 
 class TestBuildSketch:
     def test_degenerate_pair(self):
         pts = np.vstack([np.ones(4), np.ones(4), np.eye(4)[0], np.eye(4)[1]])
         with pytest.raises(DegenerateRowError):
+            build_sketch(pts, np.array([[0, 1], [2, 3]]), 1.0)
+
+    def test_more_rows_than_frame_dimensions(self):
+        # two nonzero rows in a 1-D frame: the SVD has one singular value
+        pts = np.array([[0.0], [1.0], [3.0], [5.0]])
+        with pytest.raises(DegenerateSketchError):
+            build_sketch(pts, np.array([[0, 1], [2, 3]]), 1.0)
+
+    def test_parallel_rows(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
+        with pytest.raises(DegenerateSketchError):
             build_sketch(pts, np.array([[0, 1], [2, 3]]), 1.0)
 
     def test_rejects_overlapping_pairs(self):
@@ -164,20 +178,20 @@ class TestBuildSketch:
 class TestSketchApply:
     def _setup(self, seed=9):
         inst = gen_mog(200, 16, 2, 1.0, 30.0, seed=seed)
-        boot = bootstrap_extract(inst.gram, 60)
+        points = bootstrap_extract(inst.gram, 60)
         assign, conf = assign_by_pair_tests(
-            boot.points, estimate_means(boot.points, inst.labels[:60], 2,
-                                        min_component_count(2, 16)))
+            points, estimate_means(points, inst.labels[:60], 2,
+                                   min_component_count(2, 16)))
         pairs = []
         for ell in range(2):
             members = np.flatnonzero((assign == ell) & conf)
             pairs.extend((int(members[2 * i]), int(members[2 * i + 1]))
                          for i in range(members.size // 2))
-        sketch = build_sketch(boot.points, np.asarray(pairs[:8]), 1.0)
-        return inst, boot, sketch
+        sketch = build_sketch(points, np.asarray(pairs[:8]), 1.0)
+        return inst, sketch
 
     def test_matches_direct_product(self):
-        inst, boot, sketch = self._setup()
+        inst, sketch = self._setup()
         i = 150
         sx = sketch_apply_many(inst.gram, sketch, [i])[:, 0]
         direct_rows = (inst.points[sketch.pairs[:, 0]]
@@ -186,7 +200,7 @@ class TestSketchApply:
         assert np.abs(sx - expect).max() <= 1e-9
 
     def test_fresh_point_costs_2m_distinct(self):
-        inst, boot, sketch = self._setup()
+        inst, sketch = self._setup()
         before = inst.gram.ledger_report().distinct_entries
         sketch_apply_many(inst.gram, sketch, [180])
         after = inst.gram.ledger_report().distinct_entries
@@ -194,7 +208,7 @@ class TestSketchApply:
 
     def test_source_point_rejected(self):
         # one source among fresh points: rejected before anything is read
-        inst, boot, sketch = self._setup()
+        inst, sketch = self._setup()
         before = inst.gram.ledger_report()
         with pytest.raises(ContractViolationError):
             sketch_apply_many(inst.gram, sketch, [180, int(sketch.pairs[0, 0])])
@@ -203,7 +217,7 @@ class TestSketchApply:
         assert after.total_requests == before.total_requests
 
     def test_float_indices_rejected(self):
-        inst, boot, sketch = self._setup()
+        inst, sketch = self._setup()
         before = inst.gram.ledger_report()
         with pytest.raises(ContractViolationError):
             sketch_apply_many(inst.gram, sketch, [180.6])
@@ -217,10 +231,10 @@ class TestSketchApply:
         assert np.abs(sx).max() == 0.0
 
     def test_many_matches_single(self):
-        inst, boot, sketch = self._setup()
+        inst, sketch = self._setup()
         idx = np.array([100, 120, 140])
         block = sketch_apply_many(inst.gram, sketch, idx)
-        inst2, boot2, sketch2 = self._setup()
+        inst2, sketch2 = self._setup()
         for pos, i in enumerate(idx):
             one = sketch_apply_many(inst2.gram, sketch2, [i])[:, 0]
             assert np.abs(block[:, pos] - one).max() <= 1e-12
@@ -308,7 +322,7 @@ class TestClusterMog:
         res = cluster_mog(inst.gram, k=3, eps=0.25, sigma=1.0, d=16,
                           bootstrap_labels=inst.labels, c_sketch=0.25)
         expect = res.t * (res.t + 1) // 2 + 2 * res.m * (inst.n - res.t)
-        assert res.report.distinct_entries == expect
+        assert inst.gram.ledger_report().distinct_entries == expect
 
     def test_forced_m_t_hand_count(self):
         # independent recount of revealed pairs: bootstrap triangle plus
@@ -326,8 +340,9 @@ class TestClusterMog:
                 continue
             for srcs in sources:
                 pairs.add((min(srcs, i), max(srcs, i)))
-        assert res.report.distinct_entries == len(pairs)
-        assert res.report.distinct_entries <= 120 * 121 // 2 + 2 * 40 * (1000 - 2 * 40)
+        distinct = inst.gram.ledger_report().distinct_entries
+        assert distinct == len(pairs)
+        assert distinct <= 120 * 121 // 2 + 2 * 40 * (1000 - 2 * 40)
 
     def test_rotation_invariance(self):
         inst = self._instance(seed=3)
@@ -339,7 +354,8 @@ class TestClusterMog:
         res2 = cluster_mog(rotated, k=3, eps=0.25, sigma=1.0, d=16,
                            bootstrap_labels=inst.labels, c_sketch=0.25)
         assert (res1.clustering.assignment == res2.clustering.assignment).all()
-        assert res1.report.distinct_entries == res2.report.distinct_entries
+        assert (inst.gram.ledger_report().distinct_entries
+                == rotated.ledger_report().distinct_entries)
 
     def test_default_sketch_size_capped_at_d(self):
         # the default c_sketch asks for 875 rows, but the rows are differences
@@ -352,8 +368,9 @@ class TestClusterMog:
         res = cluster_mog(inst.gram, k=k, eps=eps, sigma=sigma, d=d,
                           bootstrap_labels=inst.labels)
         assert res.m == d
-        assert res.report.distinct_entries == res.t * (res.t + 1) // 2 + 2 * d * (n - res.t)
-        assert res.report.distinct_entries == 199 * 200 // 2 + 2 * 32 * (3000 - 199)
+        distinct = inst.gram.ledger_report().distinct_entries
+        assert distinct == res.t * (res.t + 1) // 2 + 2 * d * (n - res.t)
+        assert distinct == 199 * 200 // 2 + 2 * 32 * (3000 - 199)
         cost = cost_explicit(inst.points, res.clustering).total
         truth_cost = cost_explicit(inst.points, Clustering(inst.labels.copy())).total
         assert cost <= (1 + 8 * eps) * truth_cost
@@ -363,7 +380,7 @@ class TestClusterMog:
         res = cluster_mog(inst.gram, k=1, eps=0.25, sigma=1.0, d=8,
                           bootstrap_labels=inst.labels)
         assert res.clustering.n_clusters == 1
-        assert res.report.distinct_entries <= res.t * (res.t + 1) // 2
+        assert inst.gram.ledger_report().distinct_entries <= res.t * (res.t + 1) // 2
 
     def test_sigma_zero_multi_component_rejected(self):
         inst = gen_mog(400, 8, 2, 0.0, 30.0, seed=5)
@@ -381,17 +398,11 @@ class TestClusterMog:
         inst = self._instance(seed=7)
         res = cluster_mog(inst.gram, k=3, eps=0.25, sigma=1.0, d=16,
                           bootstrap_labels=inst.labels, c_sketch=0.25)
-        assert certify_mean_accuracy(res.bootstrap.points,
-                                     inst.points[:res.t],
-                                     res.bootstrap.means, inst.means,
-                                     inst.sigma)
-
-    def test_result_json_keys(self):
-        inst = self._instance(seed=8)
-        res = cluster_mog(inst.gram, k=3, eps=0.25, sigma=1.0, d=16,
-                          bootstrap_labels=inst.labels, c_sketch=0.25)
-        blob = res.to_json()
-        assert set(blob) == {"assignment", "cost", "query_report", "stage_timings"}
+        # the pipeline's points and means, recomputed at the bootstrap size it chose
+        points = bootstrap_extract(inst.gram, res.t)
+        means = estimate_means(points, inst.labels[:res.t], 3, min_component_count(3, 16))
+        assert certify_mean_accuracy(points, inst.points[:res.t], means,
+                                     inst.means, inst.sigma)
 
 
 class TestProjectionGeometry:

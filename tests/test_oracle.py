@@ -82,8 +82,9 @@ class TestQuery:
     def test_numpy_integer_budget_is_stored_as_int(self):
         g = MeteredGram(np.eye(4), budget=np.int64(3))
         g.set_budget(np.uint8(2))
-        assert type(g.ledger_report().to_json()["budget"]) is int
-        assert json.dumps(g.ledger_report().to_json()["budget"]) == "2"
+        rep = g.ledger_report()
+        assert type(rep.budget) is int
+        assert json.dumps(rep.budget) == "2"
 
     def test_symmetry(self):
         rng = stream(0, "sym")
@@ -223,12 +224,6 @@ class TestLedger:
         assert after.total_requests == before.total_requests + 3
         assert not after.budget_exhausted
 
-    def test_report_json_keys(self):
-        blob = MeteredGram(np.eye(2), budget=3).ledger_report().to_json()
-        assert set(blob) == {"distinct_entries", "total_requests", "budget",
-                             "budget_exhausted"}
-        assert blob["budget"] == 3
-
 
 def _scalar_loop(gram, rows, cols):
     """Values of query(rows[p], cols[p]) in order, and the pairs read before
@@ -333,6 +328,7 @@ class TestQueryPairs:
 _BAD_INDEX_READS = {
     "query-float": lambda g: g.query(1.7, 0.2),
     "query-numpy-float": lambda g: g.query(0, np.float64(1.0)),
+    "query-bool": lambda g: g.query(True, 0),
     "block-float": lambda g: g.query_block([1.9], [1.2]),
     "block-mask": lambda g: g.query_block(np.ones(4, dtype=bool), [0, 1]),
     "block-2d": lambda g: g.query_block(np.array([[0, 1], [2, 3]]), [0]),
@@ -441,6 +437,7 @@ def _ledger_ops(n):
     return st.lists(st.one_of(
         st.tuples(st.just("scalar"), idx, idx),
         st.tuples(st.just("block"), rows, rows),
+        st.just(("block", list(range(n)), list(range(n)))),  # read every pair
         st.tuples(st.just("pairs"), st.lists(st.tuples(idx, idx), max_size=12)),
         st.tuples(st.just("full")),
         st.tuples(st.just("budget"), _budgets(n)),
