@@ -115,22 +115,27 @@ class ExperimentConfig:
         missing = required - set(self.instance)
         if missing:
             raise UsageError(f"{self.kind} requires instance parameters {sorted(missing)}")
+        for name in sorted(required - {"budgets"}):
+            value = self.instance[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise UsageError(f"instance parameter {name} must be a number, got {value!r}")
         budgets = self.instance.get("budgets", [])
         if not isinstance(budgets, list):
             raise UsageError("instance parameter budgets must be a list of expressions")
         for expr in [self.budget, *budgets]:
             if expr is not None:
                 parse_budget_expr(expr)
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
-            raise UsageError(f"trials must be an integer, got {self.trials!r}")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
+            raise UsageError(f"trials must be a positive integer, got {self.trials!r}")
         if self.seeds is None:
             self.seeds = list(range(self.trials))
         try:
-            if not isinstance(self.seeds, list):
+            if not isinstance(self.seeds, list) or not self.seeds:
                 raise TypeError
             self.seeds = [operator.index(s) for s in self.seeds]
         except TypeError:
-            raise UsageError(f"seeds must be a list of integers, got {self.seeds!r}") from None
+            raise UsageError(f"seeds must be a nonempty list of integers, "
+                             f"got {self.seeds!r}") from None
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -221,9 +226,9 @@ def _run_krr_indicator(cfg, seed):
     c0, c1 = float(p["c0"]), float(p["c1"])
     G = inst.gram.full()
     fast = indicator_solve(G, inst.z, inst.lam, c0, c1)
-    K = (c1 - c0) * G
-    K += c0
-    direct = solve_exact(K, inst.z, inst.lam)
+    G *= c1 - c0  # K = c0 + (c1 - c0) G, built in the revealed array
+    G += c0
+    direct = solve_exact(G, inst.z, inst.lam)
     diff = float(np.max(np.abs(fast - direct)))
     return [ResultRow("krr-indicator", seed, inst.n, inst.k, inst.eps,
                       "max_abs_diff", diff, inst.gram.ledger_report())]

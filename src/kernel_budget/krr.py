@@ -9,14 +9,14 @@ positive-definite Cholesky solve; desk scale (n <= 5000) needs no iterative
 machinery. Each dense solve checks its input in one tiled pass (finite,
 symmetric) and factors one n x n working copy in place, so it holds one
 n x n array beyond its input; the caller's arrays are never written to.
-`nystrom_solve` reads only the landmark columns of a metered gram and never
-builds an n x n array.
+scipy is imported on the first dense solve, so importing the package loads
+only numpy. `nystrom_solve` reads only the landmark columns of a metered
+gram and never builds an n x n array.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ContractViolationError, NumericalDegeneracyError,
                      SingularSystemError)
@@ -65,24 +65,28 @@ def _check_system(K, z, lam: float, what: str = "K"):
 
 
 def _factor(A, lam: float):
-    """Cholesky factor of A + lam I, computed in A: a symmetric C-order
-    working copy that the solver owns.
+    """Factor A + lam I in place and return the solve b -> (A + lam I)^{-1} b
+    for one right-hand side. A is a symmetric C-order working copy that the
+    solver owns.
 
     A.T is Fortran-ordered, so LAPACK factors its lower triangle (the upper
-    triangle of A) without another copy."""
+    triangle of A) without another copy. This is the package's only use of
+    scipy, imported here so that no other route pays for loading it."""
+    import scipy.linalg
+
     A.flat[::A.shape[0] + 1] += lam
     try:
-        return scipy.linalg.cho_factor(A.T, lower=True, overwrite_a=True,
-                                       check_finite=False)
+        cho = scipy.linalg.cho_factor(A.T, lower=True, overwrite_a=True,
+                                      check_finite=False)
     except np.linalg.LinAlgError as e:
         raise NumericalDegeneracyError(str(e)) from e
+    return lambda b: scipy.linalg.cho_solve(cho, b, check_finite=False)
 
 
 def solve_exact(K, z, lam: float) -> np.ndarray:
     """Minimize the ridge objective: alpha = (K + lam I)^{-1} z."""
     K, z = _check_system(K, z, lam)
-    cho = _factor(np.array(K, order="C"), lam)
-    return scipy.linalg.cho_solve(cho, z, check_finite=False)
+    return _factor(np.array(K, order="C"), lam)(z)
 
 
 def nystrom_solve(gram: MeteredGram, landmarks, z, lam: float) -> np.ndarray:
@@ -185,10 +189,10 @@ def indicator_solve(G, z, lam: float, c0: float, c1: float) -> np.ndarray:
     if not c1 > c0:
         raise ContractViolationError(f"need c1 > c0, got c0={c0}, c1={c1}")
     G, z = _check_system(G, z, lam, "G")
-    cho = _factor(np.multiply(c1 - c0, G, order="C"), lam)
+    solve = _factor(np.multiply(c1 - c0, G, order="C"), lam)
     ones = np.ones(G.shape[0])
-    w = scipy.linalg.cho_solve(cho, ones, check_finite=False)
-    y = scipy.linalg.cho_solve(cho, z, check_finite=False)
+    w = solve(ones)
+    y = solve(z)
     denom = 1.0 + c0 * (ones @ w)
     if abs(denom) < 1e-12:
         raise SingularSystemError("rank-one update denominator vanished")

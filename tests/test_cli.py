@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kernel_budget.cli import (AGG_COLUMNS, CSV_COLUMNS, KINDS,
                                write_results)
 from kernel_budget.errors import BudgetExhaustedError
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
+from kernel_budget.krr import indicator_solve, solve_exact
 from kernel_budget.mog import separation_thresholds
 from kernel_budget.rng import stream
 
@@ -160,6 +162,33 @@ class TestRunners:
         assert not errors
         vals = [r.value for r in rows]
         assert vals == sorted(vals, reverse=True)  # shrinking in lambda
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_indicator_certificate_matches_out_of_place(self, seed):
+        p = TINY_INSTANCES["krr-indicator"]
+        (row,), errors = run(ExperimentConfig(kind="krr-indicator", seeds=[seed],
+                                              instance=p))
+        assert not errors
+        inst = gen_krr(p["n"], p["J"], p["epsilon"], seed)
+        G = inst.gram.full()
+        c0, c1 = p["c0"], p["c1"]
+        fast = indicator_solve(G, inst.z, inst.lam, c0, c1)
+        direct = solve_exact((c1 - c0) * G + c0, inst.z, inst.lam)
+        assert row.value == float(np.max(np.abs(fast - direct)))
+
+    def test_indicator_holds_two_dense_arrays(self):
+        n = 600
+        cfg = ExperimentConfig(kind="krr-indicator", seeds=[0],
+                               instance={"n": n, "J": 40, "epsilon": 0.25,
+                                         "c0": 0.2, "c1": 1.3})
+        tracemalloc.start()
+        try:
+            _, errors = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not errors
+        assert peak <= 2.2 * n * n * 8  # the revealed G and one factor copy
 
     def test_error_trials_are_catalogued(self):
         cfg = ExperimentConfig(
@@ -342,8 +371,21 @@ class TestCliEndToEnd:
         '{"kind": "rank-gap", "instance": ["n", "k"]}',
         '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "seeds": 5}',
         '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "trials": "2"}',
+        '{"kind": "rank-gap", "instance": {"n": "20", "k": 3}}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": true}}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": null}}',
+        '{"kind": "krr-indicator", "instance": {"n": 40, "J": 8, "epsilon": 0.25, '
+        '"c0": 0.2, "c1": [1.3]}}',
+        '{"kind": "budget-curve", "instance": {"n": 40, "J": 8, "epsilon": "0.25", '
+        '"budgets": ["n"]}}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "trials": -2}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "trials": 0}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "trials": 0, "seeds": [1]}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "seeds": []}',
     ], ids=["invalid-json", "top-level-list", "missing-kind", "instance-list",
-            "seeds-int", "trials-str"])
+            "seeds-int", "trials-str", "n-str", "k-bool", "k-null", "c1-list",
+            "epsilon-str", "trials-negative", "trials-zero", "trials-zero-with-seeds",
+            "seeds-empty"])
     def test_malformed_config_exits_2_writing_nothing(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
