@@ -9,12 +9,12 @@ may catch to emulate a query-bounded adversary.
 
 Entries are counted as unordered pairs, the diagonal counting once, because
 a re-read carries no new information. The ledger keeps one bit per pair in
-a packed upper-triangle bitmap (see QueryLedger); no value is kept, since a
-value is a pure function of the hidden points. The kernel is the dot
-product; a two-valued kernel on basis vectors is algebra on this gram
-(krr.indicator_solve). Values for the instances in this package lie in
-{0, 1/2, 1} and small dot products, so float64 is exact for all
-comparisons that matter.
+an upper-triangle bitmap whose rows start on byte boundaries (see
+QueryLedger); no value is kept, since a value is a pure function of the
+hidden points. The kernel is the dot product; a two-valued kernel on basis
+vectors is algebra on this gram (krr.indicator_solve). Values for the
+instances in this package lie in {0, 1/2, 1} and small dot products, so
+float64 is exact for all comparisons that matter.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .errors import BudgetExhaustedError, ContractViolationError
 _FULL_REVEAL_MAX_N = 20_000
 # mask of bit b within a bitmap byte
 _BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)
+# charge_block scans each run's rows in this many bands
+_BANDS = 8
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,14 @@ class QueryLedger:
     """Audit record for one gram: distinct entries, requests, per-row touches.
 
     Counters are monotone over the gram's lifetime. Pair (lo, hi), lo <= hi,
-    is bit lo*n - lo*(lo+1)/2 + hi of a packed upper-triangle bitmap:
-    n(n+1)/16 bytes, allocated on the first scalar, block or pairs charge
-    and freed by a full reveal, which sets an all-revealed flag instead.
+    is bit hi & 7 of byte _offset(lo) + (hi >> 3) of an upper-triangle
+    bitmap in which row lo holds hi in [8*(lo >> 3), n), starting on a byte
+    boundary. So a byte's column hi >> 3 and its mask depend on hi alone,
+    and the bits below the diagonal in a row's first byte, and those past
+    n in its last, belong to no pair and stay 0. The bitmap takes about
+    n^2/16 + n/2 bytes; it is allocated on the first scalar, block or pairs
+    charge and freed by a full reveal, which sets an all-revealed flag
+    instead.
     """
 
     def __init__(self, n: int, budget: Optional[int] = None):
@@ -77,8 +84,18 @@ class QueryLedger:
 
     def _bitmap(self) -> bytearray:
         if self._bits is None:
-            self._bits = bytearray((self.n * (self.n + 1) // 2 + 7) // 8)
+            self._bits = bytearray(self._offset(self.n) + (self.n >> 3))
         return self._bits
+
+    def _offset(self, lo):
+        """Byte of pair (lo, hi) less hi >> 3; lo an int or an int64 array.
+
+        With B = ceil(n/8), row l takes B - (l >> 3) bytes, so the rows
+        before lo = 8q + r take lo*B - 4q(q-1) - r*q bytes, and row lo's
+        first byte, for hi = 8q, is q past _offset(lo). _offset(n) + (n >> 3)
+        is the bitmap's size."""
+        q = lo >> 3
+        return lo * ((self.n + 7) >> 3) - 4 * q * (q - 1) - (lo & 7) * q - q
 
     def _over_budget(self, fresh: int) -> bool:
         """Whether fresh pairs would pass the budget; a read with none never does."""
@@ -89,41 +106,40 @@ class QueryLedger:
         self.total_requests -= requests
         raise BudgetExhaustedError(message)
 
-    def _key(self, lo, hi):
-        """Bit index of pair (lo, hi), lo <= hi; ints or broadcastable int64
-        arrays (only the final + hi is full-size)."""
-        return lo * self.n - (lo * (lo + 1) >> 1) + hi
-
-    def _unset(self, keys: np.ndarray) -> np.ndarray:
-        """True where the bit of a key is not yet set."""
+    def _unset(self, byte: np.ndarray, bit: np.ndarray) -> np.ndarray:
+        """True where a pair's bit (bit of byte) is not yet set."""
         bits = np.frombuffer(self._bitmap(), dtype=np.uint8)
-        return (bits[keys >> 3] & _BIT[keys & 7]) == 0
+        return (bits[byte] & _BIT[bit]) == 0
 
-    def _set(self, keys: np.ndarray):
-        """Set the bits of sorted unique keys."""
+    def _set(self, byte: np.ndarray, new: np.ndarray, off=0):
+        """OR new[c, r] into bitmap byte byte[c] + off[r] (off may be 0).
+
+        byte is nondecreasing and the masks bound for one byte are distinct
+        bits, so their sum (mod 256) is their OR; fancy |= alone would drop
+        repeats. new is overwritten."""
+        if byte.size == 0:
+            return
+        last = np.append(np.flatnonzero(byte[1:] != byte[:-1]), byte.size - 1)
+        np.cumsum(new, axis=0, out=new)
+        runs = new[last]
+        runs[1:] -= new[last[:-1]]
         bits = np.frombuffer(self._bits, dtype=np.uint8)
-        byte = keys >> 3  # sorted: OR each byte's masks once, as fancy |= drops repeats
-        last = np.ones(byte.size, dtype=bool)
-        np.not_equal(byte[1:], byte[:-1], out=last[:-1])
-        last = np.flatnonzero(last)
-        # a byte's masks are distinct bits, so their sum (mod 256) is their OR
-        sums = np.cumsum(_BIT[keys & 7], dtype=np.uint8)[last]
-        bits[byte[last]] |= np.diff(sums, prepend=np.uint8(0))
+        bits[byte[last, None] + off] |= runs
 
     def charge_scalar(self, i: int, j: int) -> bool:
         """Count one request; returns True if the pair is newly revealed."""
         self.total_requests += 1
         if self._all_revealed:
             return False
-        key = self._key(i, j) if i <= j else self._key(j, i)
+        lo, hi = (i, j) if i <= j else (j, i)
+        byte, mask = self._offset(lo) + (hi >> 3), 1 << (hi & 7)
         bits = self._bitmap()
-        mask = 1 << (key & 7)
-        if bits[key >> 3] & mask:
+        if bits[byte] & mask:
             return False
         if self._over_budget(1):
             self._refuse(1, f"budget of {self.budget} distinct entries "
                             f"exhausted at ({i}, {j})")
-        bits[key >> 3] |= mask
+        bits[byte] |= mask
         self.distinct_entries += 1
         self.per_row[i] += 1
         if j != i:
@@ -140,10 +156,13 @@ class QueryLedger:
 
         With R and C the sorted distinct rows and columns, each unordered
         pair of R x C is (lo, hi), lo <= hi, in exactly one of three runs:
-        R x C, C x (R - C) and (C - R) x (R & C). A run is read row-major
-        over sorted indices; a key grows with hi for fixed lo, and each lo's
-        keys lie past the previous lo's, so a run's keys with lo <= hi come
-        out sorted and unique without a sort.
+        R x C, C x (R - C) and (C - R) x (R & C). A run's lo past its last
+        hi has no pair; its other lo are split into _BANDS bands, and each
+        band is scanned only against the hi from its first lo on, so little
+        of the lower triangle is read. The scan's byte column hi >> 3 and
+        mask depend on hi alone; over sorted hi the columns come out
+        nondecreasing and the pairs unique, so _set needs no sort. Every
+        band is scanned before the budget check and no bit is set before it.
         """
         requests = int(rows.size) * int(cols.size)
         self.total_requests += requests
@@ -151,25 +170,38 @@ class QueryLedger:
             return
         R, C = np.unique(rows), np.unique(cols)
         r_in_c, c_in_r = np.isin(R, C, assume_unique=True), np.isin(C, R, assume_unique=True)
-        runs = []
-        for run, (lo, hi) in enumerate(((R, C), (C, R[~r_in_c]), (C[~c_in_r], R[r_in_c]))):
-            keys = self._key(lo[:, None], hi)
-            fresh = lo[:, None] <= hi
-            fresh &= self._unset(keys)
-            runs.append((lo, hi, keys[fresh],
-                         np.count_nonzero(fresh, axis=1), np.count_nonzero(fresh, axis=0)))
-            if run == 0:  # diagonal pairs lie in R x C only
-                diag = fresh[np.flatnonzero(r_in_c), np.flatnonzero(c_in_r)]
-            del keys, fresh  # hold one run's rectangle at a time
-        total = sum(run[2].size for run in runs)
+        both = R[r_in_c]
+        # a fresh diagonal pair is counted as both its lo and its hi below
+        diag = both[self._unset(self._offset(both) + (both >> 3), both & 7)]
+        bits = np.frombuffer(self._bitmap(), dtype=np.uint8)
+        bands, total = [], 0
+        for lo, hi in ((R, C), (C, R[~r_in_c]), (C[~c_in_r], both)):
+            if hi.size == 0:
+                continue
+            lo = lo[:np.searchsorted(lo, hi[-1], side="right")]
+            for band in np.array_split(lo, _BANDS):
+                if band.size == 0:
+                    continue
+                h = hi[np.searchsorted(hi, band[0]):]
+                off = self._offset(band)
+                # new[c, r]: the mask of pair (band[r], h[c]) if unset, else 0
+                new = bits[(h >> 3)[:, None] + off]
+                np.invert(new, out=new)
+                new &= _BIT[h & 7][:, None]
+                below = np.searchsorted(h, band[-1])  # only these h lie below some lo
+                new[:below] *= h[:below, None] >= band
+                fresh = np.count_nonzero(new)
+                if fresh:
+                    bands.append((band, off, h, new))
+                    total += fresh
         if self._over_budget(total):
             self._refuse(requests, f"block read of {total} fresh entries "
                                    f"exceeds budget {self.budget}")
-        for lo, hi, keys, lo_count, hi_count in runs:
-            self._set(keys)
-            self.per_row[lo] += lo_count
-            self.per_row[hi] += hi_count
-        self.per_row[R[r_in_c]] -= diag  # a fresh diagonal pair touches its row once
+        for band, off, h, new in bands:
+            self.per_row[band] += np.count_nonzero(new, axis=0)
+            self.per_row[h] += np.count_nonzero(new, axis=1)
+            self._set(h >> 3, new, off)
+        self.per_row[diag] -= 1
         self.distinct_entries += total
 
     def charge_pairs(self, rows: np.ndarray, cols: np.ndarray):
@@ -184,20 +216,20 @@ class QueryLedger:
             self.total_requests += int(rows.size)
             return
         lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        keys = self._key(lo, hi)
-        unseen = np.flatnonzero(self._unset(keys))
-        keys, first = np.unique(keys[unseen], return_index=True)
+        byte = self._offset(lo) + (hi >> 3)
+        unseen = np.flatnonzero(self._unset(byte, hi & 7))
+        # pair order lo*n + hi is byte order, as _set needs
+        _, first = np.unique(lo[unseen] * self.n + hi[unseen], return_index=True)
         first = unseen[first]
-        allowed = keys.size if self.budget is None else max(self.budget - self.distinct_entries, 0)
+        allowed = first.size if self.budget is None else max(self.budget - self.distinct_entries, 0)
         cut = None
-        if keys.size > allowed:
+        if first.size > allowed:
             # the first fresh pair past the budget ends the prefix
             cut = int(np.sort(first)[allowed])
-            keep = first < cut
-            keys, first = keys[keep], first[keep]
-        self._set(keys)
-        self.distinct_entries += int(keys.size)
+            first = first[first < cut]
         lo, hi = lo[first], hi[first]
+        self._set(byte[first], _BIT[hi & 7][:, None])
+        self.distinct_entries += int(first.size)
         self.per_row += np.bincount(np.concatenate([lo, hi[lo != hi]]), minlength=self.n)
         self.total_requests += int(rows.size) if cut is None else cut
         if cut is not None:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kernel_budget.errors import BudgetExhaustedError, ContractViolationError
 from kernel_budget.instances import gen_kkmc, gen_krr, gen_mog, gen_rank
-from kernel_budget.oracle import MeteredGram, QueryLedger
+from kernel_budget.oracle import _BANDS, MeteredGram, QueryLedger
 from kernel_budget.rng import stream
 
 
@@ -370,7 +370,8 @@ class TestLedgerStorage:
         g = MeteredGram(np.eye(9))
         assert g.ledger._bits is None
         g.query(3, 8)
-        assert len(g.ledger._bits) == (9 * 10 // 2 + 7) // 8
+        # rows 0-7 hold hi in [0, 9) in 2 bytes each, row 8 hi in [8, 9) in 1
+        assert len(g.ledger._bits) == _bitmap_bytes(9) == 17
         g.full()
         assert g.ledger._bits is None
         g.query(0, 1)
@@ -378,15 +379,54 @@ class TestLedgerStorage:
         assert g.ledger._bits is None
 
     def test_every_pair_has_its_own_bit(self):
-        n = 13
-        g = MeteredGram(np.eye(n))
-        for i in range(n):
-            for j in range(n):
-                fresh = g.ledger.charge_scalar(i, j)
-                assert fresh == (i <= j)
-        assert g.ledger.distinct_entries == n * (n + 1) // 2
-        assert all(b == 0xFF for b in g.ledger._bits[:-1])
-        assert g.ledger._bits[-1] == 0b111  # 91 = 11 * 8 + 3 bits
+        """Each pair sets its own bit and none ever sets a padding bit; at
+        n=21 and n=40 a row spans up to 3 and 5 bytes."""
+        for n in (13, 21, 40):
+            g = MeteredGram(np.eye(n))
+            assert len(g.ledger._bitmap()) == _bitmap_bytes(n)
+            padding = ~_pair_bits(n)
+            for i in range(n):
+                for j in range(n):
+                    fresh = g.ledger.charge_scalar(i, j)
+                    assert fresh == (i <= j)
+                    assert _as_int(g.ledger._bits) & padding == 0
+            assert g.ledger.distinct_entries == n * (n + 1) // 2
+            assert _popcount(g.ledger) == n * (n + 1) // 2
+            assert _as_int(g.ledger._bits) == _pair_bits(n)
+
+
+def _row_starts(n):
+    """First byte of each row and the bitmap size: row lo holds hi in
+    [8*(lo // 8), n), a whole number of bytes."""
+    width = [(n + 7) // 8 - lo // 8 for lo in range(n)]
+    return np.concatenate([[0], np.cumsum(width)])
+
+
+def _bitmap_bytes(n):
+    return int(_row_starts(n)[-1])
+
+
+def _pair_bits(n):
+    """The bitmap, as an int, with the bit of every pair (lo, hi) set."""
+    start, mask = _row_starts(n), 0
+    for lo in range(n):
+        for hi in range(lo, n):
+            mask |= 1 << (8 * (int(start[lo]) + hi // 8 - lo // 8) + hi % 8)
+    return mask
+
+
+def _as_int(bits):
+    return int.from_bytes(bytes(bits), "little")
+
+
+def _popcount(ledger):
+    return 0 if ledger._bits is None else _as_int(ledger._bits).bit_count()
+
+
+def _check_popcount(ledger):
+    """One set bit per distinct entry, unless a full reveal dropped the bitmap."""
+    if not ledger._all_revealed:
+        assert _popcount(ledger) == ledger.distinct_entries
 
 
 class SetLedger:
@@ -485,6 +525,7 @@ class TestLedgerMatchesSetModel:
             if kind in ("scalar", "block", "full"):
                 assert _raises_budget(charge, *args) == _raises_budget(ref.charge, pairs)
             rep = ledger.report()
+            _check_popcount(ledger)
             assert rep.distinct_entries == len(ref.pairs)
             assert rep.total_requests == ref.total_requests
             assert rep.budget_exhausted == ref.budget_exhausted
@@ -526,10 +567,12 @@ class TestBlockChargeBytes:
         for i, j in prior:
             block.charge_scalar(i, j)
             loop.charge_scalar(i, j)
+            _check_popcount(block)
         before = _state(block)
         for i in rows:
             for j in cols:
                 loop.charge_scalar(i, j)
+                _check_popcount(loop)
         fresh = loop.distinct_entries - block.distinct_entries
         if slack is not None:  # a budget at, just below or just above the need
             block.set_budget(max(block.distinct_entries + fresh + slack, 0))
@@ -543,6 +586,67 @@ class TestBlockChargeBytes:
             block.charge_block(*args)
             assert _state(block) == _state(loop)
             assert not block.budget_exhausted
+        _check_popcount(block)
+
+    def test_multi_band_block_matches_scalar_loop(self):
+        rows, cols, block, loop = _multi_band_case()
+        for i in rows:
+            for j in cols:
+                loop.charge_scalar(int(i), int(j))
+        block.charge_block(rows, cols)
+        assert _state(block) == _state(loop)
+        _check_popcount(block)
+
+    def test_budget_crossed_in_last_band_is_atomic(self):
+        rows, cols, block, loop = _multi_band_case()
+        assert _last_band_fresh(rows, cols, block) > 0
+        for i in rows:
+            for j in cols:
+                loop.charge_scalar(int(i), int(j))
+        fresh = loop.distinct_entries - block.distinct_entries
+        before = _state(block)
+        # one short: room for every band's fresh pairs but the last's
+        block.set_budget(block.distinct_entries + fresh - 1)
+        with pytest.raises(BudgetExhaustedError):
+            block.charge_block(rows, cols)
+        assert _state(block) == before
+        assert block.budget_exhausted
+        block.set_budget(block.distinct_entries + fresh)
+        block.charge_block(rows, cols)
+        assert _state(block) == _state(loop)
+
+
+def _multi_band_case():
+    """n=3000, prior scalar and pair charges, and an unsorted block with
+    repeats whose rows R and columns C share 80 indices: R x C, C x (R - C)
+    and (C - R) x (R & C) are all non-empty, and each spans all bands."""
+    n, rng = 3000, stream(0, "multi-band-block")
+    perm = rng.permutation(n)
+    shared, only_r, only_c = perm[:120], perm[120:220], perm[220:380]
+    rows = rng.permutation(np.concatenate([shared, only_r, shared[:10]]))
+    cols = rng.permutation(np.concatenate([shared[:80], only_c, only_c[:5]]))
+    block, loop = QueryLedger(n), QueryLedger(n)
+    prior = rng.choice(np.concatenate([rows, cols]), size=(2, 3000))
+    for ledger in (block, loop):
+        for i, j in prior[:, :500].T:
+            ledger.charge_scalar(int(i), int(j))
+        ledger.charge_pairs(prior[0, 500:], prior[1, 500:])
+    return rows, cols, block, loop
+
+
+def _last_band_fresh(rows, cols, ledger):
+    """Fresh pairs in the band charge_block scans last: the top band of
+    (C - R) x (R & C), with no lo past the last hi."""
+    R, C = np.unique(rows), np.unique(cols)
+    both = np.intersect1d(R, C)
+    lo = np.setdiff1d(C, R)
+    band = np.array_split(lo[lo <= both[-1]], _BANDS)[-1]
+    probe = QueryLedger(ledger.n)
+    probe._bits = bytearray(ledger._bits)
+    for i in band:
+        for j in both[both >= i]:
+            probe.charge_scalar(int(i), int(j))
+    return probe.distinct_entries
 
 
 def _disjoint_rectangle():
@@ -551,6 +655,15 @@ def _disjoint_rectangle():
 
 
 class TestBlockChargeMemory:
+    @staticmethod
+    def _peak(ledger, rows, cols):
+        tracemalloc.start()
+        try:
+            ledger.charge_block(rows, cols)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("n, rows, cols, fresh", [
         (5000, np.arange(1000, 2000), np.arange(1000, 2000), 1000 * 1001 // 2),
         _disjoint_rectangle(),
@@ -559,14 +672,16 @@ class TestBlockChargeMemory:
     def test_peak_per_requested_entry(self, n, rows, cols, fresh):
         ledger = QueryLedger(n)
         ledger.charge_scalar(n - 1, n - 1)  # the bitmap is the ledger's, not the block's
-        tracemalloc.start()
-        try:
-            ledger.charge_block(rows, cols)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self._peak(ledger, rows, cols)
         assert ledger.distinct_entries == 1 + fresh
-        assert peak <= 48 * rows.size * cols.size
+        assert peak <= 16 * rows.size * cols.size
+
+    def test_reread_peak_per_requested_entry(self):
+        ledger, square = QueryLedger(5000), np.arange(1000, 2000)
+        ledger.charge_block(square, square)
+        peak = self._peak(ledger, square, square)
+        assert ledger.distinct_entries == 1000 * 1001 // 2
+        assert peak <= 4 * square.size ** 2
 
 
 class TestGeneratedGramProperties:
