@@ -91,6 +91,24 @@ TINY_INSTANCES = {
 }
 
 
+# rows of each TINY_INSTANCES kind at seed 0, as (metric, n, distinct_entries,
+# total_requests, budget, budget_exhausted); kinds with no read step read 0, 0
+TINY_ROWS = {
+    "krr-closed-form": [("max_abs_diff", 40, 820, 1600, None, False)],
+    "krr-classify": [("accuracy", 40, 820, 1600, None, False)],
+    "krr-indicator": [("max_abs_diff", 40, 820, 1600, None, False)],
+    "d-eff-scan": [(f"d_eff@{m}", 40, 0, 0, None, False) for m in ("0.1", "0.5", "1", "2", "10")],
+    "kkmc-cost-envelope": [("total_cost", 200, 0, 0, None, False),
+                           ("per_point_cost", 200, 0, 0, None, False)],
+    "kkmc-recover": [("recovery_rate", 200, 100, 100, None, False),
+                     ("queries", 200, 100, 100, None, False)],
+    "rank-gap": [("gap", 20, 0, 0, None, False), ("planted", 20, 0, 0, None, False)],
+    "mog-pipeline": [(metric, 300, 4870, 5769, None, False) for metric in
+                     ("cost_ratio", "success", "distinct_entries", "query_count_matches")],
+    "budget-curve": [("accuracy@n*J/4", 40, 75, 80, 80, False)],
+}
+
+
 class TestRunners:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_every_kind_runs(self, kind):
@@ -99,6 +117,30 @@ class TestRunners:
         assert not errors
         assert rows and all(r.experiment == kind for r in rows)
         assert all(r.report is not None for r in rows)
+        assert [(r.metric, r.n, r.report.distinct_entries, r.report.total_requests,
+                 r.report.budget, r.report.budget_exhausted) for r in rows] == TINY_ROWS[kind]
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_score_charges_nothing(self, kind, monkeypatch):
+        generate, read, score, required = KINDS[kind]
+        seen = []
+
+        def checked_score(inst, p, output, report):
+            before = inst.gram.ledger_report()
+            metrics = score(inst, p, output, report)
+            seen.append((report, before, inst.gram.ledger_report()))
+            return metrics
+
+        monkeypatch.setitem(KINDS, kind, (generate, read, checked_score, required))
+        _, errors = run(ExperimentConfig(kind=kind, seeds=[0], instance=TINY_INSTANCES[kind]))
+        assert not errors and seen
+        for report, before, after in seen:
+            assert report == before == after
+            assert report.per_row.tolist() == before.per_row.tolist() == after.per_row.tolist()
+            if read is None:
+                assert report.distinct_entries == report.total_requests == 0
+                assert not report.per_row.any()
+                assert report.budget is None and not report.budget_exhausted
 
     def test_krr_closed_form_rows(self):
         cfg = ExperimentConfig(kind="krr-closed-form", seeds=[0, 1, 2, 3, 4],
@@ -221,7 +263,8 @@ class TestProbeMatchesScalarLoop:
     @staticmethod
     def _both(q, budget, seed, n=500, J=20):
         batched, scalar = (gen_krr(n, J, 0.1, seed) for _ in range(2))
-        got = cli._probe_classify(batched, q, budget, seed)
+        batched.gram.set_budget(budget)
+        got = float(np.mean(cli._probe_classify(batched, q, seed) == batched.classes))
         want = scalar_probe_reference(scalar, q, budget, seed)
         return got, want, batched.gram.ledger_report(), scalar.gram.ledger_report()
 
@@ -277,8 +320,9 @@ def test_mog_auto_separation_uses_pipeline_sketch_rows(instance, m, m_uncapped, 
 
     monkeypatch.setattr(cli, "gen_mog", fake_gen_mog)
     cfg = ExperimentConfig(kind="mog-pipeline", seeds=[0], instance=instance)
+    generate, *_ = KINDS["mog-pipeline"]
     with pytest.raises(_StopAfterGen):
-        cli._run_mog_pipeline(cfg, 0)
+        generate(cfg.instance, 0)
     args = (instance["n"], instance["d"], instance["k"], instance["epsilon"], 1.0)
     assert seen["separation"] == separation_thresholds(*args, m=m)["max"]
     assert seen["separation"] <= separation_thresholds(*args, m=m_uncapped)["max"]
@@ -382,16 +426,52 @@ class TestCliEndToEnd:
         '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "trials": 0}',
         '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "trials": 0, "seeds": [1]}',
         '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "seeds": []}',
+        '{"kind": "krr-closed-form", "instance": {"n": 40, "J": 8, "epsilon": 0.25, '
+        '"augmented": "false"}}',
+        '{"kind": "krr-closed-form", "instance": {"n": 40, "J": 8, "epsilon": 0.25, '
+        '"augmented": 0}}',
+        '{"kind": "rank-gap", "instance": {"n": 20.0, "k": 3}}',
+        '{"kind": "krr-classify", "instance": {"n": 40, "J": 8.0, "epsilon": 0.25}}',
+        '{"kind": "kkmc-recover", "instance": {"n": 200, "k": false, "epsilon": 0.5}}',
+        '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8.5, "k": 2, "epsilon": 0.25, '
+        '"sigma": 1.0}}',
+        '{"kind": "d-eff-scan", "instance": {"n": 40, "J": 8, "epsilon": 0.25, '
+        '"lam_multipliers": 5}}',
+        '{"kind": "d-eff-scan", "instance": {"n": 40, "J": 8, "epsilon": 0.25, '
+        '"lam_multipliers": [1, "2"]}}',
+        '{"kind": "kkmc-recover", "instance": {"n": 200, "k": 2, "epsilon": 0.5, '
+        '"sample_factor": "2"}}',
+        '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, '
+        '"sigma": 1.0, "C_sketch": "0.25"}}',
+        '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, '
+        '"sigma": 1.0, "delta_exponent": null}}',
+        '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, '
+        '"sigma": 1.0, "separation": "max"}}',
+        '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, '
+        '"sigma": 1.0, "separation": true}}',
     ], ids=["invalid-json", "top-level-list", "missing-kind", "instance-list",
             "seeds-int", "trials-str", "n-str", "k-bool", "k-null", "c1-list",
             "epsilon-str", "trials-negative", "trials-zero", "trials-zero-with-seeds",
-            "seeds-empty"])
+            "seeds-empty", "augmented-str", "augmented-int", "n-float", "J-float",
+            "k-bool-false", "d-float", "lam-multipliers-int", "lam-multipliers-str-entry",
+            "sample-factor-str", "c-sketch-str", "delta-exponent-null",
+            "separation-str", "separation-bool"])
     def test_malformed_config_exits_2_writing_nothing(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["two", "", "1.5"])
+    def test_non_integer_kb_threads_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                            monkeypatch, threads):
+        cfg = self._config_file(tmp_path, {"kind": "rank-gap", "instance": {"n": 20, "k": 3}})
+        monkeypatch.setenv("KB_THREADS", threads)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: KB_THREADS")
         assert not out.exists()
 
     def test_malformed_budget_exits_2_before_any_trial(self, tmp_path):
