@@ -81,8 +81,9 @@ def parse_budget_expr(expr) -> ast.Expression:
 
 
 def eval_budget_expr(expr, env: dict) -> int:
-    """Evaluate a budget expression like "0.5*n*J/4" over {n,k,J,eps,m,t}."""
-    if isinstance(expr, (int, float)):
+    """Evaluate a budget expression like "0.5*n*J/4" over {n,k,J,eps,m,t};
+    UsageError when its value is not a finite real number."""
+    if isinstance(expr, int):
         return int(expr)
 
     def ev(node):
@@ -97,7 +98,13 @@ def eval_budget_expr(expr, env: dict) -> int:
             return -v if isinstance(node.op, ast.USub) else v
         return _BUDGET_BINOPS[type(node.op)](ev(node.left), ev(node.right))
 
-    return int(math.floor(ev(parse_budget_expr(expr).body)))
+    try:
+        value = expr if isinstance(expr, float) else ev(parse_budget_expr(expr).body)
+    except ArithmeticError as e:  # n/0, or a power past the float range
+        raise UsageError(f"budget expression {expr!r} fails: {e}") from e
+    if not (isinstance(value, float) and math.isfinite(value)):  # inf, nan, complex
+        raise UsageError(f"budget expression {expr!r} is {value!r}, not a finite number")
+    return int(math.floor(value))
 
 
 def _is_number(v, types=(int, float)) -> bool:
@@ -106,9 +113,10 @@ def _is_number(v, types=(int, float)) -> bool:
 
 # instance parameter -> (check, what it must be), applied wherever it appears
 _PARAM_TYPES = {
-    **dict.fromkeys(("n", "J", "k", "d"), (lambda v: _is_number(v, int), "an integer")),
-    **dict.fromkeys(("epsilon", "sigma", "c0", "c1", "sample_factor", "C_sketch",
-                     "delta_exponent"), (_is_number, "a number")),
+    **dict.fromkeys(("n", "J", "k", "d", "delta_exponent"),
+                    (lambda v: _is_number(v, int), "an integer")),
+    **dict.fromkeys(("epsilon", "sigma", "c0", "c1", "sample_factor", "C_sketch"),
+                    (_is_number, "a number")),
     "separation": (lambda v: v == "auto" or _is_number(v), '"auto" or a number'),
     "augmented": (lambda v: isinstance(v, bool), "true or false"),
     "lam_multipliers": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
@@ -282,7 +290,7 @@ def _score_rank_gap(inst, p, output, report):
 
 
 def _mog_sketch_params(p):
-    return float(p.get("C_sketch", DEFAULT_SKETCH_CONST)), int(p.get("delta_exponent", 3))
+    return float(p.get("C_sketch", DEFAULT_SKETCH_CONST)), p.get("delta_exponent", 3)
 
 
 def _gen_mog(p, seed):

@@ -4,14 +4,21 @@ rank-one indicator path.
 
 The regularized objective ||K a - z||^2 + lam * a' K a has minimizer
 a = (K + lam I)^{-1} z. `solve_exact` and `indicator_solve` take a dense
-matrix the caller has already revealed and factor it through a symmetric
-positive-definite Cholesky solve; desk scale (n <= 5000) needs no iterative
-machinery. Each dense solve checks its input in one tiled pass (finite,
-symmetric) and factors one n x n working copy in place, so it holds one
-n x n array beyond its input; the caller's arrays are never written to.
-scipy is imported on the first dense solve, so importing the package loads
-only numpy. `nystrom_solve` reads only the landmark columns of a metered
-gram and never builds an n x n array.
+matrix the caller has already revealed; desk scale (n <= 5000) needs no
+iterative machinery. Each checks its input in one tiled pass (finite,
+symmetric), then runs a greedy pivoted Cholesky on it: at most n // 16
+pivots, each on the largest residual diagonal, until the residual trace is
+at most 1e-13 * lam. When the r x n factor Ft fits K to that tolerance in
+Frobenius norm (checked tile by tile), the system is solved from Ft by
+Woodbury in O(n r^2), holding Ft and a few tiles rather than an n x n copy,
+and alpha is within 1e-13 relative distance of the exact minimizer.
+Otherwise (a residual diagonal below -1e-13 * lam, the pivot cap, or a
+failed fit) the solve falls back to a symmetric positive-definite Cholesky
+of one n x n working copy, factored in place. The caller's arrays are never
+written to. scipy is imported on the first dense Cholesky, so importing the
+package, and solving a low-rank system, load only numpy. `nystrom_solve`
+reads only the landmark columns of a metered gram and never builds an n x n
+array; all three solvers share one Woodbury solve.
 """
 
 from __future__ import annotations
@@ -25,18 +32,24 @@ from .oracle import MeteredGram
 
 _SYM_TOL = 1e-8
 _SYM_TILE = 256
+_PIVOT_TOL = 1e-13  # the pivoted factor must fit K to _PIVOT_TOL * lam
+_PIVOT_CAP = 16     # at most n // _PIVOT_CAP pivots before the dense route
+
+
+def _upper_tiles(n: int):
+    """(rows, cols) slices of the _SYM_TILE-square tiles on and above the
+    diagonal of an n x n matrix."""
+    t = _SYM_TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            yield slice(i, i + t), slice(j, j + t)
 
 
 def _max_skew(K) -> float:
     """max |K - K'|, compared tile by tile over the upper tiles so that no
     full-size transpose or difference is ever held."""
-    n, t = K.shape[0], _SYM_TILE
-    skew = 0.0
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            d = K[i:i + t, j:j + t] - K[j:j + t, i:i + t].T
-            skew = max(skew, float(np.abs(d).max()))
-    return skew
+    return max(float(np.abs(K[I, J] - K[J, I].T).max())
+               for I, J in _upper_tiles(K.shape[0]))
 
 
 def _check_lam(lam: float):
@@ -83,10 +96,84 @@ def _factor(A, lam: float):
     return lambda b: scipy.linalg.cho_solve(cho, b, check_finite=False)
 
 
+def _fits(K, Ft, tol: float) -> bool:
+    """||K - Ft'Ft||_F <= tol. Each upper tile's product is compared with
+    K[I, J] and, off the diagonal, with K[J, I]', so every entry of K is
+    checked and no more than a few tiles are held; stops at the first tile
+    that takes the sum over."""
+    ss = 0.0
+    for I, J in _upper_tiles(K.shape[0]):
+        P = Ft[:, I].T @ Ft[:, J]
+        D = K[I, J] - P
+        ss += np.vdot(D, D)
+        if I != J:
+            D = K[J, I].T - P
+            ss += np.vdot(D, D)
+        if not np.sqrt(ss) <= tol:
+            return False
+    return True
+
+
+def _pivoted_factor(K, tol: float):
+    """Greedy pivoted Cholesky of a checked K: rows Ft (r x n) with
+    ||K - Ft'Ft||_F <= tol, or None.
+
+    Each step pivots on the largest residual diagonal, takes that row of K
+    less the rows already found and divides it by the pivot's residual
+    root. Pivoting stops once the residual trace is at most tol, and gives
+    up on a residual diagonal below -tol (K is not positive semidefinite) or
+    when a pivot past n // _PIVOT_CAP is needed. Since ||alpha_hat - alpha||
+    <= ||K - Ft'Ft||_2 * ||alpha|| / lam, a fit to tol = _PIVOT_TOL * lam
+    puts the Woodbury solve of K + lam I within _PIVOT_TOL relative distance
+    of the exact one. K is checked symmetric, not PSD, so a zero residual
+    diagonal does not bound the off-diagonal residual: the factor is
+    returned only if `_fits` confirms it.
+    """
+    if not tol < np.inf:  # lam / scale overflowed: no fit would mean anything
+        return None
+    n = K.shape[0]
+    d = K.diagonal().copy()
+    Ft = np.empty((n // _PIVOT_CAP, n))
+    r = 0
+    while True:
+        if d.min() < -tol:
+            return None
+        if d.sum() <= tol:
+            break
+        if r == Ft.shape[0]:
+            return None
+        p = int(np.argmax(d))
+        row = np.subtract(K[p], Ft[:r, p] @ Ft[:r], out=Ft[r])
+        row /= np.sqrt(d[p])
+        d -= row * row
+        r += 1
+    Ft = Ft[:r]
+    return Ft if _fits(K, Ft, tol) else None
+
+
+def _woodbury(Ft, b, lam: float) -> np.ndarray:
+    """(Ft'Ft + lam I)^{-1} b = (b - Ft'(Ft Ft' + lam I)^{-1} Ft b) / lam,
+    from an r x n Ft through one r x r system."""
+    small = Ft @ Ft.T
+    small.flat[::small.shape[0] + 1] += lam
+    return (b - Ft.T @ np.linalg.solve(small, Ft @ b)) / lam
+
+
+def _solver(K, lam: float, scale: float = 1.0):
+    """The solve b -> (scale K + lam I)^{-1} b for a checked K: Woodbury on a
+    pivoted factor of K when one fits to _PIVOT_TOL * lam / scale, else the
+    dense Cholesky of one scaled working copy."""
+    Ft = _pivoted_factor(K, _PIVOT_TOL * lam / scale)
+    if Ft is None:
+        return _factor(np.multiply(scale, K, order="C"), lam)
+    Ft *= np.sqrt(scale)
+    return lambda b: _woodbury(Ft, b, lam)
+
+
 def solve_exact(K, z, lam: float) -> np.ndarray:
     """Minimize the ridge objective: alpha = (K + lam I)^{-1} z."""
     K, z = _check_system(K, z, lam)
-    return _factor(np.array(K, order="C"), lam)(z)
+    return _solver(K, lam)(z)
 
 
 def nystrom_solve(gram: MeteredGram, landmarks, z, lam: float) -> np.ndarray:
@@ -117,8 +204,7 @@ def nystrom_solve(gram: MeteredGram, landmarks, z, lam: float) -> np.ndarray:
     w, V = np.linalg.eigh(0.5 * (W + W.T))
     keep = w > max(1e-12, 1e-12 * np.abs(w).max())
     B = C @ (V[:, keep] / np.sqrt(w[keep]))
-    small = B.T @ B + lam * np.eye(B.shape[1])
-    return (z - B @ np.linalg.solve(small, B.T @ z)) / lam
+    return _woodbury(B.T, z, lam)
 
 
 def d_eff(eigenvalues, lam: float) -> float:
@@ -189,7 +275,7 @@ def indicator_solve(G, z, lam: float, c0: float, c1: float) -> np.ndarray:
     if not c1 > c0:
         raise ContractViolationError(f"need c1 > c0, got c0={c0}, c1={c1}")
     G, z = _check_system(G, z, lam, "G")
-    solve = _factor(np.multiply(c1 - c0, G, order="C"), lam)
+    solve = _solver(G, lam, c1 - c0)
     ones = np.ones(G.shape[0])
     w = solve(ones)
     y = solve(z)

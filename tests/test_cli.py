@@ -48,6 +48,14 @@ class TestBudgetExpr:
             with pytest.raises(UsageError):
                 eval_budget_expr(expr, {"n": 10})
 
+    @pytest.mark.parametrize("expr", [
+        "1e400", "0*1e400", "n/0", "10**400", "(-n)**0.5", float("inf"), float("nan"),
+    ], ids=["overflow-constant", "nan", "zero-division", "overflow-power", "complex",
+            "inf-number", "nan-number"])
+    def test_rejects_values_that_are_not_finite_reals(self, expr):
+        with pytest.raises(UsageError):
+            eval_budget_expr(expr, {"n": 10})
+
 
 class TestConfigValidation:
     def test_unknown_kind(self):
@@ -446,6 +454,8 @@ class TestCliEndToEnd:
         '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, '
         '"sigma": 1.0, "delta_exponent": null}}',
         '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, '
+        '"sigma": 1.0, "delta_exponent": 2.5}}',
+        '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, '
         '"sigma": 1.0, "separation": "max"}}',
         '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, '
         '"sigma": 1.0, "separation": true}}',
@@ -455,7 +465,7 @@ class TestCliEndToEnd:
             "seeds-empty", "augmented-str", "augmented-int", "n-float", "J-float",
             "k-bool-false", "d-float", "lam-multipliers-int", "lam-multipliers-str-entry",
             "sample-factor-str", "c-sketch-str", "delta-exponent-null",
-            "separation-str", "separation-bool"])
+            "delta-exponent-float", "separation-str", "separation-bool"])
     def test_malformed_config_exits_2_writing_nothing(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -473,6 +483,14 @@ class TestCliEndToEnd:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("usage error: KB_THREADS")
         assert not out.exists()
+
+    @pytest.mark.parametrize("expr", ["1e400", "n/0", "(-n)**0.5"],
+                             ids=["overflow", "zero-division", "complex"])
+    def test_budget_without_a_finite_value_exits_2(self, tmp_path, capsys, expr):
+        cfg = self._config_file(tmp_path, {"kind": "budget-curve", "instance": {
+            "n": 40, "J": 8, "epsilon": 0.25, "budgets": ["n*J/4", expr]}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"budget expression {expr!r}" in capsys.readouterr().err
 
     def test_malformed_budget_exits_2_before_any_trial(self, tmp_path):
         instance = {"n": 40, "J": 8, "epsilon": 0.25, "budgets": ["n*J/4"]}

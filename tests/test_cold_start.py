@@ -1,5 +1,6 @@
-"""Cold start: importing the package and running the non-dense kinds loads
-numpy only; scipy loads on the first dense solve, also from parallel trials.
+"""Cold start: importing the package, running the non-dense kinds and
+solving a low-rank KRR system load numpy only; scipy loads on the first
+dense Cholesky solve, also from parallel trials.
 
 Each check runs in a fresh interpreter, since the test process has long
 since imported scipy."""
@@ -42,6 +43,9 @@ configs = {
     "budget-curve": {"kind": "budget-curve", "seeds": [0],
                      "instance": {"n": 40, "J": 8, "epsilon": 0.25,
                                   "budgets": ["n*J/4"]}},
+    # rank 30 at n=3000: solved from its pivoted factor, with no Cholesky
+    "krr-closed-form": {"kind": "krr-closed-form", "seeds": [0],
+                        "instance": {"n": 3000, "J": 40, "epsilon": 0.1}},
 }
 codes = {}
 for name, cfg in configs.items():
@@ -50,6 +54,7 @@ for name, cfg in configs.items():
     with contextlib.redirect_stdout(io.StringIO()):
         codes[name] = cli.main(["run", "--config", str(path), "--out", str(tmp / name)])
 loaded["runs"] = "scipy" in sys.modules
+# rank 6 at n=40 is past the n // 16 pivot cap: a dense Cholesky solve
 inst = kernel_budget.gen_krr(40, 8, 0.25, 0)
 alpha = kernel_budget.solve_exact(inst.gram.full(), inst.z, inst.lam)
 loaded["solve"] = "scipy.linalg" in sys.modules
@@ -60,7 +65,7 @@ print(json.dumps({"loaded": loaded, "codes": codes, "diff": diff}))
 
 def test_scipy_loads_only_on_the_first_dense_solve(tmp_path):
     got = _fresh_python(COLD_PATH, tmp_path)
-    assert got["codes"] == {"mog-pipeline": 0, "budget-curve": 0}
+    assert got["codes"] == {"mog-pipeline": 0, "budget-curve": 0, "krr-closed-form": 0}
     assert got["loaded"] == {"import": False, "runs": False, "solve": True}
     assert got["diff"] <= 1e-12
 

@@ -8,6 +8,7 @@ from conftest import d_eff_from_gram, random_psd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_budget import krr
 from kernel_budget.errors import (BudgetExhaustedError, ContractViolationError,
                                   NumericalDegeneracyError)
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
@@ -197,6 +198,159 @@ class TestDenseSolverInputs:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.1 * K.nbytes
+
+
+def _clusters(n: int, r: int) -> np.ndarray:
+    """The 0/1 gram of n points on r basis vectors in contiguous runs: rank r,
+    factored exactly, and each pivot is the first point of its run."""
+    labels = np.arange(n) * r // n
+    return (labels[:, None] == labels[None, :]).astype(np.float64)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The sizes of the dense Cholesky factorizations made while it is in use."""
+    calls, real = [], krr._factor
+
+    def spy(A, lam):
+        calls.append(A.shape[0])
+        return real(A, lam)
+
+    monkeypatch.setattr(krr, "_factor", spy)
+    return calls
+
+
+def _outcome(solve, *args):
+    """solve(*args), or the message of the NumericalDegeneracyError it raised."""
+    try:
+        return solve(*args)
+    except NumericalDegeneracyError as e:
+        return str(e)
+
+
+def _dense_outcome(monkeypatch, solve, *args):
+    """_outcome with the pivoted route switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(krr, "_pivoted_factor", lambda K, tol: None)
+        return _outcome(solve, *args)
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+class TestPivotedRoute:
+    @pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+    def test_hard_instance_takes_the_route(self, monkeypatch, factor_calls, augmented):
+        inst = gen_krr(400, 8, 0.25, seed=3, augmented=augmented)
+        K = inst.gram.full()
+        alpha = solve_exact(K, inst.z, inst.lam)
+        assert factor_calls == []
+        dense = _dense_outcome(monkeypatch, solve_exact, K, inst.z, inst.lam)
+        assert factor_calls == [inst.n_total]
+        assert np.abs(alpha - dense).max() <= 1e-12
+
+    def test_indicator_kernel_takes_the_route(self, monkeypatch, factor_calls):
+        inst = gen_krr(400, 8, 0.25, seed=4)
+        G = inst.gram.full()
+        c0, c1 = 0.25, 1.0
+        K = c0 + (c1 - c0) * G
+        for solve, args in ((indicator_solve, (G, inst.z, inst.lam, c0, c1)),
+                            (solve_exact, (K, inst.z, inst.lam))):
+            alpha = solve(*args)
+            assert factor_calls == []
+            dense = _dense_outcome(monkeypatch, solve, *args)
+            assert np.abs(alpha - dense).max() <= 1e-12
+            factor_calls.clear()
+
+    def test_random_low_rank_takes_the_route(self, monkeypatch, factor_calls):
+        rng = stream(13, "pivot")
+        K = random_psd(640, 12, rng) / 12
+        z = rng.standard_normal(640)
+        alpha = solve_exact(K, z, 1.0)
+        assert factor_calls == []
+        dense = _dense_outcome(monkeypatch, solve_exact, K, z, 1.0)
+        assert np.abs(alpha - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("rank, taken", [(10, True), (11, False)])
+    def test_at_most_n_over_16_pivots(self, factor_calls, rank, taken):
+        n = 160
+        K = _clusters(n, rank)
+        z = stream(14, "cap").standard_normal(n)
+        alpha = solve_exact(K, z, 0.5)
+        assert factor_calls == ([] if taken else [n])
+        ref = np.linalg.solve(K + 0.5 * np.eye(n), z)
+        assert np.abs(alpha - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    @pytest.mark.parametrize("eta", [0.5, 3.0], ids=["definite", "indefinite"])
+    def test_unverified_factor_falls_back(self, monkeypatch, factor_calls, solver, eta):
+        # rank 3 plus eta at (1, n - 1), two points that never pivot: the
+        # residual diagonal is 0 after three pivots, the residual at (1, n - 1)
+        # is eta, and K + I is indefinite once eta > 2
+        n = 64
+        K = _clusters(n, 3)
+        K[1, -1] = K[-1, 1] = eta
+        z = np.ones(n)
+        got = _outcome(DENSE_SOLVERS[solver], K, z, 1.0)
+        assert factor_calls == [n]
+        _assert_same(got, _dense_outcome(monkeypatch, DENSE_SOLVERS[solver], K, z, 1.0))
+        assert isinstance(got, str) == (eta > 2)
+
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    def test_negative_diagonal_gives_up_before_verifying(self, monkeypatch, factor_calls,
+                                                         solver):
+        n = 64
+        K = _clusters(n, 3)
+        K[0, 0] = -1.0
+        z = np.ones(n)
+        monkeypatch.setattr(krr, "_fits", lambda *a: pytest.fail("verified a non-PSD factor"))
+        got = _outcome(DENSE_SOLVERS[solver], K, z, 1.0)
+        assert factor_calls == [n]
+        _assert_same(got, _dense_outcome(monkeypatch, DENSE_SOLVERS[solver], K, z, 1.0))
+
+    def test_overflowing_tolerance_falls_back(self, factor_calls):
+        # 1e-13 * lam / (c1 - c0) overflows; an empty factor fitted to that
+        # inf would drop the n * s = 6.3e-13 that (c1 - c0) G adds to lam
+        n, c1 = 64, 1e-322
+        G = np.full((n, n), 1e308)
+        alpha = indicator_solve(G, np.ones(n), 1.0, 0.0, c1)
+        assert factor_calls == [n]
+        np.testing.assert_allclose(alpha, 1.0 / (1.0 + n * (c1 * 1e308)), rtol=1e-14)
+
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    def test_full_rank_falls_back_holding_one_working_copy(self, monkeypatch, factor_calls,
+                                                           solver):
+        n = 512
+        rng = stream(15, "full")
+        K = random_psd(n, n, rng) / n
+        z = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            got = DENSE_SOLVERS[solver](K, z, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor_calls == [n]
+        assert peak <= 1.1 * K.nbytes
+        _assert_same(got, _dense_outcome(monkeypatch, DENSE_SOLVERS[solver], K, z, 0.5))
+
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    def test_low_rank_solve_holds_no_n_by_n_copy(self, factor_calls, solver):
+        inst = gen_krr(2000, 40, 0.1, seed=5)
+        K = inst.gram.full()
+        tracemalloc.start()
+        try:
+            DENSE_SOLVERS[solver](K, inst.z, inst.lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor_calls == []
+        assert peak <= 0.25 * K.nbytes
 
 
 class TestEffectiveDimension:
