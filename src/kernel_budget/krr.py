@@ -5,20 +5,24 @@ rank-one indicator path.
 The regularized objective ||K a - z||^2 + lam * a' K a has minimizer
 a = (K + lam I)^{-1} z. `solve_exact` and `indicator_solve` take a dense
 matrix the caller has already revealed; desk scale (n <= 5000) needs no
-iterative machinery. Each checks its input in one tiled pass (finite,
-symmetric), then runs a greedy pivoted Cholesky on it: at most n // 16
+iterative machinery. Each first checks lam, the shape and z, then runs a
+greedy pivoted Cholesky on the still unchecked matrix: at most n // 16
 pivots, each on the largest residual diagonal, until the residual trace is
-at most 1e-13 * lam. When the r x n factor Ft fits K to that tolerance in
-Frobenius norm (checked tile by tile), the system is solved from Ft by
-Woodbury in O(n r^2), holding Ft and a few tiles rather than an n x n copy,
-and alpha is within 1e-13 relative distance of the exact minimizer.
-Otherwise (a residual diagonal below -1e-13 * lam, the pivot cap, or a
-failed fit) the solve falls back to a symmetric positive-definite Cholesky
-of one n x n working copy, factored in place. The caller's arrays are never
-written to. scipy is imported on the first dense Cholesky, so importing the
-package, and solving a low-rank system, load only numpy. `nystrom_solve`
-reads only the landmark columns of a metered gram and never builds an n x n
-array; all three solvers share one Woodbury solve.
+at most tol = max(1e-13 * lam, 8 eps * sum|K_ii|). When the r x n factor Ft
+fits K to tol in Frobenius norm (checked over panels of 32 whole rows), the
+system is solved from Ft by Woodbury in O(n r^2), holding Ft and one panel
+rather than an n x n copy, and alpha is within tol / lam relative distance
+of the exact minimizer. That fit reads every entry, so it also vouches that
+K is finite and symmetric; the separate finite and symmetric pass over K
+runs only when lam is so large that the fit no longer implies the symmetry
+tolerance, or when the solve falls back. It falls back on a residual
+diagonal below -tol, the pivot cap or a failed fit, to a symmetric
+positive-definite Cholesky of one n x n working copy, factored in place.
+The caller's arrays are never written to. scipy is imported on the first
+dense Cholesky, so importing the package, and solving a low-rank system,
+load only numpy. `nystrom_solve` reads only the landmark columns of a
+metered gram and never builds an n x n array; all three solvers share one
+Woodbury solve.
 """
 
 from __future__ import annotations
@@ -32,24 +36,19 @@ from .oracle import MeteredGram
 
 _SYM_TOL = 1e-8
 _SYM_TILE = 256
-_PIVOT_TOL = 1e-13  # the pivoted factor must fit K to _PIVOT_TOL * lam
+_PIVOT_TOL = 1e-13  # the pivoted factor must fit K to _PIVOT_TOL * lam ...
+_ROUND_OFF = 8      # ... or, if larger, to _ROUND_OFF * eps * sum|K_ii|
 _PIVOT_CAP = 16     # at most n // _PIVOT_CAP pivots before the dense route
-
-
-def _upper_tiles(n: int):
-    """(rows, cols) slices of the _SYM_TILE-square tiles on and above the
-    diagonal of an n x n matrix."""
-    t = _SYM_TILE
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            yield slice(i, i + t), slice(j, j + t)
+_FIT_ROWS = 32      # rows of K compared with the factor at a time
 
 
 def _max_skew(K) -> float:
-    """max |K - K'|, compared tile by tile over the upper tiles so that no
-    full-size transpose or difference is ever held."""
-    return max(float(np.abs(K[I, J] - K[J, I].T).max())
-               for I, J in _upper_tiles(K.shape[0]))
+    """max |K - K'|, compared tile by tile over the _SYM_TILE-square tiles on
+    and above the diagonal, so that no full-size transpose or difference is
+    ever held."""
+    n, t = K.shape[0], _SYM_TILE
+    return max(float(np.abs(K[i:i + t, j:j + t] - K[j:j + t, i:i + t].T).max())
+               for i in range(0, n, t) for j in range(i, n, t))
 
 
 def _check_lam(lam: float):
@@ -60,21 +59,30 @@ def _check_lam(lam: float):
 
 def _check_system(K, z, lam: float, what: str = "K"):
     """K and z as float arrays, once lam > 0, K is nonempty, square and
-    conforms with z, both are finite, and K is symmetric."""
+    conforms with z, and z is finite. These checks are O(n); K's entries are
+    checked by `_check_entries`, or vouched for by a factor that fits them
+    (see `_solver`)."""
     _check_lam(lam)
     K = np.asarray(K, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if (K.ndim != 2 or K.shape[0] == 0 or K.shape[0] != K.shape[1]
             or z.shape != (K.shape[0],)):
         raise ContractViolationError(f"{what} must be nonempty, square and conform with z")
+    if not np.isfinite(z).all():
+        raise ContractViolationError(f"{what} and z must be finite")
+    return K, z
+
+
+def _check_entries(K, what: str = "K"):
+    """K is finite and symmetric to _SYM_TOL * (1 + max|K|): one full pass
+    over K, its skew compared tile by tile."""
     hi, lo = K.max(), K.min()
-    if not (np.isfinite(hi) and np.isfinite(lo) and np.isfinite(z).all()):
+    if not (np.isfinite(hi) and np.isfinite(lo)):
         raise ContractViolationError(f"{what} and z must be finite")
     skew = _max_skew(K)
     scale = 1.0 + max(hi, -lo)
     if skew > _SYM_TOL * scale:
         raise ContractViolationError(f"{what} is not symmetric (max skew {skew:.3g})")
-    return K, z
 
 
 def _factor(A, lam: float):
@@ -97,39 +105,38 @@ def _factor(A, lam: float):
 
 
 def _fits(K, Ft, tol: float) -> bool:
-    """||K - Ft'Ft||_F <= tol. Each upper tile's product is compared with
-    K[I, J] and, off the diagonal, with K[J, I]', so every entry of K is
-    checked and no more than a few tiles are held; stops at the first tile
-    that takes the sum over."""
+    """||K - Ft'Ft||_F <= tol, over panels of _FIT_ROWS whole rows: each
+    panel's product goes into one _FIT_ROWS x n buffer, which then takes the
+    difference from the same rows of K. Every entry of K is compared, so a
+    NaN or an infinity fails; stops at the first panel that takes the sum
+    over."""
+    n = K.shape[0]
+    buf = np.empty((_FIT_ROWS, n))
     ss = 0.0
-    for I, J in _upper_tiles(K.shape[0]):
-        P = Ft[:, I].T @ Ft[:, J]
-        D = K[I, J] - P
+    for i in range(0, n, _FIT_ROWS):
+        D = buf[:min(_FIT_ROWS, n - i)]
+        np.matmul(Ft[:, i:i + _FIT_ROWS].T, Ft, out=D)
+        np.subtract(K[i:i + _FIT_ROWS], D, out=D)
         ss += np.vdot(D, D)
-        if I != J:
-            D = K[J, I].T - P
-            ss += np.vdot(D, D)
         if not np.sqrt(ss) <= tol:
             return False
     return True
 
 
 def _pivoted_factor(K, tol: float):
-    """Greedy pivoted Cholesky of a checked K: rows Ft (r x n) with
+    """Greedy pivoted Cholesky of a square K: rows Ft (r x n) with
     ||K - Ft'Ft||_F <= tol, or None.
 
     Each step pivots on the largest residual diagonal, takes that row of K
     less the rows already found and divides it by the pivot's residual
     root. Pivoting stops once the residual trace is at most tol, and gives
     up on a residual diagonal below -tol (K is not positive semidefinite) or
-    when a pivot past n // _PIVOT_CAP is needed. Since ||alpha_hat - alpha||
-    <= ||K - Ft'Ft||_2 * ||alpha|| / lam, a fit to tol = _PIVOT_TOL * lam
-    puts the Woodbury solve of K + lam I within _PIVOT_TOL relative distance
-    of the exact one. K is checked symmetric, not PSD, so a zero residual
-    diagonal does not bound the off-diagonal residual: the factor is
-    returned only if `_fits` confirms it.
+    when a pivot past n // _PIVOT_CAP is needed. K may be unchecked: it need
+    be neither finite nor symmetric, so a zero residual diagonal does not
+    bound the off-diagonal residual, and the factor is returned only if
+    `_fits` confirms it against every entry.
     """
-    if not tol < np.inf:  # lam / scale overflowed: no fit would mean anything
+    if not tol < np.inf:  # a NaN, or lam / scale overflowed: no fit means anything
         return None
     n = K.shape[0]
     d = K.diagonal().copy()
@@ -159,11 +166,32 @@ def _woodbury(Ft, b, lam: float) -> np.ndarray:
     return (b - Ft.T @ np.linalg.solve(small, Ft @ b)) / lam
 
 
-def _solver(K, lam: float, scale: float = 1.0):
-    """The solve b -> (scale K + lam I)^{-1} b for a checked K: Woodbury on a
-    pivoted factor of K when one fits to _PIVOT_TOL * lam / scale, else the
-    dense Cholesky of one scaled working copy."""
-    Ft = _pivoted_factor(K, _PIVOT_TOL * lam / scale)
+def _solver(K, lam: float, scale: float = 1.0, what: str = "K"):
+    """The solve b -> (scale K + lam I)^{-1} b for a K whose entries are not
+    yet checked: Woodbury on a pivoted factor of K when one fits, else the
+    dense Cholesky of one scaled working copy.
+
+    The factor must fit to tol = max(_PIVOT_TOL * lam / scale, _ROUND_OFF *
+    eps * sum|K_ii|), so ||alpha_hat - alpha|| <= tol * scale * ||alpha|| / lam:
+    a relative error of at most the larger of _PIVOT_TOL and 8 eps
+    trace(scale K) / lam. For a K of rank r that is at most 8 r eps
+    ||scale K||_2 / lam, within 8 r of the dense Cholesky's own forward
+    error; a tolerance below it would fail on the factor's round-off.
+
+    A factor that fits also vouches for K's entries: a NaN or an infinity
+    fails the fit, and with P = Ft'Ft and D = K - P, |K_ij - K_ji| <= |D_ij|
+    + |D_ji| + |P_ij - P_ji| <= sqrt(2) tol plus the round-off between the
+    two sums of the same r products P_ij and P_ji. So `_check_entries` runs only if no factor fits,
+    or if 2 tol > _SYM_TOL * (1 + max|K_ii|), where the fit would no longer
+    imply the symmetry bound (max|K_ii| <= max|K|).
+    """
+    with np.errstate(all="ignore"):  # K may hold NaN or inf: the fit catches them
+        d = np.abs(K.diagonal())
+        tol = float(np.maximum(_PIVOT_TOL * lam / scale,
+                               _ROUND_OFF * np.finfo(np.float64).eps * d.sum()))
+        Ft = _pivoted_factor(K, tol)
+    if Ft is None or 2 * tol > _SYM_TOL * (1.0 + d.max()):
+        _check_entries(K, what)
     if Ft is None:
         return _factor(np.multiply(scale, K, order="C"), lam)
     Ft *= np.sqrt(scale)
@@ -275,7 +303,7 @@ def indicator_solve(G, z, lam: float, c0: float, c1: float) -> np.ndarray:
     if not c1 > c0:
         raise ContractViolationError(f"need c1 > c0, got c0={c0}, c1={c1}")
     G, z = _check_system(G, z, lam, "G")
-    solve = _solver(G, lam, c1 - c0)
+    solve = _solver(G, lam, c1 - c0, "G")
     ones = np.ones(G.shape[0])
     w = solve(ones)
     y = solve(z)

@@ -12,7 +12,7 @@ from kernel_budget import krr
 from kernel_budget.errors import (BudgetExhaustedError, ContractViolationError,
                                   NumericalDegeneracyError)
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
-from kernel_budget.krr import (_SYM_TILE, _check_system, check_guarantee,
+from kernel_budget.krr import (_SYM_TILE, _check_entries, check_guarantee,
                                classification_midpoint, classify_rows, d_eff,
                                hard_instance_optimum, indicator_solve,
                                nystrom_solve, solve_exact)
@@ -149,12 +149,11 @@ class TestCheckSystem:
     @given(K=_planted_skew())
     def test_tiled_check_matches_dense_reference(self, K):
         skew = np.abs(K - K.T).max()
-        z = np.ones(K.shape[0])
         if skew <= 1e-8 * (1.0 + np.abs(K).max()):
-            _check_system(K, z, 1.0)
+            _check_entries(K)
         else:
             with pytest.raises(ContractViolationError) as err:
-                _check_system(K, z, 1.0)
+                _check_entries(K)
             assert f"(max skew {skew:.3g})" in str(err.value)
 
 
@@ -276,6 +275,19 @@ class TestPivotedRoute:
         dense = _dense_outcome(monkeypatch, solve_exact, K, z, 1.0)
         assert np.abs(alpha - dense).max() <= 1e-12 * np.abs(dense).max()
 
+    @pytest.mark.parametrize("n, rank, lam", [(640, 12, 0.1), (1000, 20, 0.5)])
+    def test_fit_floored_at_round_off_takes_the_route(self, monkeypatch, factor_calls, n,
+                                                      rank, lam):
+        # the factor's round-off exceeds 1e-13 * lam here: it fits only to
+        # the 8 eps sum|K_ii| floor
+        rng = stream(13, "pivot")
+        K = random_psd(n, rank, rng) / rank
+        z = rng.standard_normal(n)
+        alpha = solve_exact(K, z, lam)
+        assert factor_calls == []
+        dense = _dense_outcome(monkeypatch, solve_exact, K, z, lam)
+        assert np.abs(alpha - dense).max() <= 1e-10 * np.abs(dense).max()
+
     @pytest.mark.parametrize("rank, taken", [(10, True), (11, False)])
     def test_at_most_n_over_16_pivots(self, factor_calls, rank, taken):
         n = 160
@@ -351,6 +363,114 @@ class TestPivotedRoute:
             tracemalloc.stop()
         assert factor_calls == []
         assert peak <= 0.25 * K.nbytes
+
+
+@pytest.fixture
+def entry_checks(monkeypatch):
+    """The sizes of the matrices given the full entry check while it is in use."""
+    calls, real = [], krr._check_entries
+
+    def spy(K, what="K"):
+        calls.append(K.shape[0])
+        return real(K, what)
+
+    monkeypatch.setattr(krr, "_check_entries", spy)
+    return calls
+
+
+def _planted(n, rank, plant, where, factor):
+    """_clusters(n, rank) with entry `where` planted: a NaN, +-inf, or moved
+    by factor times the symmetry tolerance 1e-8 * (1 + max|K|) ("skew"; for
+    "pair" the transposed entry also moves the other way, by the same). An
+    inf goes to a pair of two points that never pivot (a point that is the
+    first of its run, and so pivots, is replaced by the next), so only the
+    fit can see it."""
+    K = _clusters(n, rank)
+    i, j = where
+    if plant.endswith("inf"):
+        pivots = set(np.arange(rank) * n // rank + (np.arange(rank) * n % rank > 0))
+        i, j = (x + 1 if x in pivots else x for x in (i, j))
+    if plant == "pair":
+        K[j, i] -= factor * 2e-8
+    K[i, j] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}.get(
+        plant, K[i, j] + factor * 2e-8)
+    return K
+
+
+def _rejection(check, *args):
+    """The message of the ContractViolationError check(*args) raised, or None."""
+    try:
+        check(*args)
+    except ContractViolationError as e:
+        return str(e)
+    return None
+
+
+class TestFusedEntryCheck:
+    """A pivoted factor that fits K vouches for its entries: the full finite
+    and symmetric pass runs only on the fallback or at a lam so large that
+    the fit no longer bounds the skew, and every matrix that pass rejects
+    is still rejected the same way."""
+
+    @pytest.mark.parametrize("case", ["plain", "augmented", "indicator-G", "indicator-K"])
+    def test_route_skips_the_entry_check(self, monkeypatch, factor_calls, entry_checks,
+                                         case):
+        inst = gen_krr(400, 8, 0.25, seed=6, augmented=case == "augmented")
+        K = inst.gram.full()
+        c0, c1 = 0.25, 1.0
+        if case == "indicator-G":
+            solve, args = indicator_solve, (K, inst.z, inst.lam, c0, c1)
+        else:
+            if case == "indicator-K":
+                K = c0 + (c1 - c0) * K
+            solve, args = solve_exact, (K, inst.z, inst.lam)
+        alpha = solve(*args)
+        assert (factor_calls, entry_checks) == ([], [])
+        # K is exactly symmetric, so with no tolerance left the check runs and passes
+        monkeypatch.setattr(krr, "_SYM_TOL", 0.0)
+        forced = solve(*args)
+        assert (factor_calls, entry_checks) == ([], [K.shape[0]])
+        assert alpha.tobytes() == forced.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(64, 600), data=st.data(),
+           plant=st.sampled_from(["nan", "inf", "-inf", "skew", "pair"]),
+           lam=st.sampled_from([0.5, 1e4, 1.9e5, 1e6]),
+           solver=st.sampled_from(sorted(DENSE_SOLVERS)))
+    def test_solvers_reject_exactly_what_the_entry_check_rejects(self, n, data, plant, lam,
+                                                                  solver):
+        # the fit vouches for symmetry while 2 tol <= 1e-8 * (1 + 1), so up
+        # to lam = 1e5 (1e5 * 0.9 for the indicator's G); at 1.9e5 and 1e6 a
+        # planted skew up to tol fits, and only the full check rejects it
+        rank = data.draw(st.integers(1, n // 16), label="rank")
+        where = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          label="where")
+        factor = data.draw(st.floats(0.0, 3.0), label="factor")
+        K = _planted(n, rank, plant, where, factor)
+        what = "G" if solver == "indicator" else "K"
+        assert (_rejection(DENSE_SOLVERS[solver], K, np.ones(n), lam)
+                == _rejection(_check_entries, K, what))
+
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    def test_skew_that_fits_is_still_rejected(self, solver):
+        # K_ij and K_ji each moved by 0.6 * 2e-8 the other way: skew 1.2
+        # times the tolerance, a fit residual of sqrt(2) * 1.2e-8 = 1.7e-8
+        # within tol = 1e-13 * lam (over 0.9 for G) = 1.9e-8 or 2.1e-8
+        K = _planted(64, 2, "pair", (3, 40), 0.6)
+        lam = 1.9e5
+        tol = 1e-13 * lam / (0.9 if solver == "indicator" else 1.0)
+        assert krr._pivoted_factor(K, tol) is not None
+        with pytest.raises(ContractViolationError, match="not symmetric"):
+            DENSE_SOLVERS[solver](K, np.ones(64), lam)
+
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    @pytest.mark.parametrize("where", [(99, 5), (5, 99), (98, 97)],
+                             ids=["last-row", "last-column", "last-panel"])
+    def test_fit_reads_the_ragged_last_panel(self, solver, where):
+        # rows 96..99 make the last, 4-row, panel of the fit
+        K = _planted(100, 3, "inf", where, 0.0)
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            DENSE_SOLVERS[solver](K, np.ones(100), 0.5)
 
 
 class TestEffectiveDimension:
