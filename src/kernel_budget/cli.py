@@ -38,8 +38,8 @@ from .kkmc import (Clustering, block_clustering, cost_explicit, rank_cost_gap,
                    recover_labels)
 from .krr import (classify_rows, d_eff, hard_instance_optimum, indicator_solve,
                   solve_exact)
-from .mog import (DEFAULT_SKETCH_CONST, cluster_mog, default_sketch_rows,
-                  separation_thresholds)
+from .mog import (DEFAULT_SKETCH_CONST, cluster_mog, separation_thresholds,
+                  sketch_sizes)
 from .oracle import QueryReport
 from .rng import stream
 
@@ -75,7 +75,7 @@ def parse_budget_expr(expr) -> ast.Expression:
         if isinstance(node, ast.Name) and node.id not in BUDGET_VARS:
             raise UsageError(f"unknown budget variable {node.id!r}")
         if not isinstance(node, _BUDGET_NODES) or (
-                isinstance(node, ast.Constant) and not isinstance(node.value, (int, float))):
+                isinstance(node, ast.Constant) and not _is_number(node.value)):
             raise UsageError(f"unsupported syntax in budget expression {expr!r}")
     return tree
 
@@ -83,8 +83,8 @@ def parse_budget_expr(expr) -> ast.Expression:
 def eval_budget_expr(expr, env: dict) -> int:
     """Evaluate a budget expression like "0.5*n*J/4" over {n,k,J,eps,m,t};
     UsageError when its value is not a finite real number."""
-    if isinstance(expr, int):
-        return int(expr)
+    if _is_number(expr, int):
+        return expr
 
     def ev(node):
         if isinstance(node, ast.Constant):
@@ -121,7 +121,7 @@ _PARAM_TYPES = {
     "augmented": (lambda v: isinstance(v, bool), "true or false"),
     "lam_multipliers": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
                         "a list of numbers"),
-    "budgets": (lambda v: isinstance(v, list), "a list of expressions"),
+    "budgets": (lambda v: isinstance(v, list) and bool(v), "a nonempty list of expressions"),
 }
 
 
@@ -148,9 +148,11 @@ class ExperimentConfig:
             is_type, what = _PARAM_TYPES[name]
             if not is_type(value):
                 raise UsageError(f"instance parameter {name} must be {what}, got {value!r}")
-        for expr in [self.budget, *self.instance.get("budgets", [])]:
-            if expr is not None:
-                parse_budget_expr(expr)
+        budgets = self.instance.get("budgets", [])
+        for expr in budgets if self.budget is None else [self.budget, *budgets]:
+            parse_budget_expr(expr)
+        if self.budget is not None and budgets:
+            raise UsageError("give a budget or instance budgets, not both")
         if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise UsageError(f"trials must be a positive integer, got {self.trials!r}")
         if self.seeds is None:
@@ -289,25 +291,25 @@ def _score_rank_gap(inst, p, output, report):
     return [("gap", rank_cost_gap(inst)), ("planted", float(inst.planted))]
 
 
-def _mog_sketch_params(p):
-    return float(p.get("C_sketch", DEFAULT_SKETCH_CONST)), p.get("delta_exponent", 3)
+def _mog_sizes(p):
+    """The pipeline's (m, t) at the config's sketch constant and exponent."""
+    return sketch_sizes(p["n"], p["k"], p["epsilon"], p["d"],
+                        float(p.get("C_sketch", DEFAULT_SKETCH_CONST)), p.get("delta_exponent", 3))
 
 
 def _gen_mog(p, seed):
     n, d, k, eps, sigma = p["n"], p["d"], p["k"], p["epsilon"], p["sigma"]
     sep = p.get("separation", "auto")
     if sep == "auto":
-        c_sketch, delta_exponent = _mog_sketch_params(p)
-        m = default_sketch_rows(n, k, eps, d, c_sketch, delta_exponent)
-        sep = separation_thresholds(n, d, k, eps, sigma, m, delta_exponent)["max"]
+        m, _ = _mog_sizes(p)
+        sep = separation_thresholds(n, d, k, eps, sigma, m, p.get("delta_exponent", 3))["max"]
     return gen_mog(n, d, k, sigma, float(sep), seed)
 
 
 def _read_mog(inst, p, seed, budget):
-    c_sketch, delta_exponent = _mog_sketch_params(p)
+    m, t = _mog_sizes(p)
     return cluster_mog(inst.gram, k=p["k"], eps=p["epsilon"], sigma=p["sigma"], d=p["d"],
-                       bootstrap_labels=inst.labels, c_sketch=c_sketch,
-                       delta_exponent=delta_exponent)
+                       bootstrap_labels=inst.labels, m=m, t=t)
 
 
 def _score_mog(inst, p, result, report):
@@ -369,20 +371,22 @@ KINDS = {
 
 
 def _trial(config: ExperimentConfig, seed: int) -> list:
-    """One seed's rows: a pass per budgets expression (or one pass), each on
-    a fresh instance, with the ledger report taken between read and score."""
+    """One seed's rows: a pass per instance budgets expression, or one pass
+    under the config budget, each on a fresh instance with the gram's
+    budget set, and the ledger report taken between read and score."""
     generate, read, score, required = KINDS[config.kind]
     p = config.instance
     eps = p["epsilon"] if "epsilon" in required else None
+    m, t = _mog_sizes(p) if config.kind == "mog-pipeline" else (None, None)
     rows = []
-    for expr in p["budgets"] if "budgets" in required else [None]:
+    for expr in p.get("budgets", [config.budget]):
         inst = generate(p, seed)
         budget = None if expr is None else eval_budget_expr(
-            expr, {"n": inst.n, "k": inst.k, "J": p.get("J"), "eps": eps})
+            expr, {"n": inst.n, "k": inst.k, "J": p.get("J"), "eps": eps, "m": m, "t": t})
         inst.gram.set_budget(budget)
         output = read(inst, p, seed, budget) if read else None
         rep = inst.gram.ledger_report()
-        suffix = "" if expr is None else f"@{expr}"
+        suffix = f"@{expr}" if "budgets" in p else ""
         rows += [ResultRow(config.kind, seed, inst.n, inst.k, eps, metric + suffix, value, rep)
                  for metric, value in score(inst, p, output, rep)]
     return rows

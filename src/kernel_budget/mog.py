@@ -121,12 +121,24 @@ def sketch_dimension(n: int, k: int, eps: float, c_sketch: float = DEFAULT_SKETC
     return ceil(c_sketch * (1.0 / eps) * delta_exponent * log(n * k))
 
 
-def default_sketch_rows(n: int, k: int, eps: float, d: int,
-                        c_sketch: float = DEFAULT_SKETCH_CONST, delta_exponent: int = 3) -> int:
-    """The m that cluster_mog sketches with by default: sketch_dimension
-    capped at d, as sketch rows are differences in a d-dimensional span and
-    rows past d are dependent up to round-off."""
-    return min(sketch_dimension(n, k, eps, c_sketch, delta_exponent), d)
+def sketch_sizes(n: int, k: int, eps: float, d: int, c_sketch: float = DEFAULT_SKETCH_CONST,
+                 delta_exponent: int = 3, m: Optional[int] = None) -> tuple:
+    """The sketch rows m and bootstrap points t of cluster_mog, which then
+    reads t(t+1)/2 + 2m(n - t) entries (t(t+1)/2 at k = 1: no sketch).
+
+    m defaults to sketch_dimension capped at d, as sketch rows are
+    differences in a d-dimensional span and rows past d are dependent up
+    to round-off. t covers the mean estimates, m same-mean pairs plus k,
+    and the d-dimensional frame.
+    """
+    for name, value, ok in (("eps", eps, eps > 0), ("c_sketch", c_sketch, c_sketch > 0),
+                            ("delta_exponent", delta_exponent, delta_exponent >= 1)):
+        if not ok:
+            raise ContractViolationError("need eps > 0, c_sketch > 0 and delta_exponent >= 1; "
+                                         f"got {name} = {value!r}")
+    if m is None:
+        m = min(sketch_dimension(n, k, eps, c_sketch, delta_exponent), d)
+    return m, max(mean_sample_size(k, d), 2 * m + k, d)
 
 
 def separation_thresholds(n: int, d: int, k: int, eps: float, sigma: float,
@@ -254,16 +266,15 @@ def cluster_mog(gram: MeteredGram, k: int, eps: float, sigma: float, d: int,
 
     bootstrap_labels supplies ground-truth component labels for the leading
     points, standing in for a black-box mean estimator; only the first t are
-    used. The default m is default_sketch_rows. Stage failures
-    raise PipelineStageError tagged with the stage. On an untouched gram
-    the ledger ends at exactly t(t+1)/2 + 2 m (n - t) distinct entries (no
+    used. m and t default to sketch_sizes. Stage failures raise
+    PipelineStageError tagged with the stage. On an untouched gram the
+    ledger ends at exactly t(t+1)/2 + 2 m (n - t) distinct entries (no
     sketching when k = 1).
     """
     n = gram.n
-    if m is None:
-        m = default_sketch_rows(n, k, eps, d, c_sketch, delta_exponent) if k > 1 else 0
-    if t is None:
-        t = max(mean_sample_size(k, d), 2 * m + k, d)
+    if m is None or t is None:
+        m, t_default = sketch_sizes(n, k, eps, d, c_sketch, delta_exponent, m)
+        t = t_default if t is None else t
     if t > n:
         raise PipelineStageError("configure", f"bootstrap size t = {t} exceeds n = {n}")
     labels = np.asarray(bootstrap_labels)

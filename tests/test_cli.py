@@ -3,7 +3,9 @@
 import csv
 import json
 import os
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from kernel_budget.cli import (AGG_COLUMNS, CSV_COLUMNS, KINDS,
 from kernel_budget.errors import BudgetExhaustedError
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
 from kernel_budget.krr import indicator_solve, solve_exact
-from kernel_budget.mog import separation_thresholds
+from kernel_budget.mog import cluster_mog, separation_thresholds, sketch_sizes
 from kernel_budget.rng import stream
 
 
@@ -72,6 +74,12 @@ class TestConfigValidation:
         (None, ["n*J/4", "nonsense("]),
         (None, ["n*q"]),
         (None, "n*J/4"),
+        (None, [None]),
+        (None, []),
+        (None, [True]),
+        (None, ["True"]),
+        (None, ["True*n"]),
+        ("n*J/4", ["n*J/4"]),
     ])
     def test_budget_expressions_checked_up_front(self, budget, budgets):
         with pytest.raises(UsageError):
@@ -336,6 +344,38 @@ def test_mog_auto_separation_uses_pipeline_sketch_rows(instance, m, m_uncapped, 
     assert seen["separation"] <= separation_thresholds(*args, m=m_uncapped)["max"]
 
 
+@pytest.mark.parametrize("instance", [
+    {"n": 3000, "d": 32, "k": 3, "epsilon": 0.25, "sigma": 1.0},
+    {"n": 900, "d": 16, "k": 1, "epsilon": 0.25, "sigma": 1.0, "C_sketch": 0.25},
+], ids=["capped-at-d", "one-component"])
+def test_one_sizing_rule_for_pipeline_separation_and_budget(instance):
+    n, d, k, eps = instance["n"], instance["d"], instance["k"], instance["epsilon"]
+    c_sketch = instance.get("C_sketch", 8.0)
+    m, t = sketch_sizes(n, k, eps, d, c_sketch)
+    generate, *_ = KINDS["mog-pipeline"]
+    inst = generate(instance, 0)
+    assert inst.separation == separation_thresholds(n, d, k, eps, 1.0, m)["max"]
+    res = cluster_mog(inst.gram, k=k, eps=eps, sigma=1.0, d=d,
+                      bootstrap_labels=inst.labels, c_sketch=c_sketch)
+    assert (res.m, res.t) == (m if k > 1 else 0, t)  # k = 1 sketches nothing
+    # the budget environment holds the same m and t
+    closed_form = "t*(t+1)/2 + 2*m*(n-t)"
+    rows, errors = run(ExperimentConfig(kind="mog-pipeline", seeds=[0], instance=instance,
+                                        budget=closed_form))
+    assert not errors
+    assert {r.report.budget for r in rows} == {t * (t + 1) // 2 + 2 * m * (n - t)}
+    assert {r.report.distinct_entries for r in rows} == {
+        inst.gram.ledger_report().distinct_entries}
+
+
+def test_readme_lists_every_kind_and_budget_variable():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    kinds = re.search(r"Experiment kinds: (.*?)\.\n", readme, re.S).group(1)
+    assert sorted(re.findall(r"`([a-z-]+)`", kinds)) == sorted(KINDS)
+    names = re.search(r"Budget expressions are arithmetic over `\{(.*?)\}`", readme).group(1)
+    assert set(names.split(", ")) == cli.BUDGET_VARS
+
+
 class TestReport:
     def test_single_row_aggregate(self):
         rows = [ResultRow("rank-gap", 0, 10, 2.0, None, "gap", 1.5)]
@@ -411,6 +451,79 @@ class TestCliEndToEnd:
             "kind": "rank-gap", "trials": 1, "instance": {"n": 20, "k": 3}})
         out = str(tmp_path / "o2")
         assert main(["run", "--config", cfg, "--out", out, "--budget", "n*k"]) == 0
+        with open(os.path.join(out, "results.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        # rank-gap has no read step: it carries the budget unused
+        assert [(r["metric"], r["distinct_entries"], r["total_requests"], r["budget"],
+                 r["budget_exhausted"]) for r in rows] == [
+            ("gap", "0", "0", "60", "false"), ("planted", "0", "0", "60", "false")]
+
+    def _run_budgeted(self, tmp_path, blob, *flags):
+        """(exit code, results.csv rows, manifest errors) of one run."""
+        out = tmp_path / "out"
+        code = main(["run", "--config", self._config_file(tmp_path, blob),
+                     "--out", str(out), *flags])
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        return code, rows, json.loads((out / "manifest.json").read_text())["errors"]
+
+    @pytest.mark.parametrize("kind, instance, budget", [
+        ("krr-closed-form", {"n": 200, "J": 20, "epsilon": 0.2}, "n*(n+1)/2"),
+        ("mog-pipeline", {"n": 900, "d": 16, "k": 3, "epsilon": 0.25, "sigma": 1.0,
+                          "C_sketch": 0.25}, "t*(t+1)/2 + 2*m*(n-t)"),
+    ])
+    def test_budget_that_covers_the_read_is_met_exactly(self, tmp_path, kind, instance,
+                                                        budget):
+        # m = 16 and t = 103 at the mog-pipeline config: 30,860 entries
+        want = {"krr-closed-form": 200 * 201 // 2, "mog-pipeline": 30860}[kind]
+        code, rows, errors = self._run_budgeted(
+            tmp_path, {"kind": kind, "seeds": [0, 1], "budget": budget, "instance": instance})
+        assert code == 0 and not errors
+        assert {(r["distinct_entries"], r["budget"], r["budget_exhausted"]) for r in rows} == {
+            (str(want), str(want), "false")}
+        assert all("@" not in r["metric"] for r in rows)
+
+    @pytest.mark.parametrize("kind, instance, budget", [
+        ("krr-closed-form", {"n": 200, "J": 20, "epsilon": 0.2}, "n*(n+1)/2 - 1"),
+        ("kkmc-recover", {"n": 600, "k": 3, "epsilon": 0.25}, "1"),
+        ("mog-pipeline", {"n": 900, "d": 16, "k": 3, "epsilon": 0.25, "sigma": 1.0,
+                          "C_sketch": 0.25}, "t*(t+1)/2 + 2*m*(n-t) - 1"),
+        ("mog-pipeline", {"n": 900, "d": 16, "k": 3, "epsilon": 0.25, "sigma": 1.0,
+                          "C_sketch": 0.25}, "t"),
+    ], ids=["full-reveal", "recover", "mog-sketch-read", "mog-bootstrap"])
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_exhausted_budget_is_an_error_row_per_seed(self, tmp_path, kind, instance,
+                                                       budget, source):
+        blob = {"kind": kind, "seeds": [0, 1], "instance": instance}
+        if source == "config":
+            code, rows, errors = self._run_budgeted(tmp_path, {**blob, "budget": budget})
+        else:
+            code, rows, errors = self._run_budgeted(tmp_path, blob, "--budget", budget)
+        assert code == 2
+        assert [(r["seed"], r["metric"], r["distinct_entries"]) for r in rows] == [
+            ("0", "error", ""), ("1", "error", "")]
+        assert len(errors) == 2
+        assert all("exceeds budget" in e or "exhausted" in e for e in errors)
+
+    @pytest.mark.parametrize("param, value", [
+        ("epsilon", 0), ("epsilon", -0.25), ("C_sketch", 0), ("C_sketch", -1.0),
+        ("delta_exponent", 0), ("delta_exponent", -2),
+    ])
+    def test_mog_sizing_out_of_range_is_an_error_row(self, tmp_path, param, value):
+        instance = {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, "sigma": 1.0, param: value}
+        code, rows, errors = self._run_budgeted(
+            tmp_path, {"kind": "mog-pipeline", "seeds": [0], "instance": instance})
+        assert code == 2 and [r["metric"] for r in rows] == ["error"]
+        name = {"epsilon": "eps", "C_sketch": "c_sketch"}.get(param, param)
+        assert f"got {name} = " in errors[0]
+
+    def test_budget_flag_and_budgets_is_a_usage_error(self, tmp_path, capsys):
+        cfg = self._config_file(tmp_path, {"kind": "budget-curve", "instance": {
+            "n": 40, "J": 8, "epsilon": 0.25, "budgets": ["n*J/4"]}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--budget", "n"]) == 2
+        assert "not both" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, tmp_path):
         cfg = self._config_file(tmp_path, {"kind": "nope", "instance": {}})
@@ -459,13 +572,24 @@ class TestCliEndToEnd:
         '"sigma": 1.0, "separation": "max"}}',
         '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, '
         '"sigma": 1.0, "separation": true}}',
+        '{"kind": "budget-curve", "instance": {"n": 40, "J": 8, "epsilon": 0.25, '
+        '"budgets": [null]}}',
+        '{"kind": "budget-curve", "instance": {"n": 40, "J": 8, "epsilon": 0.25, '
+        '"budgets": []}}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "budget": true}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "budget": "True"}',
+        '{"kind": "rank-gap", "instance": {"n": 20, "k": 3}, "budget": "True*n"}',
+        '{"kind": "budget-curve", "instance": {"n": 40, "J": 8, "epsilon": 0.25, '
+        '"budgets": ["n"]}, "budget": "n"}',
     ], ids=["invalid-json", "top-level-list", "missing-kind", "instance-list",
             "seeds-int", "trials-str", "n-str", "k-bool", "k-null", "c1-list",
             "epsilon-str", "trials-negative", "trials-zero", "trials-zero-with-seeds",
             "seeds-empty", "augmented-str", "augmented-int", "n-float", "J-float",
             "k-bool-false", "d-float", "lam-multipliers-int", "lam-multipliers-str-entry",
             "sample-factor-str", "c-sketch-str", "delta-exponent-null",
-            "delta-exponent-float", "separation-str", "separation-bool"])
+            "delta-exponent-float", "separation-str", "separation-bool", "budgets-null-entry",
+            "budgets-empty", "budget-json-true", "budget-true", "budget-true-times-n",
+            "budget-and-budgets"])
     def test_malformed_config_exits_2_writing_nothing(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)

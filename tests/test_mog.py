@@ -12,10 +12,10 @@ from kernel_budget.errors import (ContractViolationError, DegenerateRowError,
 from kernel_budget.instances import gen_mog
 from kernel_budget.kkmc import Clustering, cost_explicit
 from kernel_budget.mog import (assign_by_pair_tests, bootstrap_extract,
-                               build_sketch, cluster_mog, default_sketch_rows,
-                               estimate_means, min_component_count,
-                               separation_thresholds, sketch_apply_many,
-                               sketch_dimension, sketched_assign)
+                               build_sketch, cluster_mog, estimate_means,
+                               min_component_count, separation_thresholds,
+                               sketch_apply_many, sketch_dimension,
+                               sketch_sizes, sketched_assign)
 from kernel_budget.oracle import MeteredGram
 from kernel_budget.rng import stream
 
@@ -300,7 +300,7 @@ class TestClusterMog:
 
     def _instance(self, seed, **overrides):
         cfg = {**self.CFG, **overrides}
-        m = default_sketch_rows(cfg["n"], cfg["k"], cfg["eps"], cfg["d"], c_sketch=0.25)
+        m, _ = sketch_sizes(cfg["n"], cfg["k"], cfg["eps"], cfg["d"], c_sketch=0.25)
         sep = separation_thresholds(cfg["n"], cfg["d"], cfg["k"], cfg["eps"],
                                     cfg["sigma"], m)["max"]
         return gen_mog(cfg["n"], cfg["d"], cfg["k"], cfg["sigma"], sep, seed=seed)
