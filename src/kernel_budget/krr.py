@@ -22,7 +22,8 @@ The caller's arrays are never written to. scipy is imported on the first
 dense Cholesky, so importing the package, and solving a low-rank system,
 load only numpy. `nystrom_solve` reads only the landmark columns of a
 metered gram and never builds an n x n array; all three solvers share one
-Woodbury solve.
+Woodbury solve. The pivot loop, `_pivot`, is the package's only one:
+`mog.bootstrap_extract` factors its bootstrap block with it too.
 """
 
 from __future__ import annotations
@@ -123,39 +124,48 @@ def _fits(K, Ft, tol: float) -> bool:
     return True
 
 
-def _pivoted_factor(K, tol: float):
-    """Greedy pivoted Cholesky of a square K: rows Ft (r x n) with
-    ||K - Ft'Ft||_F <= tol, or None.
+def _pivot(K, tol: float, cap: int):
+    """Greedy pivoted Cholesky rows Ft (r x n) of a square K, r <= cap, or
+    None; the one pivot loop every factor in the package runs.
 
     Each step pivots on the largest residual diagonal, takes that row of K
     less the rows already found and divides it by the pivot's residual
     root. Pivoting stops once the residual trace is at most tol, and gives
-    up on a residual diagonal below -tol (K is not positive semidefinite) or
-    when a pivot past n // _PIVOT_CAP is needed. K may be unchecked: it need
-    be neither finite nor symmetric, so a zero residual diagonal does not
-    bound the off-diagonal residual, and the factor is returned only if
-    `_fits` confirms it against every entry.
+    up on a residual diagonal below -tol (K is not positive semidefinite),
+    on a NaN or infinite tol, or when a pivot past cap is needed. Only the
+    diagonal and the pivot rows of K are read, so K may be unchecked, and
+    the caller confirms the factor against every entry with `_fits`.
     """
-    if not tol < np.inf:  # a NaN, or lam / scale overflowed: no fit means anything
+    if not tol < np.inf:  # a NaN, or an overflow: no fit means anything
         return None
     n = K.shape[0]
     d = K.diagonal().copy()
-    Ft = np.empty((n // _PIVOT_CAP, n))
+    Ft = np.empty((cap, n))
     r = 0
     while True:
         if d.min() < -tol:
             return None
         if d.sum() <= tol:
-            break
-        if r == Ft.shape[0]:
+            return Ft[:r]
+        if r == cap:
             return None
         p = int(np.argmax(d))
         row = np.subtract(K[p], Ft[:r, p] @ Ft[:r], out=Ft[r])
         row /= np.sqrt(d[p])
         d -= row * row
         r += 1
-    Ft = Ft[:r]
-    return Ft if _fits(K, Ft, tol) else None
+
+
+def _pivoted_factor(K, tol: float):
+    """`_pivot` rows Ft of a square K with ||K - Ft'Ft||_F <= tol, at most
+    n // _PIVOT_CAP of them, or None.
+
+    K may be unchecked: it need be neither finite nor symmetric, so a zero
+    residual diagonal does not bound the off-diagonal residual, and the
+    factor is returned only if `_fits` confirms it against every entry.
+    """
+    Ft = _pivot(K, tol, K.shape[0] // _PIVOT_CAP)
+    return Ft if Ft is not None and _fits(K, Ft, tol) else None
 
 
 def _woodbury(Ft, b, lam: float) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Query-efficient clustering of isotropic Gaussian mixtures.
 
 The pipeline spends its kernel queries in two places: a t x t bootstrap
-block, factored to recover t points up to a common rotation, and 2m
-queries per remaining point to push it through a sketch whose rows are
-rescaled differences of same-mean bootstrap points (each such difference
-is an isotropic Gaussian, so the sketch is a Gaussian projection the
-oracle can apply without ever seeing coordinates). Assignment decisions
-happen in the sketched space via midpoint sign tests against projected
-mean estimates.
+block, factored by the pivoted Cholesky loop krr shares to recover t
+points in an r-dimensional frame (r the block's rank) up to a common
+rotation, and 2m queries per remaining point to push it through a sketch
+whose rows are rescaled differences of same-mean bootstrap points (each
+such difference is an isotropic Gaussian, so the sketch is a Gaussian
+projection the oracle can apply without ever seeing coordinates).
+Assignment decisions happen in the sketched space via midpoint sign tests
+against projected mean estimates, all pairs of means in one product.
 
 Everything downstream of the bootstrap depends on inner products only, so
 rotating the hidden point set changes nothing.
@@ -25,6 +26,7 @@ from .errors import (ContractViolationError, DegenerateRowError,
                      DegenerateSketchError, EstimationFailureError,
                      NumericalDegeneracyError, PipelineStageError)
 from .kkmc import Clustering
+from .krr import _ROUND_OFF, _fits, _pivot
 from .oracle import MeteredGram
 
 # Gaussian-mean test threshold constant: separation^2 >= 144 sigma^2 ln(1/delta)
@@ -34,29 +36,34 @@ PAIR_TEST_SEPARATION_CONST = 144.0
 
 DEFAULT_SKETCH_CONST = 8.0
 MEAN_SAMPLE_CONST = 2.0
+_FIT_TOL = 1e-8  # relative Frobenius residual a bootstrap factor may leave
 
 
 def bootstrap_extract(gram: MeteredGram, t: int) -> np.ndarray:
-    """Read the leading t x t block and factor it into explicit points: row
-    i of the returned (t, t) array is point i, in an arbitrary rotation of
-    the original frame.
+    """Read the leading t x t block K and factor it into explicit points:
+    row i of the returned (t, r) array F is point i, in an arbitrary
+    rotation of the original frame, and r is the block's rank (d for t >= d
+    points in general position).
 
-    Eigenvalues are clipped at zero; anything below -1e-8 (relative) means
-    the block is not a Gram matrix to working precision and is an error.
-    Charges exactly t(t+1)/2 fresh entries on an untouched gram.
+    The factor comes from the greedy pivoted Cholesky loop that krr's
+    solvers run, pivoting until the residual trace is at most 8 eps
+    sum|K_ii|, with up to t pivots. ||K - F F'||_F above
+    _FIT_TOL * max(1, max|K_ii|) means the block is not a Gram matrix to
+    working precision (a negative direction, or a NaN or an infinity in
+    it) and is an error. Charges exactly t(t+1)/2 fresh entries on an
+    untouched gram.
     """
     if not 1 <= t <= gram.n:
         raise ContractViolationError(f"t = {t} out of range [1, {gram.n}]")
     idx = np.arange(t)
     block = gram.query_block(idx, idx)
-    block = 0.5 * (block + block.T)
-    vals, vecs = np.linalg.eigh(block)
-    floor = -1e-8 * max(1.0, float(vals.max(initial=0.0)))
-    if vals.min() < floor:
-        raise NumericalDegeneracyError(
-            f"bootstrap block has eigenvalue {vals.min():.3g} below tolerance")
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)
+    with np.errstate(all="ignore"):  # a NaN or an infinity gives no factor
+        diag = np.abs(block.diagonal())
+        Ft = _pivot(block, _ROUND_OFF * np.finfo(np.float64).eps * diag.sum(), t)
+        if Ft is None or not _fits(block, Ft, _FIT_TOL * max(1.0, diag.max())):
+            raise NumericalDegeneracyError(
+                "bootstrap block is not a Gram matrix to working precision")
+    return Ft.T
 
 
 def mean_sample_size(k: int, d: int) -> int:
@@ -89,22 +96,28 @@ def estimate_means(points, labels, k: int, min_count: int) -> np.ndarray:
 def assign_by_pair_tests(X, means):
     """All-pairs sign tests: row i gets the unique mean beating every other.
 
-    Returns (assignment, confident) where confident[i] is False when no
-    mean won all its tests and the nearest mean was used instead.
+    The k(k-1)/2 unordered pairs (j, l), j < l, run as one product: with
+    midpoint c = (mu_j + mu_l) / 2 and D = mu_j - c, s = X D' - <c, D> is
+    a win for j where s > 0 and for l where s < 0, so a point exactly at a
+    midpoint wins neither. Returns (assignment, confident) where
+    confident[i] is False when no mean won all its tests and the nearest
+    mean was used instead.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     means = np.asarray(means, dtype=np.float64)
     k = means.shape[0]
     if k == 1:
         return np.zeros(X.shape[0], dtype=np.int64), np.ones(X.shape[0], dtype=bool)
-    wins = np.ones((X.shape[0], k), dtype=bool)
-    for j in range(k):
-        for ell in range(k):
-            if ell == j:
-                continue
-            c = 0.5 * (means[j] + means[ell])
-            direction = means[j] - c
-            wins[:, j] &= (X - c) @ direction > 0.0
+    j, ell = np.triu_indices(k, 1)
+    c = 0.5 * (means[j] + means[ell])
+    D = means[j] - c
+    s = X @ D.T - (c * D).sum(axis=1)
+    # sides[q] is +1 at pair q's first mean and -1 at its second, so
+    # sign(s) @ sides counts each mean's wins less its losses (a tie is 0)
+    sides = np.zeros((j.size, k))
+    sides[np.arange(j.size), j] = 1.0
+    sides[np.arange(j.size), ell] = -1.0
+    wins = np.sign(s) @ sides == k - 1
     n_wins = wins.sum(axis=1)
     confident = n_wins == 1
     assignment = np.argmax(wins, axis=1).astype(np.int64)
@@ -124,11 +137,12 @@ def sketch_dimension(n: int, k: int, eps: float, c_sketch: float = DEFAULT_SKETC
 def sketch_sizes(n: int, k: int, eps: float, d: int, c_sketch: float = DEFAULT_SKETCH_CONST,
                  delta_exponent: int = 3, m: Optional[int] = None) -> tuple:
     """The sketch rows m and bootstrap points t of cluster_mog, which then
-    reads t(t+1)/2 + 2m(n - t) entries (t(t+1)/2 at k = 1: no sketch).
+    reads t(t+1)/2 + 2m(n - t) entries.
 
-    m defaults to sketch_dimension capped at d, as sketch rows are
-    differences in a d-dimensional span and rows past d are dependent up
-    to round-off. t covers the mean estimates, m same-mean pairs plus k,
+    m defaults to 0 at k = 1, where nothing is sketched, and otherwise to
+    sketch_dimension capped at d, as sketch rows are differences in a
+    d-dimensional span and rows past d are dependent up to round-off
+    (DegenerateSketchError in build_sketch). t covers the mean estimates, m same-mean pairs plus k,
     and the d-dimensional frame.
     """
     for name, value, ok in (("eps", eps, eps > 0), ("c_sketch", c_sketch, c_sketch > 0),
@@ -137,7 +151,7 @@ def sketch_sizes(n: int, k: int, eps: float, d: int, c_sketch: float = DEFAULT_S
             raise ContractViolationError("need eps > 0, c_sketch > 0 and delta_exponent >= 1; "
                                          f"got {name} = {value!r}")
     if m is None:
-        m = min(sketch_dimension(n, k, eps, c_sketch, delta_exponent), d)
+        m = 0 if k == 1 else min(sketch_dimension(n, k, eps, c_sketch, delta_exponent), d)
     return m, max(mean_sample_size(k, d), 2 * m + k, d)
 
 
@@ -163,15 +177,16 @@ def separation_thresholds(n: int, d: int, k: int, eps: float, sigma: float,
 
 @dataclass
 class SketchOperator:
-    """m x t operator whose rows are same-mean bootstrap differences divided
-    by sigma * sqrt(2), making each row standard Gaussian. The SVD of the
-    rows is kept so sketched vectors can be pulled back onto the operator's
-    row space: S x = U diag(s) (Vt x) gives Vt x = diag(1/s) U' (S x)."""
+    """m x r operator whose rows are same-mean bootstrap differences divided
+    by sigma * sqrt(2), making each row standard Gaussian; r is the
+    dimension of the bootstrap frame, so m <= r. The SVD of the rows is
+    kept so sketched vectors can be pulled back onto the operator's row
+    space: S x = U diag(s) (Vt x) gives Vt x = diag(1/s) U' (S x)."""
 
     m: int
     pairs: np.ndarray                      # (m, 2) source point indices
     scale: float
-    rows: np.ndarray = field(repr=False)   # (m, t)
+    rows: np.ndarray = field(repr=False)   # (m, r)
     _u: np.ndarray = field(repr=False)
     _s: np.ndarray = field(repr=False)
     _vt: np.ndarray = field(repr=False)
@@ -207,7 +222,7 @@ def build_sketch(points, pairs, sigma: float) -> SketchOperator:
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateRowError(f"pair {pairs[bad].tolist()} gives a zero row")
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    # more rows than the frame has dimensions (m > t) leaves only t singular values
+    # more rows than the frame has dimensions (m > r) leaves only r singular values
     if s.size < pairs.shape[0] or s.min() <= 1e-10 * s.max():
         raise DegenerateSketchError("sketch rows are linearly dependent")
     return SketchOperator(m=pairs.shape[0], pairs=pairs, scale=scale,

@@ -16,7 +16,7 @@ from kernel_budget.cli import (AGG_COLUMNS, CSV_COLUMNS, KINDS,
                                eval_budget_expr, main, report, run,
                                write_results)
 from kernel_budget.errors import BudgetExhaustedError
-from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
+from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr, gen_mog
 from kernel_budget.krr import indicator_solve, solve_exact
 from kernel_budget.mog import cluster_mog, separation_thresholds, sketch_sizes
 from kernel_budget.rng import stream
@@ -344,6 +344,22 @@ def test_mog_auto_separation_uses_pipeline_sketch_rows(instance, m, m_uncapped, 
     assert seen["separation"] <= separation_thresholds(*args, m=m_uncapped)["max"]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_point_is_a_bootstrap_error_row(value, monkeypatch):
+    def poisoned_gen_mog(*args):
+        inst = gen_mog(*args)
+        inst.points[3, 0] = value  # the gram reads this same array
+        return inst
+
+    monkeypatch.setattr(cli, "gen_mog", poisoned_gen_mog)
+    rows, errors = run(ExperimentConfig(
+        kind="mog-pipeline", seeds=[0],
+        instance={"n": 900, "d": 16, "k": 3, "epsilon": 0.25, "sigma": 1.0, "C_sketch": 0.25}))
+    assert [row.metric for row in rows] == ["error"]
+    assert errors == ["seed 0: [bootstrap] bootstrap block is not a Gram matrix "
+                      "to working precision"]
+
+
 @pytest.mark.parametrize("instance", [
     {"n": 3000, "d": 32, "k": 3, "epsilon": 0.25, "sigma": 1.0},
     {"n": 900, "d": 16, "k": 1, "epsilon": 0.25, "sigma": 1.0, "C_sketch": 0.25},
@@ -357,7 +373,10 @@ def test_one_sizing_rule_for_pipeline_separation_and_budget(instance):
     assert inst.separation == separation_thresholds(n, d, k, eps, 1.0, m)["max"]
     res = cluster_mog(inst.gram, k=k, eps=eps, sigma=1.0, d=d,
                       bootstrap_labels=inst.labels, c_sketch=c_sketch)
-    assert (res.m, res.t) == (m if k > 1 else 0, t)  # k = 1 sketches nothing
+    assert (res.m, res.t) == (m, t)
+    if k == 1:  # no sketch rows, so no pair-test floor: the mean-learning floor, 9.99 sigma
+        assert inst.separation == separation_thresholds(n, d, k, eps, 1.0, 0)["mean_learning"]
+        assert inst.separation == pytest.approx(12 * np.sqrt(np.log(2)))
     # the budget environment holds the same m and t
     closed_form = "t*(t+1)/2 + 2*m*(n-t)"
     rows, errors = run(ExperimentConfig(kind="mog-pipeline", seeds=[0], instance=instance,

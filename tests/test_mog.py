@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 from conftest import certify_mean_accuracy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernel_budget.errors import (ContractViolationError, DegenerateRowError,
                                   DegenerateSketchError,
@@ -21,13 +23,15 @@ from kernel_budget.rng import stream
 
 
 class _PoisonedGram:
-    """query_block stub returning a non-PSD block."""
+    """query_block stub reading a fixed block that is not a Gram matrix:
+    -I by default."""
 
-    n = 4
+    def __init__(self, block=None):
+        self.block = -np.eye(4) if block is None else block
+        self.n = self.block.shape[0]
 
     def query_block(self, rows, cols):
-        m = -np.eye(len(rows))
-        return m
+        return self.block[np.ix_(rows, cols)]
 
 
 class TestBootstrap:
@@ -55,6 +59,51 @@ class TestBootstrap:
     def test_t_out_of_range(self):
         with pytest.raises(ContractViolationError):
             bootstrap_extract(MeteredGram(np.eye(3)), 4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_point_raises(self, value):
+        points = stream(16, "non-finite").standard_normal((10, 3))
+        points[2, 1] = value
+        with pytest.raises(NumericalDegeneracyError):
+            bootstrap_extract(MeteredGram(points), 5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_point_is_a_bootstrap_stage_error(self, value):
+        inst = gen_mog(400, 8, 2, 1.0, 30.0, seed=5)
+        points = inst.points.copy()
+        points[3, 0] = value
+        with pytest.raises(PipelineStageError) as info:
+            cluster_mog(MeteredGram(points), k=2, eps=0.25, sigma=1.0, d=8,
+                        bootstrap_labels=inst.labels)
+        assert info.value.stage == "bootstrap"
+
+    @pytest.mark.parametrize("d, k", [(16, 3), (64, 4), (256, 2)])
+    def test_mixture_block_gives_a_d_dimensional_frame(self, d, k):
+        n, eps = 3000, 0.25
+        m, t = sketch_sizes(n, k, eps, d, c_sketch=0.25)
+        sep = separation_thresholds(n, d, k, eps, 1.0, m)["max"]
+        inst = gen_mog(n, d, k, 1.0, sep, seed=d)
+        points = bootstrap_extract(inst.gram, t)
+        assert points.shape == (t, d)
+        block = inst.points[:t] @ inst.points[:t].T
+        bound = 1e-8 * max(1.0, block.diagonal().max())
+        assert np.linalg.norm(block - points @ points.T) <= bound
+        # the same block less a direction outside the points' span has a
+        # negative eigenvalue 100 times the bound
+        rng = stream(d, "poison")
+        g = rng.standard_normal(t)
+        u = g - inst.points[:t] @ np.linalg.lstsq(inst.points[:t], g, rcond=None)[0]
+        u /= np.linalg.norm(u)
+        poisoned = [block - 100 * bound * np.outer(u, u)]
+        # off-diagonal faults, which the pivot loop reads only if one of
+        # the two rows is a pivot; the fit reads every entry
+        for value in (np.nan, block[-1, -2] + 100 * bound):
+            bad = block.copy()
+            bad[-1, -2] = bad[-2, -1] = value
+            poisoned.append(bad)
+        for bad in poisoned:
+            with pytest.raises(NumericalDegeneracyError):
+                bootstrap_extract(_PoisonedGram(bad), t)
 
 
 class TestEstimateMeans:
@@ -131,6 +180,53 @@ class TestPairTest:
         rows = np.arange(0, 100_000, 12_500)
         assign, _ = assign_by_pair_tests(x[rows], np.vstack([mu1_hat, mu2_hat]))
         assert (assign == 0).tolist() == (scores[rows] > 0).tolist()
+
+
+def _pair_test_reference(X, means):
+    """assign_by_pair_tests as k(k-1) ordered sign tests, one pass each; also
+    returns each row's smallest |score|."""
+    k = means.shape[0]
+    wins = np.ones((X.shape[0], k), dtype=bool)
+    margin = np.full(X.shape[0], np.inf)
+    for j in range(k):
+        for ell in range(k):
+            if ell == j:
+                continue
+            c = 0.5 * (means[j] + means[ell])
+            score = (X - c) @ (means[j] - c)
+            wins[:, j] &= score > 0.0
+            margin = np.minimum(margin, np.abs(score))
+    confident = wins.sum(axis=1) == 1
+    assignment = np.argmax(wins, axis=1)
+    if (~confident).any():
+        dist = ((X[~confident, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        assignment[~confident] = np.argmin(dist, axis=1)
+    return assignment, confident, margin
+
+
+class TestPairTestProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 8), dim=st.integers(1, 40), n=st.integers(1, 200),
+           seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([1e-3, 1.0, 1e3]),
+           grid=st.booleans())
+    def test_matches_double_loop_reference(self, k, dim, n, seed, spread, grid):
+        rng = np.random.default_rng(seed)
+        means = spread * rng.standard_normal((k, dim))
+        X = means[rng.integers(0, k, n)] + spread * rng.standard_normal((n, dim))
+        if grid:  # small integers: exact ties at midpoints and equal means
+            means, X = np.round(means / spread), np.round(X / spread)
+        assign, confident = assign_by_pair_tests(X, means)
+        ref_assign, ref_confident, margin = _pair_test_reference(X, means)
+        scale = (np.linalg.norm(X, axis=1).max() + np.linalg.norm(means, axis=1).max()) ** 2
+        clear = margin > 1e-9 * scale
+        assert (assign[clear] == ref_assign[clear]).all()
+        assert (confident[clear] == ref_confident[clear]).all()
+
+    def test_ties_at_every_midpoint_are_not_confident(self):
+        means = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 2.0]])
+        mids = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
+        _, confident = assign_by_pair_tests(mids, means)
+        assert not confident.any()
 
 
 class TestBuildSketch:
@@ -327,8 +423,8 @@ class TestClusterMog:
     def test_forced_m_t_hand_count(self):
         # independent recount of revealed pairs: bootstrap triangle plus
         # source-row rectangles, deduplicated as a set
-        inst = gen_mog(1000, 8, 2, 1.0, 40.0, seed=2)
-        res = cluster_mog(inst.gram, k=2, eps=0.25, sigma=1.0, d=8,
+        inst = gen_mog(1000, 48, 2, 1.0, 40.0, seed=2)
+        res = cluster_mog(inst.gram, k=2, eps=0.25, sigma=1.0, d=48,
                           bootstrap_labels=inst.labels, m=40, t=120)
         pairs = set()
         for i in range(120):
@@ -343,6 +439,14 @@ class TestClusterMog:
         distinct = inst.gram.ledger_report().distinct_entries
         assert distinct == len(pairs)
         assert distinct <= 120 * 121 // 2 + 2 * 40 * (1000 - 2 * 40)
+
+    def test_forced_m_above_d_is_a_sketch_error(self):
+        # 40 sketch rows in an 8-dimensional frame are dependent
+        inst = gen_mog(1000, 8, 2, 1.0, 40.0, seed=2)
+        with pytest.raises(PipelineStageError) as info:
+            cluster_mog(inst.gram, k=2, eps=0.25, sigma=1.0, d=8,
+                        bootstrap_labels=inst.labels, m=40, t=120)
+        assert info.value.stage == "sketch"
 
     def test_rotation_invariance(self):
         inst = self._instance(seed=3)
