@@ -14,11 +14,10 @@ from .errors import (BoundRangeError, BudgetExhaustedError,
                      ContractViolationError, DegenerateInstanceError,
                      DegenerateRowError, DegenerateSketchError,
                      EstimationFailureError, GenerationFailureError,
-                     NumericalDegeneracyError, PipelineStageError,
-                     SingularSystemError)
+                     NumericalDegeneracyError, PipelineStageError)
 from .instances import (CLASS_S1, CLASS_S2, KkmcInstance, KrrInstance,
-                        MogInstance, RankInstance, block_of, gen_kkmc,
-                        gen_krr, gen_mog, gen_rank, make_balanced_kkmc)
+                        MogInstance, RankInstance, gen_kkmc, gen_krr,
+                        gen_mog, gen_rank, make_balanced_kkmc)
 from .kkmc import (Clustering, CostBreakdown, block_clustering, cost_explicit,
                    cost_kernel, kappa, large_cluster_bound,
                    multi_cluster_lower_bound, rank_cost_gap, recover_labels,
@@ -37,7 +36,7 @@ __all__ = [
     # instances
     "CLASS_S1", "CLASS_S2", "KrrInstance", "RankInstance", "KkmcInstance",
     "MogInstance", "gen_krr", "gen_rank", "gen_kkmc", "gen_mog",
-    "make_balanced_kkmc", "block_of",
+    "make_balanced_kkmc",
     # krr
     "solve_exact", "nystrom_solve", "d_eff", "check_guarantee",
     "hard_instance_optimum", "classify_rows", "indicator_solve",
@@ -54,5 +53,5 @@ __all__ = [
     "ContractViolationError", "BudgetExhaustedError", "GenerationFailureError",
     "BoundRangeError", "DegenerateInstanceError", "NumericalDegeneracyError",
     "EstimationFailureError", "DegenerateRowError", "DegenerateSketchError",
-    "SingularSystemError", "PipelineStageError",
+    "PipelineStageError",
 ]

@@ -405,7 +405,7 @@ def run(config: ExperimentConfig):
             return _trial(config, seed), None
         except (PipelineStageError, BudgetExhaustedError, ValueError, RuntimeError) as e:
             return [ResultRow(config.kind, seed, config.instance["n"], None, None,
-                              "error", float("nan"))], f"seed {seed}: {e}"
+                              "error", float("nan"))], f"seed {seed}: {type(e).__name__}: {e}"
 
     rows, errors = [], []
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -48,10 +48,6 @@ class DegenerateSketchError(RuntimeError):
     """Sketch rows are linearly dependent; projection is not defined."""
 
 
-class SingularSystemError(RuntimeError):
-    """A rank-one update denominator vanished."""
-
-
 class PipelineStageError(RuntimeError):
     """Failure inside a multi-stage pipeline, tagged with the stage name."""
 

@@ -230,13 +230,6 @@ def make_balanced_kkmc(k: int, eps: float, copies: int) -> KkmcInstance:
                         gram=gram, points=points)
 
 
-def block_of(instance: KkmcInstance, i: int) -> int:
-    """Ground-truth block of point i."""
-    if not 0 <= i < instance.n:
-        raise ContractViolationError(f"index {i} out of range [0, {instance.n})")
-    return int(instance.block[i])
-
-
 @dataclass
 class MogInstance:
     """Isotropic Gaussian mixture with recorded means and labels."""

@@ -1,6 +1,6 @@
 """Kernel ridge regression: the exact dense solve, a metered landmark
 (Nystrom) solve, effective dimension, the hard-instance closed form, and the
-rank-one indicator path.
+indicator-kernel solve.
 
 The regularized objective ||K a - z||^2 + lam * a' K a has minimizer
 a = (K + lam I)^{-1} z. `solve_exact` and `indicator_solve` take a dense
@@ -18,11 +18,14 @@ runs only when lam is so large that the fit no longer implies the symmetry
 tolerance, or when the solve falls back. It falls back on a residual
 diagonal below -tol, the pivot cap or a failed fit, to a symmetric
 positive-definite Cholesky of one n x n working copy, factored in place.
-The caller's arrays are never written to. scipy is imported on the first
-dense Cholesky, so importing the package, and solving a low-rank system,
-load only numpy. `nystrom_solve` reads only the landmark columns of a
-metered gram and never builds an n x n array; all three solvers share one
-Woodbury solve. The pivot loop, `_pivot`, is the package's only one:
+`indicator_solve` runs the same one solve, `_solve`, for one right-hand
+side: the offset c0 11' of its K = c0 11' + (c1 - c0) G is one more
+factor row sqrt(c0) 1', or a constant added to the working copy
+(c1 - c0) G. The caller's arrays are never written to. scipy is imported
+on the first dense Cholesky, so importing the package, and solving a
+low-rank system, load only numpy. `nystrom_solve` reads only the landmark
+columns of a metered gram and never builds an n x n array; all three
+solvers share one Woodbury solve. The pivot loop, `_pivot`, is the package's only one:
 `mog.bootstrap_extract` factors its bootstrap block with it too.
 """
 
@@ -30,8 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (ContractViolationError, NumericalDegeneracyError,
-                     SingularSystemError)
+from .errors import ContractViolationError, NumericalDegeneracyError
 from .instances import CLASS_S1, CLASS_S2, KrrInstance
 from .oracle import MeteredGram
 
@@ -62,7 +64,7 @@ def _check_system(K, z, lam: float, what: str = "K"):
     """K and z as float arrays, once lam > 0, K is nonempty, square and
     conforms with z, and z is finite. These checks are O(n); K's entries are
     checked by `_check_entries`, or vouched for by a factor that fits them
-    (see `_solver`)."""
+    (see `_solve`)."""
     _check_lam(lam)
     K = np.asarray(K, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -86,10 +88,9 @@ def _check_entries(K, what: str = "K"):
         raise ContractViolationError(f"{what} is not symmetric (max skew {skew:.3g})")
 
 
-def _factor(A, lam: float):
-    """Factor A + lam I in place and return the solve b -> (A + lam I)^{-1} b
-    for one right-hand side. A is a symmetric C-order working copy that the
-    solver owns.
+def _factor(A, lam: float, b) -> np.ndarray:
+    """(A + lam I)^{-1} b for one right-hand side, factoring A + lam I in
+    place. A is a symmetric C-order working copy that the solver owns.
 
     A.T is Fortran-ordered, so LAPACK factors its lower triangle (the upper
     triangle of A) without another copy. This is the package's only use of
@@ -102,7 +103,7 @@ def _factor(A, lam: float):
                                       check_finite=False)
     except np.linalg.LinAlgError as e:
         raise NumericalDegeneracyError(str(e)) from e
-    return lambda b: scipy.linalg.cho_solve(cho, b, check_finite=False)
+    return scipy.linalg.cho_solve(cho, b, check_finite=False)
 
 
 def _fits(K, Ft, tol: float) -> bool:
@@ -176,17 +177,19 @@ def _woodbury(Ft, b, lam: float) -> np.ndarray:
     return (b - Ft.T @ np.linalg.solve(small, Ft @ b)) / lam
 
 
-def _solver(K, lam: float, scale: float = 1.0, what: str = "K"):
-    """The solve b -> (scale K + lam I)^{-1} b for a K whose entries are not
-    yet checked: Woodbury on a pivoted factor of K when one fits, else the
-    dense Cholesky of one scaled working copy.
+def _solve(K, b, lam: float, scale: float = 1.0, offset: float = 0.0,
+           what: str = "K") -> np.ndarray:
+    """(offset 11' + scale K + lam I)^{-1} b for a K whose entries are not
+    yet checked: Woodbury on a pivoted factor of K, scaled by sqrt(scale)
+    and with the row sqrt(offset) 1' on top when offset > 0, when one fits;
+    else the dense Cholesky of one working copy scale K + offset.
 
     The factor must fit to tol = max(_PIVOT_TOL * lam / scale, _ROUND_OFF *
-    eps * sum|K_ii|), so ||alpha_hat - alpha|| <= tol * scale * ||alpha|| / lam:
-    a relative error of at most the larger of _PIVOT_TOL and 8 eps
-    trace(scale K) / lam. For a K of rank r that is at most 8 r eps
-    ||scale K||_2 / lam, within 8 r of the dense Cholesky's own forward
-    error; a tolerance below it would fail on the factor's round-off.
+    eps * sum|K_ii|), so ||alpha_hat - alpha|| <= tol * scale * ||alpha|| / lam
+    (the offset row is exact): a relative error of at most the larger of
+    _PIVOT_TOL and 8 eps trace(scale K) / lam. For a K of rank r that is at
+    most 8 r eps ||scale K||_2 / lam, within 8 r of the dense Cholesky's own
+    forward error; a tolerance below it would fail on the factor's round-off.
 
     A factor that fits also vouches for K's entries: a NaN or an infinity
     fails the fit, and with P = Ft'Ft and D = K - P, |K_ij - K_ji| <= |D_ij|
@@ -203,15 +206,20 @@ def _solver(K, lam: float, scale: float = 1.0, what: str = "K"):
     if Ft is None or 2 * tol > _SYM_TOL * (1.0 + d.max()):
         _check_entries(K, what)
     if Ft is None:
-        return _factor(np.multiply(scale, K, order="C"), lam)
+        A = np.multiply(scale, K, order="C")
+        if offset:
+            A += offset
+        return _factor(A, lam, b)
     Ft *= np.sqrt(scale)
-    return lambda b: _woodbury(Ft, b, lam)
+    if offset:
+        Ft = np.vstack([np.full(K.shape[0], np.sqrt(offset)), Ft])
+    return _woodbury(Ft, b, lam)
 
 
 def solve_exact(K, z, lam: float) -> np.ndarray:
     """Minimize the ridge objective: alpha = (K + lam I)^{-1} z."""
     K, z = _check_system(K, z, lam)
-    return _solver(K, lam)(z)
+    return _solve(K, z, lam)
 
 
 def nystrom_solve(gram: MeteredGram, landmarks, z, lam: float) -> np.ndarray:
@@ -300,24 +308,14 @@ def classify_rows(alpha_hat, n: int, k: float, eps: float) -> np.ndarray:
 
 
 def indicator_solve(G, z, lam: float, c0: float, c1: float) -> np.ndarray:
-    """Ridge solve for K = c0 * ones + (c1 - c0) * G without assembling K.
+    """Ridge solve for K = c0 * 11' + (c1 - c0) * G without assembling K.
 
-    The all-ones offset is a rank-one update of (c1 - c0) G + lam I, so with
-    A = (c1 - c0) G + lam I and C = c0 * 1' A^{-1} 1,
-
-        alpha = A^{-1} z - A^{-1} 1 * (c0 * 1' A^{-1} z) / (1 + C),
-
-    which for z = 1 collapses to (1 / ((c1 - c0)(1 + C))) *
-    (G + (lam / (c1 - c0)) I)^{-1} z.
+    The offset joins the factor of (c1 - c0) G as the one row sqrt(c0) 1',
+    or the dense working copy as an added constant. A c0 below 0 makes K
+    indefinite in general, so it is no kernel, and 0 <= c0 < c1 < inf is
+    required.
     """
-    if not c1 > c0:
-        raise ContractViolationError(f"need c1 > c0, got c0={c0}, c1={c1}")
+    if not 0 <= c0 < c1 < np.inf:
+        raise ContractViolationError(f"need 0 <= c0 < c1 < inf, got c0={c0}, c1={c1}")
     G, z = _check_system(G, z, lam, "G")
-    solve = _solver(G, lam, c1 - c0, "G")
-    ones = np.ones(G.shape[0])
-    w = solve(ones)
-    y = solve(z)
-    denom = 1.0 + c0 * (ones @ w)
-    if abs(denom) < 1e-12:
-        raise SingularSystemError("rank-one update denominator vanished")
-    return y - w * (c0 * (ones @ y) / denom)
+    return _solve(G, z, lam, c1 - c0, c0, "G")

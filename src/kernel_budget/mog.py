@@ -200,8 +200,9 @@ class SketchOperator:
         return (self._u.T @ np.asarray(sx, dtype=np.float64)) / self._s[:, None]
 
     def project_direct(self, v) -> np.ndarray:
-        """Row-space coordinates of an explicit frame vector: Vt v."""
-        return self._vt @ np.asarray(v, dtype=np.float64)
+        """Row-space coordinates of an explicit frame vector, or of each row
+        of a (k, r) matrix: v Vt'."""
+        return np.asarray(v, dtype=np.float64) @ self._vt.T
 
 
 def build_sketch(points, pairs, sigma: float) -> SketchOperator:
@@ -249,10 +250,8 @@ def sketched_assign(sketch: SketchOperator, sx, means) -> tuple:
     the all-pairs sign tests there. Returns (assignment, fallback) arrays;
     fallback[j] means no center won every test for point j and the nearest
     projected mean was used."""
-    means = np.asarray(means, dtype=np.float64)
     proj_x = sketch.project_sketched(sx).T
-    proj_means = np.vstack([sketch.project_direct(mu) for mu in means])
-    assignment, confident = assign_by_pair_tests(proj_x, proj_means)
+    assignment, confident = assign_by_pair_tests(proj_x, sketch.project_direct(means))
     return assignment, ~confident
 
 

@@ -364,7 +364,9 @@ class MeteredGram:
             )
         with self._lock:
             self.ledger.charge_full()
-            return self._points @ self._points.T
+            # query_block's gemm, bit for bit; X @ X.T would take numpy's
+            # slower syrk, whose round-off differs
+            return self._points @ self._points.copy().T
 
     def set_budget(self, budget: Optional[int]):
         """Cap distinct entries from now on; None lifts the cap."""

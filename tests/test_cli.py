@@ -356,8 +356,8 @@ def test_non_finite_point_is_a_bootstrap_error_row(value, monkeypatch):
         kind="mog-pipeline", seeds=[0],
         instance={"n": 900, "d": 16, "k": 3, "epsilon": 0.25, "sigma": 1.0, "C_sketch": 0.25}))
     assert [row.metric for row in rows] == ["error"]
-    assert errors == ["seed 0: [bootstrap] bootstrap block is not a Gram matrix "
-                      "to working precision"]
+    assert errors == ["seed 0: PipelineStageError: [bootstrap] bootstrap block is not "
+                      "a Gram matrix to working precision"]
 
 
 @pytest.mark.parametrize("instance", [

@@ -111,7 +111,8 @@ class TestCheckSystem:
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_dense_solvers_reject_indefinite_systems(self, solver):
-        # exact: -I + 0.5 I; indicator: 0.9 (-I) + 0.5 I; both are -c I.
+        # exact: -I + 0.5 I; indicator: 0.1 11' + 0.9 (-I) + 0.5 I, with
+        # eigenvalues -0.2 and -0.4
         with pytest.raises(NumericalDegeneracyError, match="not positive definite"):
             DENSE_SOLVERS[solver](-np.eye(2), np.ones(2), 0.5)
 
@@ -211,9 +212,9 @@ def factor_calls(monkeypatch):
     """The sizes of the dense Cholesky factorizations made while it is in use."""
     calls, real = [], krr._factor
 
-    def spy(A, lam):
+    def spy(A, lam, b):
         calls.append(A.shape[0])
-        return real(A, lam)
+        return real(A, lam, b)
 
     monkeypatch.setattr(krr, "_factor", spy)
     return calls
@@ -746,28 +747,42 @@ class TestIndicatorSolve:
         ref = solve_exact(2.0 * G, inst.z, 1.0)
         assert np.abs(fast - ref).max() <= 1e-10
 
-    def test_offset_matches_direct_assembly(self):
-        inst = gen_krr(50, 8, 0.25, seed=10)
-        G = inst.points @ inst.points.T
-        c0, c1 = 0.3, 1.0
-        K = c0 * np.ones((50, 50)) + (c1 - c0) * G
-        fast = indicator_solve(G, inst.z, inst.lam, c0, c1)
-        ref = solve_exact(K, inst.z, inst.lam)
-        assert np.abs(fast - ref).max() <= 1e-9
+    @staticmethod
+    def _both_routes(monkeypatch, factor_calls, G, z, lam, c0, c1):
+        """The largest difference, relative to the largest entry of the
+        reference, between np.linalg.solve on the assembled c0 11' +
+        (c1 - c0) G + lam I and indicator_solve, on the pivoted route and
+        then with it switched off."""
+        n = G.shape[0]
+        ref = np.linalg.solve(c0 * np.ones((n, n)) + (c1 - c0) * G + lam * np.eye(n), z)
+        pivoted = indicator_solve(G, z, lam, c0, c1)
+        assert factor_calls == []
+        with monkeypatch.context() as m:
+            m.setattr(krr, "_pivoted_factor", lambda K, tol: None)
+            dense = indicator_solve(G, z, lam, c0, c1)
+        assert factor_calls == [n]
+        return [np.abs(got - ref).max() / np.abs(ref).max() for got in (pivoted, dense)]
 
-    def test_general_target_vector(self):
+    def test_offset_matches_direct_assembly(self, monkeypatch, factor_calls):
+        inst = gen_krr(3000, 40, 0.1, seed=10)
+        errs = self._both_routes(monkeypatch, factor_calls, inst.gram.full(), inst.z,
+                                 inst.lam, 0.3, 1.0)
+        assert max(errs) <= 1e-12
+
+    def test_general_target_vector(self, monkeypatch, factor_calls):
+        # rank 8 at n = 160 is within the n / 16 = 10 pivots
         rng = stream(11, "indz")
-        G = random_psd(20, 8, rng)
-        z = rng.standard_normal(20)
-        c0, c1 = 0.4, 1.7
-        K = c0 * np.ones((20, 20)) + (c1 - c0) * G
-        fast = indicator_solve(G, z, 2.0, c0, c1)
-        ref = solve_exact(K, z, 2.0)
-        assert np.abs(fast - ref).max() <= 1e-9
+        G = random_psd(160, 8, rng)
+        z = rng.standard_normal(160)
+        errs = self._both_routes(monkeypatch, factor_calls, G, z, 2.0, 0.4, 1.7)
+        assert max(errs) <= 1e-12
 
-    def test_rejects_bad_constants(self):
-        with pytest.raises(ContractViolationError):
-            indicator_solve(np.eye(3), np.ones(3), 1.0, 1.0, 0.5)
+    @pytest.mark.parametrize("c0, c1", [
+        (1.0, 0.5), (0.5, 0.5), (-0.1, 1.0), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
+    ], ids=["c1-below-c0", "c1-equal-c0", "c0-negative", "c0-nan", "c1-nan", "c1-inf"])
+    def test_rejects_bad_constants(self, c0, c1):
+        with pytest.raises(ContractViolationError, match="0 <= c0 < c1 < inf"):
+            indicator_solve(np.eye(3), np.ones(3), 1.0, c0, c1)
 
     def test_indicator_kernel_instance_end_to_end(self):
         # the two-valued kernel on the hidden basis indices against

@@ -174,6 +174,13 @@ class TestLedger:
         rep2 = g.ledger_report()
         assert rep2.distinct_entries == 7 * 8 // 2
         assert rep2.total_requests == 49 + 1
+        # full() runs query_block's product: numpy's syrk for X @ X.T rounds
+        # differently on these points
+        for n, d in ((300, 30), (301, 7)):
+            X = stream(n, "full").standard_normal((n, d))
+            every = np.arange(n)
+            assert (MeteredGram(X).full().tobytes()
+                    == MeteredGram(X).query_block(every, every).tobytes())
 
     def test_block_reread_after_full_adds_requests_only(self):
         g = MeteredGram(np.eye(7), budget=28)
