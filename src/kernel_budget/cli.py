@@ -119,8 +119,8 @@ _PARAM_TYPES = {
                     (_is_number, "a number")),
     "separation": (lambda v: v == "auto" or _is_number(v), '"auto" or a number'),
     "augmented": (lambda v: isinstance(v, bool), "true or false"),
-    "lam_multipliers": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                        "a list of numbers"),
+    "lam_multipliers": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
+                        "a nonempty list of numbers"),
     "budgets": (lambda v: isinstance(v, list) and bool(v), "a nonempty list of expressions"),
 }
 
@@ -239,25 +239,16 @@ def _read_krr_classify(inst, p, seed, budget):
 
 
 def _read_krr_indicator(inst, p, seed, budget):
-    G = inst.gram.full()
-    return indicator_solve(G, inst.z, inst.lam, float(p["c0"]), float(p["c1"])), G
+    return indicator_solve(inst.gram.full(), inst.z, inst.lam, float(p["c0"]), float(p["c1"]))
 
 
-def _score_closed_form(inst, p, alpha, report):
-    return [("max_abs_diff", float(np.max(np.abs(alpha - hard_instance_optimum(inst)))))]
+def _score_closed_form(inst, p, alpha, report, c0=0.0, c1=1.0):
+    """max |alpha - the exact minimizer| for the kernel c0 11' + (c1 - c0) G."""
+    return [("max_abs_diff", float(np.max(np.abs(alpha - hard_instance_optimum(inst, c0, c1)))))]
 
 
 def _score_accuracy(inst, p, labels, report):
     return [("accuracy", float(np.mean(labels == inst.classes)))]
-
-
-def _score_indicator(inst, p, output, report):
-    fast, G = output
-    c0, c1 = float(p["c0"]), float(p["c1"])
-    G *= c1 - c0  # K = c0 + (c1 - c0) G, built in the revealed array
-    G += c0
-    direct = solve_exact(G, inst.z, inst.lam)
-    return [("max_abs_diff", float(np.max(np.abs(fast - direct))))]
 
 
 def _score_d_eff(inst, p, output, report):
@@ -358,7 +349,8 @@ _KRR = {"n", "J", "epsilon"}
 KINDS = {
     "krr-closed-form": (_gen_krr, _read_krr_alpha, _score_closed_form, _KRR),
     "krr-classify": (_gen_krr, _read_krr_classify, _score_accuracy, _KRR),
-    "krr-indicator": (_gen_krr, _read_krr_indicator, _score_indicator, _KRR | {"c0", "c1"}),
+    "krr-indicator": (_gen_krr, _read_krr_indicator, lambda inst, p, alpha, rep: _score_closed_form(
+        inst, p, alpha, rep, float(p["c0"]), float(p["c1"])), _KRR | {"c0", "c1"}),
     "d-eff-scan": (_gen_krr, None, _score_d_eff, _KRR),
     "kkmc-cost-envelope": (_gen_kkmc, None, _score_cost_envelope, {"n", "k", "epsilon"}),
     "kkmc-recover": (_gen_kkmc, _read_recover, _score_recover, {"n", "k", "epsilon"}),

@@ -44,8 +44,8 @@ class KrrInstance:
     k = eps * J. The augmented variant appends k extra points (n/k) e_j in
     k fresh directions, each alone in its own coordinate.
 
-    The gram is the dot product, 1 on equal and 0 on distinct basis vectors;
-    krr.indicator_solve solves the two-valued kernel c0 + (c1 - c0) K from it.
+    The gram G is the dot product (1 on equal, 0 on distinct basis vectors);
+    krr.hard_instance_optimum solves G, or c0 11' + (c1 - c0) G, in closed form.
     """
 
     n: int

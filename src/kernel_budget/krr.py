@@ -18,15 +18,15 @@ runs only when lam is so large that the fit no longer implies the symmetry
 tolerance, or when the solve falls back. It falls back on a residual
 diagonal below -tol, the pivot cap or a failed fit, to a symmetric
 positive-definite Cholesky of one n x n working copy, factored in place.
-`indicator_solve` runs the same one solve, `_solve`, for one right-hand
-side: the offset c0 11' of its K = c0 11' + (c1 - c0) G is one more
-factor row sqrt(c0) 1', or a constant added to the working copy
-(c1 - c0) G. The caller's arrays are never written to. scipy is imported
-on the first dense Cholesky, so importing the package, and solving a
-low-rank system, load only numpy. `nystrom_solve` reads only the landmark
-columns of a metered gram and never builds an n x n array; all three
-solvers share one Woodbury solve. The pivot loop, `_pivot`, is the package's only one:
-`mog.bootstrap_extract` factors its bootstrap block with it too.
+`indicator_solve` runs the same `_solve`: the offset c0 11' of its
+K = c0 11' + (c1 - c0) G is one more factor row sqrt(c0) 1', or a constant
+added to the working copy (c1 - c0) G. The caller's arrays are never
+written to. scipy loads on the first dense Cholesky, so importing the
+package, and a low-rank solve, load only numpy. `nystrom_solve` reads only
+the landmark columns of a metered gram; all three solvers share one
+Woodbury solve. `_pivot` is the package's one pivot loop, which
+`mog.bootstrap_extract` runs too. `hard_instance_optimum` gives the
+instance's exact minimizer for either kernel apart from every solver.
 """
 
 from __future__ import annotations
@@ -272,21 +272,30 @@ def check_guarantee(alpha_hat, alpha_opt, eps: float) -> bool:
     return bool(np.linalg.norm(a - b) <= eps * np.linalg.norm(b))
 
 
-def hard_instance_optimum(instance: KrrInstance) -> np.ndarray:
-    """Closed-form exact minimizer on a generated ridge hard instance.
+def _check_constants(c0: float, c1: float):
+    """0 <= c0 < c1 < inf; a c0 below 0 makes c0 11' + (c1 - c0) G no kernel."""
+    if not 0 <= c0 < c1 < np.inf:
+        raise ContractViolationError(f"need 0 <= c0 < c1 < inf, got c0={c0}, c1={c1}")
 
-    Point i shares its basis direction with n_{j_i} - 1 others, so its
-    coordinate is 1 / (n_{j_i} + lam). Each augmented point sits alone in a
-    fresh direction with squared norm (n/k)^2, giving 1 / ((n/k)^2 + lam).
+
+def hard_instance_optimum(instance: KrrInstance, c0: float = 0.0, c1: float = 1.0) -> np.ndarray:
+    """Exact minimizer on a generated hard instance for the kernel
+    K = c0 11' + (c1 - c0) G on its dot-product gram G, in O(n).
+
+    Group g holds n_g equal points of squared norm v_g: the draws of one basis
+    direction (v_g = 1), or one augmented point (v_g = (n/k)^2). Row i in g of
+    (K + lam I) alpha = 1 reads D_g alpha_g + c0 sum_h n_h alpha_h = 1, so
+    alpha_g = 1 / ((1 + c0 T) D_g), D_g = (c1 - c0) v_g n_g + lam, T = sum_g n_g / D_g:
+    1 / (n_g + lam) at the defaults c0 = 0, c1 = 1 (K = G).
     """
-    counts = instance.counts
-    lam = instance.lam
-    alpha = 1.0 / (counts[instance.basis_index] + lam)
-    if instance.augmented:
-        scale = instance.n / instance.k
-        extra = np.full(round(instance.k), 1.0 / (scale * scale + lam))
-        alpha = np.concatenate([alpha, extra])
-    return alpha
+    _check_constants(c0, c1)
+    extra = round(instance.k) if instance.augmented else 0
+    scale, counts = instance.n / instance.k, instance.counts
+    n_g = np.concatenate([counts, np.ones(extra)])
+    v_n = np.concatenate([counts, np.full(extra, scale * scale)])  # v_g n_g
+    D = (c1 - c0) * v_n + instance.lam
+    group = np.concatenate([instance.basis_index, counts.size + np.arange(extra)])
+    return 1.0 / ((1.0 + c0 * np.sum(n_g / D)) * D[group])
 
 
 def classification_midpoint(eps: float) -> float:
@@ -311,11 +320,9 @@ def indicator_solve(G, z, lam: float, c0: float, c1: float) -> np.ndarray:
     """Ridge solve for K = c0 * 11' + (c1 - c0) * G without assembling K.
 
     The offset joins the factor of (c1 - c0) G as the one row sqrt(c0) 1',
-    or the dense working copy as an added constant. A c0 below 0 makes K
-    indefinite in general, so it is no kernel, and 0 <= c0 < c1 < inf is
-    required.
+    or the dense working copy as an added constant. 0 <= c0 < c1 < inf is
+    required (`_check_constants`).
     """
-    if not 0 <= c0 < c1 < np.inf:
-        raise ContractViolationError(f"need 0 <= c0 < c1 < inf, got c0={c0}, c1={c1}")
+    _check_constants(c0, c1)
     G, z = _check_system(G, z, lam, "G")
     return _solve(G, z, lam, c1 - c0, c0, "G")

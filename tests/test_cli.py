@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernel_budget import cli
+from kernel_budget import cli, krr
 from kernel_budget.cli import (AGG_COLUMNS, CSV_COLUMNS, KINDS,
                                ExperimentConfig, ResultRow, UsageError,
                                eval_budget_expr, main, report, run,
                                write_results)
 from kernel_budget.errors import BudgetExhaustedError
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr, gen_mog
-from kernel_budget.krr import indicator_solve, solve_exact
+from kernel_budget.krr import hard_instance_optimum, indicator_solve
 from kernel_budget.mog import cluster_mog, separation_thresholds, sketch_sizes
 from kernel_budget.rng import stream
 
@@ -223,22 +223,44 @@ class TestRunners:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_indicator_certificate_matches_out_of_place(self, seed):
+        # the row is indicator_solve's distance from the closed-form minimizer
         p = TINY_INSTANCES["krr-indicator"]
         (row,), errors = run(ExperimentConfig(kind="krr-indicator", seeds=[seed],
                                               instance=p))
         assert not errors
         inst = gen_krr(p["n"], p["J"], p["epsilon"], seed)
-        G = inst.gram.full()
         c0, c1 = p["c0"], p["c1"]
-        fast = indicator_solve(G, inst.z, inst.lam, c0, c1)
-        direct = solve_exact((c1 - c0) * G + c0, inst.z, inst.lam)
-        assert row.value == float(np.max(np.abs(fast - direct)))
+        fast = indicator_solve(inst.gram.full(), inst.z, inst.lam, c0, c1)
+        assert row.value == float(np.max(np.abs(fast - hard_instance_optimum(inst, c0, c1))))
 
-    def test_indicator_holds_two_dense_arrays(self):
-        n = 600
+    @pytest.mark.parametrize("instance, dense_factors", [
+        (TINY_INSTANCES["krr-indicator"], [40]),  # rank 6 above the cap 40 // 16
+        ({"n": 600, "J": 40, "epsilon": 0.25, "c0": 0.2, "c1": 1.3}, []),  # rank 30, cap 37
+    ], ids=["dense", "pivoted"])
+    def test_indicator_certificate_does_not_depend_on_the_solver(self, monkeypatch, instance,
+                                                                  dense_factors):
+        # a solve that is 1e-3 off in relative terms shows in the row on either
+        # route, as the reference goes through no solver
+        solve, factor, factors = krr._solve, krr._factor, []
+        monkeypatch.setattr(krr, "_solve", lambda *a, **kw: (1 + 1e-3) * solve(*a, **kw))
+        monkeypatch.setattr(krr, "_factor",
+                            lambda A, lam, b: factors.append(A.shape[0]) or factor(A, lam, b))
+        (row,), errors = run(ExperimentConfig(kind="krr-indicator", seeds=[0], instance=instance))
+        assert not errors
+        assert factors == dense_factors
+        assert row.value > 1e-9
+
+    @pytest.mark.parametrize("n, J, copies", [(600, 40, 1.2), (1000, 100, 2.2)],
+                             ids=["pivoted", "dense"])
+    def test_indicator_peak_memory(self, n, J, copies):
+        # the revealed G, plus one working copy on the dense route, where the
+        # rank 3J/4 = 75 is above the cap n // 16 = 62. The first run is not
+        # traced: its one-time imports (scipy, on the first dense Cholesky)
+        # take about 13 MB that no array of the kind holds
         cfg = ExperimentConfig(kind="krr-indicator", seeds=[0],
-                               instance={"n": n, "J": 40, "epsilon": 0.25,
+                               instance={"n": n, "J": J, "epsilon": 0.25,
                                          "c0": 0.2, "c1": 1.3})
+        run(cfg)
         tracemalloc.start()
         try:
             _, errors = run(cfg)
@@ -246,7 +268,7 @@ class TestRunners:
         finally:
             tracemalloc.stop()
         assert not errors
-        assert peak <= 2.2 * n * n * 8  # the revealed G and one factor copy
+        assert peak <= copies * n * n * 8
 
     def test_error_trials_are_catalogued(self):
         cfg = ExperimentConfig(
@@ -579,6 +601,8 @@ class TestCliEndToEnd:
         '"lam_multipliers": 5}}',
         '{"kind": "d-eff-scan", "instance": {"n": 40, "J": 8, "epsilon": 0.25, '
         '"lam_multipliers": [1, "2"]}}',
+        '{"kind": "d-eff-scan", "instance": {"n": 40, "J": 8, "epsilon": 0.25, '
+        '"lam_multipliers": []}}',
         '{"kind": "kkmc-recover", "instance": {"n": 200, "k": 2, "epsilon": 0.5, '
         '"sample_factor": "2"}}',
         '{"kind": "mog-pipeline", "instance": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, '
@@ -605,7 +629,7 @@ class TestCliEndToEnd:
             "epsilon-str", "trials-negative", "trials-zero", "trials-zero-with-seeds",
             "seeds-empty", "augmented-str", "augmented-int", "n-float", "J-float",
             "k-bool-false", "d-float", "lam-multipliers-int", "lam-multipliers-str-entry",
-            "sample-factor-str", "c-sketch-str", "delta-exponent-null",
+            "lam-multipliers-empty", "sample-factor-str", "c-sketch-str", "delta-exponent-null",
             "delta-exponent-float", "separation-str", "separation-bool", "budgets-null-entry",
             "budgets-empty", "budget-json-true", "budget-true", "budget-true-times-n",
             "budget-and-budgets"])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import d_eff_from_gram, random_psd
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kernel_budget import krr
@@ -700,6 +700,45 @@ class TestHardInstanceOptimum:
         K = inst.points @ inst.points.T
         alpha = solve_exact(K, inst.z, inst.lam)
         assert np.abs(alpha - hard_instance_optimum(inst)).max() <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(8, 300), J=st.sampled_from([4, 8, 40]),
+           eps=st.sampled_from([0.1, 0.25, 0.5]), augmented=st.booleans(),
+           seed=st.integers(0, 2**16), c1=st.floats(1e-3, 10.0),
+           share=st.floats(0.0, 1.0, exclude_max=True))
+    def test_two_valued_kernel_matches_dense_solve(self, n, J, eps, augmented, seed, c1, share):
+        """The closed form for K = c0 11' + (c1 - c0) G against np.linalg.solve
+        on the assembled K + lam I; at c0 = 0, c1 = 1 bit for bit the
+        one-group formula 1 / (n_g + lam)."""
+        inst = gen_krr(n, J, eps, seed, augmented=augmented)
+        c0 = share * c1
+        assume(c0 < c1)
+        m = inst.n_total
+        K = c0 * np.ones((m, m)) + (c1 - c0) * (inst.points @ inst.points.T)
+        ref = np.linalg.solve(K + inst.lam * np.eye(m), inst.z)
+        alpha = hard_instance_optimum(inst, c0, c1)
+        assert np.abs(alpha - ref).max() <= 1e-12 * np.abs(ref).max()
+        plain = hard_instance_optimum(inst)
+        assert np.array_equal(plain[:n], 1.0 / (inst.counts[inst.basis_index] + inst.lam))
+        scale = inst.n / inst.k
+        assert np.array_equal(plain[n:], np.full(m - n, 1.0 / (scale * scale + inst.lam)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(c0=st.floats(-2.0, 2.0) | st.sampled_from([0.0, np.nan, np.inf, -np.inf]),
+           c1=st.floats(-2.0, 2.0) | st.sampled_from([0.0, np.nan, np.inf, -np.inf]))
+    def test_refuses_what_indicator_solve_refuses(self, c0, c1):
+        inst = gen_krr(8, 4, 0.5, seed=0)
+        G = inst.gram.full()
+        refusals = []
+        for solve in (lambda: hard_instance_optimum(inst, c0, c1),
+                      lambda: indicator_solve(G, inst.z, inst.lam, c0, c1)):
+            try:
+                solve()
+                refusals.append(None)
+            except ContractViolationError as e:
+                refusals.append(str(e))
+        assert refusals[0] == refusals[1]
+        assert (refusals[0] is None) == (0 <= c0 < c1 < np.inf)
 
     def test_hard_instance_dimension_is_theta_k(self):
         inst = gen_krr(100_000, 100, 0.1, seed=3)
