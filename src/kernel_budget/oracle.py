@@ -9,7 +9,8 @@ may catch to emulate a query-bounded adversary.
 
 Entries are counted as unordered pairs, the diagonal counting once, because
 a re-read carries no new information. The ledger keeps one bit per pair in
-an upper-triangle bitmap whose rows start on byte boundaries (see
+an upper-triangle bitmap whose rows start on byte boundaries, in anonymous
+memory of which only the pages a charge writes are resident (see
 QueryLedger); no value is kept, since a value is a pure function of the
 hidden points. The kernel is the dot product; a two-valued kernel on basis
 vectors is algebra on this gram (krr.indicator_solve). Values for the
@@ -19,6 +20,7 @@ float64 is exact for all comparisons that matter.
 
 from __future__ import annotations
 
+import mmap
 import operator
 import threading
 from dataclasses import dataclass, field
@@ -55,10 +57,10 @@ class QueryLedger:
     bitmap in which row lo holds hi in [8*(lo >> 3), n), starting on a byte
     boundary. So a byte's column hi >> 3 and its mask depend on hi alone,
     and the bits below the diagonal in a row's first byte, and those past
-    n in its last, belong to no pair and stay 0. The bitmap takes about
-    n^2/16 + n/2 bytes; it is allocated on the first scalar, block or pairs
-    charge and freed by a full reveal, which sets an all-revealed flag
-    instead.
+    n in its last, belong to no pair and stay 0. The bitmap is about
+    n^2/16 + n/2 bytes of address space, mapped on the first scalar, block
+    or pairs charge; only the pages a charge writes become resident. A full
+    reveal drops it and sets an all-revealed flag instead.
     """
 
     def __init__(self, n: int, budget: Optional[int] = None):
@@ -69,7 +71,7 @@ class QueryLedger:
         self.per_row = np.zeros(n, dtype=np.int64)
         self.budget_exhausted = False
         self._all_revealed = False
-        self._bits: Optional[bytearray] = None
+        self._bits: Optional[mmap.mmap] = None
 
     def set_budget(self, budget: Optional[int]):
         if budget is not None:
@@ -82,9 +84,10 @@ class QueryLedger:
                 raise ContractViolationError("budget must be nonnegative")
         self.budget = budget
 
-    def _bitmap(self) -> bytearray:
+    def _bitmap(self) -> mmap.mmap:
         if self._bits is None:
-            self._bits = bytearray(self._offset(self.n) + (self.n >> 3))
+            # anonymous memory: a page is mapped, zero-filled, on its first write
+            self._bits = mmap.mmap(-1, self._offset(self.n) + (self.n >> 3))
         return self._bits
 
     def _offset(self, lo):
@@ -110,21 +113,6 @@ class QueryLedger:
         """True where a pair's bit (bit of byte) is not yet set."""
         bits = np.frombuffer(self._bitmap(), dtype=np.uint8)
         return (bits[byte] & _BIT[bit]) == 0
-
-    def _set(self, byte: np.ndarray, new: np.ndarray, off=0):
-        """OR new[c, r] into bitmap byte byte[c] + off[r] (off may be 0).
-
-        byte is nondecreasing and the masks bound for one byte are distinct
-        bits, so their sum (mod 256) is their OR; fancy |= alone would drop
-        repeats. new is overwritten."""
-        if byte.size == 0:
-            return
-        last = np.append(np.flatnonzero(byte[1:] != byte[:-1]), byte.size - 1)
-        np.cumsum(new, axis=0, out=new)
-        runs = new[last]
-        runs[1:] -= new[last[:-1]]
-        bits = np.frombuffer(self._bits, dtype=np.uint8)
-        bits[byte[last, None] + off] |= runs
 
     def charge_scalar(self, i: int, j: int) -> bool:
         """Count one request; returns True if the pair is newly revealed."""
@@ -157,12 +145,10 @@ class QueryLedger:
         With R and C the sorted distinct rows and columns, each unordered
         pair of R x C is (lo, hi), lo <= hi, in exactly one of three runs:
         R x C, C x (R - C) and (C - R) x (R & C). A run's lo past its last
-        hi has no pair; its other lo are split into _BANDS bands, and each
-        band is scanned only against the hi from its first lo on, so little
-        of the lower triangle is read. The scan's byte column hi >> 3 and
-        mask depend on hi alone; over sorted hi the columns come out
-        nondecreasing and the pairs unique, so _set needs no sort. Every
-        band is scanned before the budget check and no bit is set before it.
+        hi has no pair; its other lo are split into _BANDS bands, each
+        scanned one uint8 per (lo, byte of hi) over the bytes from its first
+        lo on. Every band is scanned before the budget check and no bit is
+        set before it.
         """
         requests = int(rows.size) * int(cols.size)
         self.total_requests += requests
@@ -179,28 +165,38 @@ class QueryLedger:
             if hi.size == 0:
                 continue
             lo = lo[:np.searchsorted(lo, hi[-1], side="right")]
-            for band in np.array_split(lo, _BANDS):
-                if band.size == 0:
-                    continue
-                h = hi[np.searchsorted(hi, band[0]):]
-                off = self._offset(band)
-                # new[c, r]: the mask of pair (band[r], h[c]) if unset, else 0
-                new = bits[(h >> 3)[:, None] + off]
+            start = np.flatnonzero(np.diff(hi >> 3, prepend=-1))  # first hi of each byte
+            col, mask = hi[start] >> 3, np.bitwise_or.reduceat(_BIT[hi & 7], start)
+            at = np.searchsorted(col, hi >> 3)  # hi's byte in col
+            for band in filter(len, np.array_split(lo, _BANDS)):
+                first = np.searchsorted(col, band[0] >> 3)
+                # new[r, c]: the unset bits of the run's hi in row band[r]'s byte col[first + c]
+                new = bits[self._offset(band)[:, None] + col[first:]]
                 np.invert(new, out=new)
-                new &= _BIT[h & 7][:, None]
-                below = np.searchsorted(h, band[-1])  # only these h lie below some lo
-                new[:below] *= h[:below, None] >= band
-                fresh = np.count_nonzero(new)
-                if fresh:
-                    bands.append((band, off, h, new))
-                    total += fresh
+                new &= mask[first:]
+                # a byte at or below the last lo may hold hi < lo or belong
+                # to an earlier row: keep only the bits of hi >= lo
+                below = np.searchsorted(col, band[-1] >> 3, side="right") - first
+                upper = np.clip(band[:, None] - 8 * col[first:first + below], 0, 8)
+                new[:, :below] &= (0xFF << upper).astype(np.uint8)
+                per_lo = np.bitwise_count(new).sum(axis=1, dtype=np.int64)
+                if per_lo.any():
+                    k = np.searchsorted(hi, band[0])
+                    bands.append((band, per_lo, hi[k:], at[k:], first, col[first:], below, new))
+                    total += int(per_lo.sum())
         if self._over_budget(total):
             self._refuse(requests, f"block read of {total} fresh entries "
                                    f"exceeds budget {self.budget}")
-        for band, off, h, new in bands:
-            self.per_row[band] += np.count_nonzero(new, axis=0)
-            self.per_row[h] += np.count_nonzero(new, axis=1)
-            self._set(h >> 3, new, off)
+        for band, per_lo, h, at, first, col, below, new in bands:
+            self.per_row[band] += per_lo
+            hit = np.take(new, at - first, axis=1) & _BIT[h & 7]  # hi's bit in each row
+            self.per_row[h] += np.count_nonzero(hit, axis=0)
+            off = self._offset(band)
+            bits[off[:, None] + col[below:]] |= new[:, below:]
+            # a byte below a row's first is an earlier row's, which this |=
+            # would write back as gathered: set only the nonzero, own bytes
+            r, c = np.nonzero(new[:, :below])
+            bits[off[r] + col[c]] |= new[r, c]
         self.per_row[diag] -= 1
         self.distinct_entries += total
 
@@ -210,17 +206,21 @@ class QueryLedger:
         A pair is fresh if it is unseen and does not occur earlier in the
         list. If the fresh pairs would exceed the budget, only the longest
         prefix within it is charged, requests included, and the raised
-        BudgetExhaustedError carries that prefix's length as `prefix`.
+        BudgetExhaustedError carries that prefix's length as `prefix`. A
+        list of n*n*len >= 2**63 would overflow the sort key and is refused.
         """
-        if self._all_revealed:
-            self.total_requests += int(rows.size)
+        size = int(rows.size)
+        if self.n * self.n * size >= 1 << 63:
+            raise ContractViolationError(f"{size} pairs at n={self.n} overflow the sort key")
+        if self._all_revealed or size == 0:
+            self.total_requests += size
             return
         lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
         byte = self._offset(lo) + (hi >> 3)
         unseen = np.flatnonzero(self._unset(byte, hi & 7))
-        # pair order lo*n + hi is byte order, as _set needs
-        _, first = np.unique(lo[unseen] * self.n + hi[unseen], return_index=True)
-        first = unseen[first]
+        # sorted by pair lo*n + hi, then by position: a pair's first key is its first occurrence
+        pair, pos = np.divmod(np.sort((lo[unseen] * self.n + hi[unseen]) * size + unseen), size)
+        first = pos[np.diff(pair, prepend=-1) != 0]
         allowed = first.size if self.budget is None else max(self.budget - self.distinct_entries, 0)
         cut = None
         if first.size > allowed:
@@ -228,10 +228,10 @@ class QueryLedger:
             cut = int(np.sort(first)[allowed])
             first = first[first < cut]
         lo, hi = lo[first], hi[first]
-        self._set(byte[first], _BIT[hi & 7][:, None])
+        np.bitwise_or.at(np.frombuffer(self._bits, dtype=np.uint8), byte[first], _BIT[hi & 7])
         self.distinct_entries += int(first.size)
         self.per_row += np.bincount(np.concatenate([lo, hi[lo != hi]]), minlength=self.n)
-        self.total_requests += int(rows.size) if cut is None else cut
+        self.total_requests += size if cut is None else cut
         if cut is not None:
             self.budget_exhausted = True
             raise BudgetExhaustedError(

@@ -1,6 +1,7 @@
 """Oracle semantics: kernel evaluation, metering, ledger storage, budgets."""
 
 import json
+import sys
 import threading
 import tracemalloc
 
@@ -331,6 +332,16 @@ class TestQueryPairs:
         assert g.ledger_report().total_requests == 0
         assert g.ledger._bits is None
 
+    def test_sort_key_overflow_is_refused_before_charging(self):
+        """The first-occurrence sort key is pair * len + position, so n * n
+        * len must stay below 2**63; a longer list is refused whole."""
+        ledger, pairs = QueryLedger(2**24), np.arange(2**15, dtype=np.int64)
+        with pytest.raises(ContractViolationError, match="overflow"):
+            ledger.charge_pairs(pairs, pairs)
+        assert ledger._bits is None
+        assert (ledger.distinct_entries, ledger.total_requests) == (0, 0)
+        assert not ledger.budget_exhausted
+
 
 _BAD_INDEX_READS = {
     "query-float": lambda g: g.query(1.7, 0.2),
@@ -373,6 +384,15 @@ class TestLedgerStorage:
         assert g.ledger_report().distinct_entries == 0
         assert g.ledger._bits is None
 
+    def test_empty_reads_map_no_bitmap(self):
+        """An empty read charges nothing, so even a ledger of n=0, whose
+        bitmap would take 0 bytes, maps none."""
+        ledger, empty = QueryLedger(0), np.zeros(0, dtype=np.int64)
+        ledger.charge_pairs(empty, empty)
+        ledger.charge_block(empty, empty)
+        assert ledger._bits is None
+        assert ledger.report().total_requests == 0
+
     def test_bitmap_is_lazy_and_dropped_by_full(self):
         g = MeteredGram(np.eye(9))
         assert g.ledger._bits is None
@@ -400,6 +420,31 @@ class TestLedgerStorage:
             assert g.ledger.distinct_entries == n * (n + 1) // 2
             assert _popcount(g.ledger) == n * (n + 1) // 2
             assert _as_int(g.ledger._bits) == _pair_bits(n)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads VmRSS from /proc/self/status")
+    def test_resident_memory_follows_the_pages_written(self):
+        """At n=60000 the bitmap is 225 MB of address space. A 600 x 600
+        square and 60 rows read against every later column write only rows
+        0-599, about 4.5 MB, so resident memory grows by little more; over
+        five ledgers in a row it does not add up, as a dropped ledger's
+        pages are given back."""
+        before = _resident_bytes()
+        for _ in range(5):
+            ledger = QueryLedger(60000)
+            ledger.charge_block(np.arange(600), np.arange(600))
+            ledger.charge_block(np.arange(60), np.arange(60, 60000))
+            assert ledger.distinct_entries == 600 * 601 // 2 + 60 * (60000 - 600)
+            assert _resident_bytes() - before < 16 << 20
+            del ledger
+
+
+def _resident_bytes():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) << 10
+    raise AssertionError("no VmRSS line in /proc/self/status")
 
 
 def _row_starts(n):
@@ -563,6 +608,30 @@ def _block_case(draw):
     return n, prior, pools[0], pools[1], slack
 
 
+def _block_cases():
+    """Blocks whose charges share bitmap bytes, each as (n, rows, cols)."""
+    rng = stream(0, "block-bytes")
+    shared = rng.choice(3000, 300, replace=False)
+    return {
+        # row 9 is in R & C: its byte 1 takes hi 12 from R x C and hi 13
+        # from C x (R - C), two runs writing the same byte
+        "runs-share-a-byte": (40, [9, 13], [9, 12]),
+        "runs-share-bytes": (70, [9, 13, 30, 22, 31, 61], [9, 12, 30, 27, 60, 31, 63]),
+        # first and last rows and columns fall mid-byte; rows 13-28 take
+        # hi 24-28 from R x C and hi 29-31 from C x (R - C) in one byte
+        "mid-byte-ranges": (50, np.arange(3, 45), np.arange(13, 29)),
+        "mid-byte-overlap": (70, np.arange(11, 38), np.arange(2, 61)),
+        "same-rows-and-cols": (40, np.arange(5, 37), np.arange(5, 37)[::-1]),
+        "same-rows-and-cols-multi-band": (3000, shared, rng.permutation(np.tile(shared, 2))),
+    }
+
+
+def _charge_loop(ledger, rows, cols):
+    for i in rows:
+        for j in cols:
+            ledger.charge_scalar(int(i), int(j))
+
+
 class TestBlockChargeBytes:
     @settings(max_examples=400, deadline=None)
     @given(_block_case())
@@ -621,6 +690,30 @@ class TestBlockChargeBytes:
         block.set_budget(block.distinct_entries + fresh)
         block.charge_block(rows, cols)
         assert _state(block) == _state(loop)
+
+    @pytest.mark.parametrize("prior", [False, True], ids=["fresh", "prior-reads"])
+    @pytest.mark.parametrize("case", list(_block_cases()))
+    def test_matches_scalar_loop_and_refuses_atomically(self, case, prior):
+        n, rows, cols = _block_cases()[case]
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        block, loop = QueryLedger(n), QueryLedger(n)
+        if prior:  # every other pair of the block, and pairs around it
+            for ledger in (block, loop):
+                _charge_loop(ledger, rows[::2], cols[1::2])
+                ledger.charge_pairs(rows[::-1], np.minimum(rows + 1, n - 1))
+        _charge_loop(loop, rows, cols)
+        fresh = loop.distinct_entries - block.distinct_entries
+        assert fresh > 0
+        before = _state(block)
+        block.set_budget(block.distinct_entries + fresh - 1)
+        with pytest.raises(BudgetExhaustedError):
+            block.charge_block(rows, cols)
+        assert _state(block) == before
+        assert block.budget_exhausted
+        block.set_budget(None)
+        block.charge_block(rows, cols)
+        assert _state(block) == _state(loop)
+        _check_popcount(block)
 
 
 def _multi_band_case():
