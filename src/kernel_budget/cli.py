@@ -51,7 +51,7 @@ AGG_COLUMNS = ["experiment", "metric", "count", "mean", "stderr", "min", "max"]
 BUDGET_VARS = {"n", "k", "J", "eps", "m", "t"}
 
 # pairs per query_pairs call in the budget-curve probe loop; bounds the
-# (pairs, d) point gathers of each call
+# ledger's temporaries, about 80 bytes a pair, of each call
 _PROBE_BATCH_PAIRS = 4096
 
 
@@ -300,7 +300,7 @@ def _gen_mog(p, seed):
 def _read_mog(inst, p, seed, budget):
     m, t = _mog_sizes(p)
     return cluster_mog(inst.gram, k=p["k"], eps=p["epsilon"], sigma=p["sigma"], d=p["d"],
-                       bootstrap_labels=inst.labels, m=m, t=t)
+                       bootstrap_labels=inst.labels[:t], m=m, t=t)
 
 
 def _score_mog(inst, p, result, report):
@@ -381,6 +381,7 @@ def _trial(config: ExperimentConfig, seed: int) -> list:
         suffix = f"@{expr}" if "budgets" in p else ""
         rows += [ResultRow(config.kind, seed, inst.n, inst.k, eps, metric + suffix, value, rep)
                  for metric, value in score(inst, p, output, rep)]
+        del inst, output  # the next pass generates with this one's gram freed
     return rows
 
 

@@ -71,7 +71,8 @@ def cost_kernel(gram: MeteredGram, clustering: Clustering) -> CostBreakdown:
 
     Per cluster: sum_i K_ii - (1/|C|) sum_{i,j in C} K_ij. Reads every
     within-cluster pair, so the ledger grows by sum_j |C_j|(|C_j|+1)/2
-    fresh entries; budget exhaustion propagates to the caller.
+    fresh entries; budget exhaustion propagates to the caller. One
+    cluster's block is held at a time: it is dropped before the next read.
     """
     if clustering.assignment.size != gram.n:
         raise ContractViolationError("clustering size does not match gram")
@@ -80,6 +81,7 @@ def cost_kernel(gram: MeteredGram, clustering: Clustering) -> CostBreakdown:
         idx = clustering.members(j)
         block = gram.query_block(idx, idx)
         per_cluster[j] = np.trace(block) - block.sum() / idx.size
+        del block
     return _breakdown(per_cluster)
 
 
@@ -91,9 +93,10 @@ def cost_explicit(points, clustering: Clustering) -> CostBreakdown:
     per_cluster = np.zeros(clustering.n_clusters)
     for j in range(clustering.n_clusters):
         idx = clustering.members(j)
-        sub = pts[idx]
-        mu = sub.mean(axis=0)
-        per_cluster[j] = float(((sub - mu) ** 2).sum())
+        sub = pts[idx]  # a copy, centred and squared in place
+        sub -= sub.mean(axis=0)
+        np.square(sub, out=sub)
+        per_cluster[j] = float(sub.sum())
     return _breakdown(per_cluster)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,52 @@ class TestRunners:
             tracemalloc.stop()
         assert not errors
         assert peak <= copies * n * n * 8
+
+    def test_budget_passes_hold_one_instance_at_a_time(self, monkeypatch):
+        generate, read, score, required = KINDS["budget-curve"]
+        grams = []
+
+        def tracked(p, seed):
+            assert all(gram() is None for gram in grams)
+            inst = generate(p, seed)
+            grams.append(weakref.ref(inst.gram))
+            return inst
+
+        monkeypatch.setitem(KINDS, "budget-curve", (tracked, read, score, required))
+        cfg = ExperimentConfig(kind="budget-curve", seeds=[0], instance={
+            **TINY_INSTANCES["budget-curve"], "budgets": ["n", "n*J/4", "2*n*J/4"]})
+        assert len(cli._trial(cfg, 0)) == len(grams) == 3
+
+    def test_mog_read_gets_only_the_bootstrap_labels(self, monkeypatch):
+        cfg = ExperimentConfig(kind="mog-pipeline", seeds=[0],
+                               instance=TINY_INSTANCES["mog-pipeline"])
+        want, errors = run(cfg)
+        assert not errors
+        generate, read, score, required = KINDS["mog-pipeline"]
+        _, t = cli._mog_sizes(cfg.instance)
+        assert t < cfg.instance["n"]
+        seen = []
+
+        def masked(inst, p, seed, budget):
+            # labels past t read as -1 during the read step only: the score
+            # step compares with the truth
+            truth = inst.labels.copy()
+            inst.labels[t:] = -1
+            try:
+                return read(inst, p, seed, budget)
+            finally:
+                inst.labels[:] = truth
+
+        def recorded(gram, **kwargs):
+            seen.append(len(kwargs["bootstrap_labels"]))
+            return cluster_mog(gram, **kwargs)
+
+        monkeypatch.setitem(KINDS, "mog-pipeline", (generate, masked, score, required))
+        monkeypatch.setattr(cli, "cluster_mog", recorded)
+        got, errors = run(cfg)
+        assert not errors
+        assert [row.as_csv() for row in got] == [row.as_csv() for row in want]
+        assert seen == [t]
 
     def test_error_trials_are_catalogued(self):
         cfg = ExperimentConfig(

@@ -1,6 +1,8 @@
 """Clustering cost calculus: kernel-trick equivalence, bound formulas,
 label recovery, rank gap."""
 
+import tracemalloc
+import weakref
 from math import ceil, comb, sqrt
 
 import numpy as np
@@ -71,6 +73,31 @@ class TestCosts:
         inst.gram.set_budget(10)
         with pytest.raises(BudgetExhaustedError):
             cost_kernel(inst.gram, Clustering(np.zeros(30, dtype=int)))
+
+    def test_cost_kernel_drops_each_block_before_the_next_read(self):
+        gram = gen_kkmc(200, 4, 0.25, seed=0).gram
+        read, blocks = gram.query_block, []
+
+        def tracked(rows, cols):
+            assert all(block() is None for block in blocks)
+            block = read(rows, cols)
+            blocks.append(weakref.ref(block))
+            return block
+
+        gram.query_block = tracked
+        cost_kernel(gram, Clustering(np.arange(200) % 4))
+        assert len(blocks) == 4
+
+    def test_cost_kernel_peak_is_one_block(self):
+        inst = gen_kkmc(5000, 5, 0.1, seed=0)
+        clustering = block_clustering(inst)
+        tracemalloc.start()
+        try:
+            cost_kernel(inst.gram, clustering)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * int(clustering.sizes.max()) ** 2
 
 
 class TestBlockClustering:

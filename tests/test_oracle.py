@@ -273,11 +273,28 @@ class TestQueryPairs:
         assert ra.per_row.tolist() == rb.per_row.tolist()
 
     def test_values_match_scalar_query_on_mixture(self):
-        a, b = (gen_mog(80, 12, 3, 1.0, 10.0, seed=6).gram for _ in range(2))
-        rows, cols = _random_pairs(a.n, 400, 7)
-        got = a.query_pairs(rows, cols)
-        want, _ = _scalar_loop(b, rows, cols)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        for d in (12, 512):  # 512 spans several of _dots' chunks
+            a, b = (gen_mog(80, d, 3, 1.0, 10.0, seed=6).gram for _ in range(2))
+            rows, cols = _random_pairs(a.n, 400, 7)
+            got = a.query_pairs(rows, cols)
+            want, _ = _scalar_loop(b, rows, cols)
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("d", [60, 512])
+    def test_peak_per_pair_does_not_grow_with_d(self, d):
+        # the ledger's int64 temporaries, about 80 bytes a pair: the point
+        # gathers come in bounded chunks
+        rng = stream(d, "pairs-memory")
+        g = MeteredGram(rng.standard_normal((1000, d)))
+        rows, cols = rng.integers(0, 1000, size=(2, 1 << 14))
+        tracemalloc.start()
+        try:
+            g.query_pairs(rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.ledger_report().total_requests == rows.size
+        assert peak <= 128 * rows.size
 
     def test_budget_charges_longest_prefix(self):
         # fresh pairs at positions 0, 1, 3, 5 (2 repeats 0; 4 is 3 reversed);
@@ -593,17 +610,21 @@ def _state(ledger):
 @st.composite
 def _block_case(draw):
     """A ledger size that spans several bitmap bytes per row, some pairs
-    charged beforehand, and a block whose rows and columns come unsorted and
-    repeated from two overlapping pools, so that any of the three runs of
-    charge_block may be empty (rows inside cols, cols inside rows, disjoint
-    pools, a single shared index)."""
+    charged beforehand, and a block whose rows and columns come unsorted,
+    repeated or as a range to n - 1 from two overlapping pools, so that any of
+    the three runs of charge_block may be empty (rows inside cols, cols
+    inside rows, disjoint pools, a single shared index)."""
     n = draw(st.integers(1, 70))
     idx = st.integers(0, n - 1)
     prior = draw(st.lists(st.tuples(idx, idx), max_size=40))
     pools = []
     for _ in range(2):
         a, b = sorted((draw(idx), draw(idx)))
-        pools.append(draw(st.lists(st.integers(a, b), min_size=1, max_size=20)))
+        # or every index from a on, shuffled: adjacent rows share a band, and
+        # a row's bytes below its first are an earlier row's last, which
+        # only the top columns write
+        pools.append(draw(st.one_of(st.lists(st.integers(a, b), min_size=1, max_size=20),
+                                    st.permutations(range(a, n)))))
     slack = draw(st.one_of(st.none(), st.integers(-3, 1)))
     return n, prior, pools[0], pools[1], slack
 
