@@ -10,6 +10,11 @@ projection the oracle can apply without ever seeing coordinates).
 Assignment decisions happen in the sketched space via midpoint sign tests
 against projected mean estimates, all pairs of means in one product.
 
+The 2m x N sketch read is the pipeline's largest array, and nothing of its
+size is held beside it: the bootstrap keeps r rows of its pivot buffer, the
+read's row differences are taken in place, and the projections and sign
+tests run a panel of columns at a time.
+
 Everything downstream of the bootstrap depends on inner products only, so
 rotating the hidden point set changes nothing.
 """
@@ -27,7 +32,7 @@ from .errors import (ContractViolationError, DegenerateRowError,
                      NumericalDegeneracyError, PipelineStageError)
 from .kkmc import Clustering
 from .krr import _ROUND_OFF, _fits, _pivot
-from .oracle import MeteredGram
+from .oracle import _TILE, MeteredGram, _panels
 
 # Gaussian-mean test threshold constant: separation^2 >= 144 sigma^2 ln(1/delta)
 # keeps sigma at most a twelfth of the separation, which the midpoint sign
@@ -37,6 +42,7 @@ PAIR_TEST_SEPARATION_CONST = 144.0
 DEFAULT_SKETCH_CONST = 8.0
 MEAN_SAMPLE_CONST = 2.0
 _FIT_TOL = 1e-8  # relative Frobenius residual a bootstrap factor may leave
+_ASSIGN_PANEL = 42 * _TILE  # sketched_assign's columns at a time: 2016
 
 
 def bootstrap_extract(gram: MeteredGram, t: int) -> np.ndarray:
@@ -63,7 +69,8 @@ def bootstrap_extract(gram: MeteredGram, t: int) -> np.ndarray:
         if Ft is None or not _fits(block, Ft, _FIT_TOL * max(1.0, diag.max())):
             raise NumericalDegeneracyError(
                 "bootstrap block is not a Gram matrix to working precision")
-    return Ft.T
+    # Ft views _pivot's t x t buffer: keep only its r rows
+    return Ft.copy().T
 
 
 def mean_sample_size(k: int, d: int) -> int:
@@ -233,15 +240,20 @@ def build_sketch(points, pairs, sigma: float) -> SketchOperator:
 def sketch_apply_many(gram: MeteredGram, sketch: SketchOperator, indices) -> np.ndarray:
     """Sketch hidden points through the oracle in one block read: entry
     (ell, j) is (K[a_ell, i_j] - K[b_ell, i_j]) / scale, two queries per row
-    and point. Returns (m, len(indices)). A sketch source among the indices
-    raises before anything is read."""
+    and point. Returns (m, len(indices)), a view of the 2m x len(indices)
+    block the difference is taken in, so the read holds that block and
+    nothing more. A sketch source among the indices raises before anything
+    is read."""
     idx = np.asarray(indices)
     is_source = np.isin(idx, sketch.source_indices)
     if is_source.any():
         raise ContractViolationError(f"point {int(idx[is_source][0])} is a sketch source")
     # block rows are pairs.reshape(-1): a_ell is row 2 ell, b_ell row 2 ell + 1
-    cols = gram.query_block(sketch.source_indices, idx)
-    return (cols[0::2] - cols[1::2]) / sketch.scale
+    block = gram.query_block(sketch.source_indices, idx)
+    sx = block[0::2]
+    sx -= block[1::2]
+    sx /= sketch.scale
+    return sx
 
 
 def sketched_assign(sketch: SketchOperator, sx, means) -> tuple:
@@ -249,9 +261,21 @@ def sketched_assign(sketch: SketchOperator, sx, means) -> tuple:
     the points and the estimated means onto the sketch row space, then run
     the all-pairs sign tests there. Returns (assignment, fallback) arrays;
     fallback[j] means no center won every test for point j and the nearest
-    projected mean was used."""
-    proj_x = sketch.project_sketched(sx).T
-    assignment, confident = assign_by_pair_tests(proj_x, sketch.project_direct(means))
+    projected mean was used.
+
+    Columns go through in panels of at most _ASSIGN_PANEL, so the
+    projections and scores live one panel at a time. Panel edges fall on
+    BLAS tile edges, as query_block's do, so each column is computed as in
+    one pass over all of them wherever BLAS runs a panel through the
+    kernels it runs for the whole (see MeteredGram._block).
+    """
+    sx = np.asarray(sx, dtype=np.float64)
+    proj_means = sketch.project_direct(means)
+    assignment = np.empty(sx.shape[1], dtype=np.int64)
+    confident = np.empty(sx.shape[1], dtype=bool)
+    for c0, c1 in _panels(sx.shape[1], _ASSIGN_PANEL):
+        assignment[c0:c1], confident[c0:c1] = assign_by_pair_tests(
+            sketch.project_sketched(sx[:, c0:c1]).T, proj_means)
     return assignment, ~confident
 
 

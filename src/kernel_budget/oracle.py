@@ -24,6 +24,7 @@ import mmap
 import operator
 import threading
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,12 @@ _FULL_REVEAL_MAX_N = 20_000
 _BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)
 # charge_block scans each run's rows in this many bands
 _BANDS = 8
+# float64 values of points a read gathers at a time: 512 KB
+_GATHER = 1 << 16
+# _block's inner panel edges fall on multiples of this many points, a
+# multiple of every BLAS micro-tile edge (OpenBLAS on AVX-512 tiles a
+# block's columns by 16, 8 and 4 and its rows by 12 and 6)
+_TILE = 48
 
 
 @dataclass(frozen=True)
@@ -264,6 +271,15 @@ class QueryLedger:
         )
 
 
+def _panels(size: int, step: int):
+    """(start, stop) of ceil(size / step) panels of at most step points, a
+    multiple of _TILE, as even as inner edges on multiples of _TILE allow,
+    so that no panel is a sliver BLAS would run through other kernels; the
+    points past the last multiple end the last panel."""
+    count, tiles = -(-size // step), size // _TILE
+    return pairwise([0, *(_TILE * -(-i * tiles // count) for i in range(1, count)), size])
+
+
 def _index_array(x) -> np.ndarray:
     """x as an int64 array; floats and booleans are refused unless x is empty."""
     idx = np.asarray(x)
@@ -300,13 +316,37 @@ class MeteredGram:
     def _dots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Entries (rows[p], cols[p]), bit for bit as query gives them.
 
-        Pairs are gathered (1 << 15) // d at a time, so the point gathers
-        take at most 512 KB whatever the list's length."""
+        Pairs are gathered _GATHER // (2 d) at a time, so the read holds its
+        output and at most 512 KB of gathered points whatever the list's
+        length."""
         out = np.empty(rows.size)
-        step = max(1, (1 << 15) // self._points.shape[1])
+        step = max(1, _GATHER // (2 * self._points.shape[1]))
         for s in range(0, rows.size, step):
             np.vecdot(self._points[rows[s:s + step]], self._points[cols[s:s + step]],
                       out=out[s:s + step])
+        return out
+
+    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries rows x cols, filled in row and column panels of at most
+        _GATHER // d points (rounded down to a multiple of _TILE, and at
+        least _TILE), so the read holds its output and at most 512 KB of
+        gathered points a side for d <= 1365. A block of at most 1008
+        points a side at d = 64 is one product.
+
+        Inner panel edges fall on BLAS tile edges, so an entry is summed in
+        the order one product P[rows] P[cols]' sums it wherever BLAS runs
+        each panel through the kernels it runs for the whole block. X @ X.T
+        would take numpy's syrk instead, whose round-off differs.
+        """
+        # the output goes before the point gathers, which glibc then frees
+        # without splitting the heap under it (block-cost peak RSS 64 ->
+        # 56-62 MB)
+        out = np.empty((rows.size, cols.size))
+        step = max(_TILE, _GATHER // self._points.shape[1] // _TILE * _TILE)
+        for r0, r1 in _panels(rows.size, step):
+            left = self._points[rows[r0:r1]]
+            for c0, c1 in _panels(cols.size, step):
+                np.matmul(left, self._points[cols[c0:c1]].T, out=out[r0:r1, c0:c1])
         return out
 
     # -- metered access --------------------------------------------------
@@ -353,7 +393,8 @@ class MeteredGram:
     def query_block(self, rows, cols) -> np.ndarray:
         """Rectangular block of entries, vectorized. Atomic under a budget.
 
-        rows and cols are integer scalars or 1-D arrays."""
+        rows and cols are integer scalars or 1-D arrays. The block is charged
+        whole, then filled by _block."""
         rows, cols = np.atleast_1d(_index_array(rows)), np.atleast_1d(_index_array(cols))
         if rows.size == 0 or cols.size == 0:
             return np.zeros((rows.size, cols.size))
@@ -363,11 +404,7 @@ class MeteredGram:
         self._check_range(rows, cols)
         with self._lock:
             self.ledger.charge_block(rows, cols)
-            # the output goes before the point gathers, which glibc then
-            # frees without splitting the heap under it (block-cost peak
-            # RSS 64 -> 56-62 MB); the same gemm and bits as @
-            out = np.empty((rows.size, cols.size))
-            return np.matmul(self._points[rows], self._points[cols].T, out=out)
+            return self._block(rows, cols)
 
     def full(self) -> np.ndarray:
         """The entire matrix; ledger jumps to n(n+1)/2 distinct entries."""
@@ -377,9 +414,8 @@ class MeteredGram:
             )
         with self._lock:
             self.ledger.charge_full()
-            # query_block's gemm, bit for bit; X @ X.T would take numpy's
-            # slower syrk, whose round-off differs
-            return self._points @ self._points.copy().T
+            every = np.arange(self.n)
+            return self._block(every, every)
 
     def set_budget(self, budget: Optional[int]):
         """Cap distinct entries from now on; None lifts the cap."""

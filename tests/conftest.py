@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import tracemalloc
+
 import numpy as np
 
 from kernel_budget.krr import d_eff
@@ -20,6 +22,16 @@ def set_partitions(n: int, max_blocks: int):
             yield from rec(i + 1, max(used, lab + 1))
 
     yield from rec(1, 1)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_psd(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:

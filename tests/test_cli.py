@@ -4,12 +4,12 @@ import csv
 import json
 import os
 import re
-import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from kernel_budget import cli, krr
 from kernel_budget.cli import (AGG_COLUMNS, CSV_COLUMNS, KINDS,
@@ -262,12 +262,7 @@ class TestRunners:
                                instance={"n": n, "J": J, "epsilon": 0.25,
                                          "c0": 0.2, "c1": 1.3})
         run(cfg)
-        tracemalloc.start()
-        try:
-            _, errors = run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, errors), peak = traced_peak(run, cfg)
         assert not errors
         assert peak <= copies * n * n * 8
 

@@ -1,13 +1,12 @@
 """Clustering cost calculus: kernel-trick equivalence, bound formulas,
 label recovery, rank gap."""
 
-import tracemalloc
 import weakref
 from math import ceil, comb, sqrt
 
 import numpy as np
 import pytest
-from conftest import set_partitions
+from conftest import set_partitions, traced_peak
 
 from kernel_budget.errors import (BoundRangeError, BudgetExhaustedError,
                                   ContractViolationError,
@@ -91,12 +90,7 @@ class TestCosts:
     def test_cost_kernel_peak_is_one_block(self):
         inst = gen_kkmc(5000, 5, 0.1, seed=0)
         clustering = block_clustering(inst)
-        tracemalloc.start()
-        try:
-            cost_kernel(inst.gram, clustering)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(cost_kernel, inst.gram, clustering)
         assert peak <= 1.5 * 8 * int(clustering.sizes.max()) ** 2
 
 

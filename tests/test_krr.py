@@ -1,10 +1,8 @@
 """Ridge regression: solvers, effective dimension, closed form, indicator path."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
-from conftest import d_eff_from_gram, random_psd
+from conftest import d_eff_from_gram, random_psd, traced_peak
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -191,12 +189,7 @@ class TestDenseSolverInputs:
         K = random_psd(n, 20, stream(6, "copy")) / n
         z = np.ones(n)
         for M in (K, np.asfortranarray(K)):
-            tracemalloc.start()
-            try:
-                DENSE_SOLVERS[solver](M, z, 0.5)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(DENSE_SOLVERS[solver], M, z, 0.5)
             assert peak <= 1.1 * K.nbytes
 
 
@@ -342,12 +335,7 @@ class TestPivotedRoute:
         rng = stream(15, "full")
         K = random_psd(n, n, rng) / n
         z = rng.standard_normal(n)
-        tracemalloc.start()
-        try:
-            got = DENSE_SOLVERS[solver](K, z, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(DENSE_SOLVERS[solver], K, z, 0.5)
         assert factor_calls == [n]
         assert peak <= 1.1 * K.nbytes
         _assert_same(got, _dense_outcome(monkeypatch, DENSE_SOLVERS[solver], K, z, 0.5))
@@ -356,12 +344,7 @@ class TestPivotedRoute:
     def test_low_rank_solve_holds_no_n_by_n_copy(self, factor_calls, solver):
         inst = gen_krr(2000, 40, 0.1, seed=5)
         K = inst.gram.full()
-        tracemalloc.start()
-        try:
-            DENSE_SOLVERS[solver](K, inst.z, inst.lam)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(DENSE_SOLVERS[solver], K, inst.z, inst.lam)
         assert factor_calls == []
         assert peak <= 0.25 * K.nbytes
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import certify_mean_accuracy
+from conftest import certify_mean_accuracy, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +13,11 @@ from kernel_budget.errors import (ContractViolationError, DegenerateRowError,
                                   NumericalDegeneracyError, PipelineStageError)
 from kernel_budget.instances import gen_mog
 from kernel_budget.kkmc import Clustering, cost_explicit
-from kernel_budget.mog import (assign_by_pair_tests, bootstrap_extract,
-                               build_sketch, cluster_mog, estimate_means,
-                               min_component_count, separation_thresholds,
-                               sketch_apply_many, sketch_dimension,
-                               sketch_sizes, sketched_assign)
+from kernel_budget.mog import (_ASSIGN_PANEL, assign_by_pair_tests,
+                               bootstrap_extract, build_sketch, cluster_mog,
+                               estimate_means, min_component_count,
+                               separation_thresholds, sketch_apply_many,
+                               sketch_dimension, sketch_sizes, sketched_assign)
 from kernel_budget.oracle import MeteredGram
 from kernel_budget.rng import stream
 
@@ -46,6 +46,15 @@ class TestBootstrap:
         points = bootstrap_extract(inst.gram, 200)
         block = inst.points[:200] @ inst.points[:200].T
         assert np.abs(points @ points.T - block).max() <= 1e-6
+
+    def test_result_holds_only_its_rows(self):
+        # the pivot loop's t x t buffer goes with the call
+        inst = gen_mog(300, 16, 3, 1.0, 25.0, seed=0)
+        points = bootstrap_extract(inst.gram, 200)
+        root = points
+        while root.base is not None:
+            root = root.base
+        assert points.shape == (200, 16) and root.nbytes == points.nbytes
 
     def test_ledger_is_exactly_triangle(self):
         inst = gen_mog(100, 8, 2, 1.0, 20.0, seed=1)
@@ -336,6 +345,40 @@ class TestSketchApply:
             assert np.abs(block[:, pos] - one).max() <= 1e-12
 
 
+class TestSketchPanels:
+    """Reads and assignments past two panels give the one-shot bits."""
+
+    N = 2 * _ASSIGN_PANEL + 1
+    M, D = 34, 64
+
+    def _sketch(self):
+        rng = stream(18, "panels")
+        points = rng.standard_normal((2 * self.M + self.N, self.D))
+        return points, build_sketch(points, np.arange(2 * self.M).reshape(self.M, 2), 1.0)
+
+    def test_apply_matches_one_block(self):
+        points, sketch = self._sketch()
+        idx = stream(19, "panels").permutation(np.arange(2 * self.M, points.shape[0]))
+        sx = sketch_apply_many(MeteredGram(points), sketch, idx)
+        block = points[sketch.source_indices] @ points[idx].T
+        assert sx.tobytes() == ((block[0::2] - block[1::2]) / sketch.scale).tobytes()
+
+    def test_assign_matches_one_pass(self):
+        _, sketch = self._sketch()
+        means = np.zeros((3, self.D))
+        means[0, 0], means[1, 0], means[2, 1] = 2.0, -2.0, 5.0
+        sx = stream(20, "panels").standard_normal((self.M, self.N))
+        # a zero column ties means 0 and 1, which both beat mean 2: no mean wins
+        ties = [0, _ASSIGN_PANEL, self.N - 1]
+        sx[:, ties] = 0.0
+        assignment, fallback = sketched_assign(sketch, sx, means)
+        want, confident = assign_by_pair_tests(sketch.project_sketched(sx).T,
+                                               sketch.project_direct(means))
+        assert assignment.tolist() == want.tolist()
+        assert fallback.tolist() == (~confident).tolist()
+        assert np.flatnonzero(fallback).tolist() == ties
+
+
 class TestSketchedAssign:
     def test_single_center(self):
         pts = stream(10, "sa").standard_normal((4, 6))
@@ -497,6 +540,16 @@ class TestClusterMog:
         with pytest.raises(PipelineStageError):
             cluster_mog(inst.gram, k=2, eps=0.25, sigma=1.0, d=8,
                         bootstrap_labels=inst.labels, t=101)
+
+    def test_peak_is_the_sketch_block(self):
+        # the 2m x N block, 10.8 MB, and bounded panels past it
+        n, d, k, eps = 20_000, 64, 4, 0.25
+        m, t = sketch_sizes(n, k, eps, d, c_sketch=0.25)
+        sep = separation_thresholds(n, d, k, eps, 1.0, m)["max"]
+        inst = gen_mog(n, d, k, 1.0, sep, seed=0)
+        _, peak = traced_peak(cluster_mog, inst.gram, k=k, eps=eps, sigma=1.0, d=d,
+                              bootstrap_labels=inst.labels[:t], c_sketch=0.25)
+        assert peak <= 1.3 * 8 * 2 * m * (n - 2 * m)
 
     def test_mean_certificate_on_pipeline_output(self):
         inst = self._instance(seed=7)

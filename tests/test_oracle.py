@@ -3,10 +3,10 @@
 import json
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -177,7 +177,7 @@ class TestLedger:
         assert rep2.total_requests == 49 + 1
         # full() runs query_block's product: numpy's syrk for X @ X.T rounds
         # differently on these points
-        for n, d in ((300, 30), (301, 7)):
+        for n, d in ((300, 30), (301, 7), (1100, 64)):  # 1100 > 1008: panels
             X = stream(n, "full").standard_normal((n, d))
             every = np.arange(n)
             assert (MeteredGram(X).full().tobytes()
@@ -287,12 +287,7 @@ class TestQueryPairs:
         rng = stream(d, "pairs-memory")
         g = MeteredGram(rng.standard_normal((1000, d)))
         rows, cols = rng.integers(0, 1000, size=(2, 1 << 14))
-        tracemalloc.start()
-        try:
-            g.query_pairs(rows, cols)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(g.query_pairs, rows, cols)
         assert g.ledger_report().total_requests == rows.size
         assert peak <= 128 * rows.size
 
@@ -776,15 +771,6 @@ def _disjoint_rectangle():
 
 
 class TestBlockChargeMemory:
-    @staticmethod
-    def _peak(ledger, rows, cols):
-        tracemalloc.start()
-        try:
-            ledger.charge_block(rows, cols)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     @pytest.mark.parametrize("n, rows, cols, fresh", [
         (5000, np.arange(1000, 2000), np.arange(1000, 2000), 1000 * 1001 // 2),
         _disjoint_rectangle(),
@@ -793,16 +779,57 @@ class TestBlockChargeMemory:
     def test_peak_per_requested_entry(self, n, rows, cols, fresh):
         ledger = QueryLedger(n)
         ledger.charge_scalar(n - 1, n - 1)  # the bitmap is the ledger's, not the block's
-        peak = self._peak(ledger, rows, cols)
+        _, peak = traced_peak(ledger.charge_block, rows, cols)
         assert ledger.distinct_entries == 1 + fresh
         assert peak <= 16 * rows.size * cols.size
 
     def test_reread_peak_per_requested_entry(self):
         ledger, square = QueryLedger(5000), np.arange(1000, 2000)
         ledger.charge_block(square, square)
-        peak = self._peak(ledger, square, square)
+        _, peak = traced_peak(ledger.charge_block, square, square)
         assert ledger.distinct_entries == 1000 * 1001 // 2
         assert peak <= 4 * square.size ** 2
+
+
+class TestQueryBlockPanels:
+    # (d, rows, cols): panels are 65520, 21840, 1008 and 96 points at d = 1,
+    # 3, 64 and 512, so each shape crosses a panel edge on at least one side
+    EXACT = [(1, 3, 131_041), (1, 131_041, 2), (3, 20, 43_681), (3, 43_681, 20),
+             (3, 43_681, 1), (64, 68, 19_932), (64, 2017, 68), (64, 1048, 2024),
+             (64, 2017, 1), (64, 1, 2017), (512, 136, 200), (512, 193, 64),
+             (512, 193, 1), (512, 1, 193)]
+    # OpenBLAS sums a block's last cols % 8 columns with edge kernels whose
+    # order follows the product's width and its split over threads; where a
+    # panel's differ from the whole block's, those columns agree to round-off
+    ROUND_OFF = [(512, 68, 193), (512, 193, 68), (64, 1009, 1009)]
+
+    @staticmethod
+    def _read(d, r, c):
+        rng = stream(d, "panels")
+        points = rng.standard_normal((1000, d))
+        rows, cols = rng.integers(0, 1000, size=r), rng.integers(0, 1000, size=c)
+        return MeteredGram(points).query_block(rows, cols), points[rows], points[cols]
+
+    @pytest.mark.parametrize("d, r, c", EXACT)
+    def test_matches_one_product(self, d, r, c):
+        # unsorted indices with repeats
+        got, left, right = self._read(d, r, c)
+        assert got.tobytes() == np.matmul(left, right.T).tobytes()
+
+    @pytest.mark.parametrize("d, r, c", ROUND_OFF)
+    def test_edge_columns_agree_to_round_off(self, d, r, c):
+        got, left, right = self._read(d, r, c)
+        bound = 2 * d * np.finfo(np.float64).eps * (np.abs(left) @ np.abs(right).T)
+        assert (np.abs(got - np.matmul(left, right.T)) <= bound).all()
+
+    @pytest.mark.parametrize("r, c", [(68, 20_000), (20_000, 1)], ids=["sketch", "column"])
+    def test_peak_is_output_plus_bounded_gathers(self, r, c):
+        idx = stream(0, "block-peak").permutation(20_000)
+        points = stream(1, "block-peak").standard_normal((20_000, 64))
+        rows, cols = idx[:r], idx[:c]
+        MeteredGram(points).query_block(rows, cols)  # numpy's one-time imports
+        out, peak = traced_peak(MeteredGram(points).query_block, rows, cols)
+        assert peak <= out.nbytes + 1.1 * 2**20
 
 
 class TestGeneratedGramProperties:
