@@ -23,7 +23,7 @@ from .kkmc import (Clustering, CostBreakdown, block_clustering, cost_explicit,
                    multi_cluster_lower_bound, rank_cost_gap, recover_labels,
                    single_block_cost, small_cluster_lower_bound)
 from .krr import (check_guarantee, classify_rows, d_eff, hard_instance_optimum,
-                  indicator_solve, nystrom_solve, solve_exact)
+                  nystrom_solve, solve_exact)
 from .mog import (MogResult, SketchOperator, bootstrap_extract, build_sketch,
                   cluster_mog, estimate_means, separation_thresholds,
                   sketch_apply_many, sketched_assign)
@@ -39,7 +39,7 @@ __all__ = [
     "make_balanced_kkmc",
     # krr
     "solve_exact", "nystrom_solve", "d_eff", "check_guarantee",
-    "hard_instance_optimum", "classify_rows", "indicator_solve",
+    "hard_instance_optimum", "classify_rows",
     # kkmc
     "Clustering", "CostBreakdown", "cost_kernel", "cost_explicit",
     "block_clustering", "kappa", "small_cluster_lower_bound",

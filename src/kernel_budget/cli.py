@@ -36,8 +36,7 @@ from .errors import BudgetExhaustedError, PipelineStageError
 from .instances import CLASS_S1, CLASS_S2, gen_kkmc, gen_krr, gen_mog, gen_rank
 from .kkmc import (Clustering, block_clustering, cost_explicit, rank_cost_gap,
                    recover_labels)
-from .krr import (classify_rows, d_eff, hard_instance_optimum, indicator_solve,
-                  solve_exact)
+from .krr import classify_rows, d_eff, hard_instance_optimum, solve_exact
 from .mog import (DEFAULT_SKETCH_CONST, cluster_mog, separation_thresholds,
                   sketch_sizes)
 from .oracle import QueryReport
@@ -239,7 +238,7 @@ def _read_krr_classify(inst, p, seed, budget):
 
 
 def _read_krr_indicator(inst, p, seed, budget):
-    return indicator_solve(inst.gram.full(), inst.z, inst.lam, float(p["c0"]), float(p["c1"]))
+    return solve_exact(inst.gram.full(), inst.z, inst.lam, float(p["c0"]), float(p["c1"]))
 
 
 def _score_closed_form(inst, p, alpha, report, c0=0.0, c1=1.0):

@@ -10,7 +10,7 @@ here, along with the rank-instance cost gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, comb, sqrt
+from math import ceil, comb, isfinite, sqrt
 from typing import Dict, Mapping
 
 import numpy as np
@@ -202,7 +202,11 @@ def recover_labels(gram: MeteredGram, clustering: Clustering,
     """
     labeled = dict(labeled)
     rng = stream(seed, "recover-labels")
-    max_samples = ceil(sample_factor / eps)
+    samples = sample_factor / eps
+    if not isfinite(samples):
+        raise ContractViolationError(f"samples per point are not finite at sample_factor = "
+                                     f"{sample_factor!r}, eps = {eps!r}")
+    max_samples = ceil(samples)
     chunk = min(32, max_samples)
     members_of = [clustering.members(j) for j in range(clustering.n_clusters)]
     recovered: Dict[int, int] = {}

@@ -1,11 +1,11 @@
-"""Kernel ridge regression: the exact dense solve, a metered landmark
-(Nystrom) solve, effective dimension, the hard-instance closed form, and the
-indicator-kernel solve.
+"""Kernel ridge regression: the exact dense solve, for the dot-product and
+the two-valued (indicator) kernel, a metered landmark (Nystrom) solve,
+effective dimension and the hard-instance closed form.
 
 The regularized objective ||K a - z||^2 + lam * a' K a has minimizer
-a = (K + lam I)^{-1} z. `solve_exact` and `indicator_solve` take a dense
-matrix the caller has already revealed; desk scale (n <= 5000) needs no
-iterative machinery. Each first checks lam, the shape and z, then runs a
+a = (K + lam I)^{-1} z. `solve_exact` takes a dense matrix the caller has
+already revealed; desk scale (n <= 5000) needs no iterative machinery. It
+first checks c0 and c1, lam, the shape and z, then runs a
 greedy pivoted Cholesky on the still unchecked matrix: at most n // 16
 pivots, each on the largest residual diagonal, until the residual trace is
 at most tol = max(1e-13 * lam, 8 eps * sum|K_ii|). When the r x n factor Ft
@@ -18,14 +18,13 @@ runs only when lam is so large that the fit no longer implies the symmetry
 tolerance, or when the solve falls back. It falls back on a residual
 diagonal below -tol, the pivot cap or a failed fit, to a symmetric
 positive-definite Cholesky of one n x n working copy, factored in place.
-`indicator_solve` runs the same `_solve`: the offset c0 11' of its
-K = c0 11' + (c1 - c0) G is one more factor row sqrt(c0) 1', or a constant
-added to the working copy (c1 - c0) G. The caller's arrays are never
-written to. scipy loads on the first dense Cholesky, so importing the
-package, and a low-rank solve, load only numpy. `nystrom_solve` reads only
-the landmark columns of a metered gram; all three solvers share one
-Woodbury solve. `_pivot` is the package's one pivot loop, which
-`mog.bootstrap_extract` runs too. `hard_instance_optimum` gives the
+The offset c0 11' of the kernel c0 11' + (c1 - c0) K is one more factor row
+sqrt(c0) 1', or a constant added to the working copy (c1 - c0) K. The
+caller's arrays are never written to. scipy loads on the first dense
+Cholesky, so importing the package, and a low-rank solve, load only numpy.
+`nystrom_solve` reads only the landmark columns of a metered gram; both
+solvers share one Woodbury solve. `_pivot` is the package's one pivot loop,
+which `mog.bootstrap_extract` runs too. `hard_instance_optimum` gives the
 instance's exact minimizer for either kernel apart from every solver.
 """
 
@@ -60,7 +59,7 @@ def _check_lam(lam: float):
         raise ContractViolationError(f"lam must be positive, got {lam}")
 
 
-def _check_system(K, z, lam: float, what: str = "K"):
+def _check_system(K, z, lam: float):
     """K and z as float arrays, once lam > 0, K is nonempty, square and
     conforms with z, and z is finite. These checks are O(n); K's entries are
     checked by `_check_entries`, or vouched for by a factor that fits them
@@ -70,22 +69,22 @@ def _check_system(K, z, lam: float, what: str = "K"):
     z = np.asarray(z, dtype=np.float64)
     if (K.ndim != 2 or K.shape[0] == 0 or K.shape[0] != K.shape[1]
             or z.shape != (K.shape[0],)):
-        raise ContractViolationError(f"{what} must be nonempty, square and conform with z")
+        raise ContractViolationError("K must be nonempty, square and conform with z")
     if not np.isfinite(z).all():
-        raise ContractViolationError(f"{what} and z must be finite")
+        raise ContractViolationError("K and z must be finite")
     return K, z
 
 
-def _check_entries(K, what: str = "K"):
+def _check_entries(K):
     """K is finite and symmetric to _SYM_TOL * (1 + max|K|): one full pass
     over K, its skew compared tile by tile."""
     hi, lo = K.max(), K.min()
     if not (np.isfinite(hi) and np.isfinite(lo)):
-        raise ContractViolationError(f"{what} and z must be finite")
+        raise ContractViolationError("K and z must be finite")
     skew = _max_skew(K)
     scale = 1.0 + max(hi, -lo)
     if skew > _SYM_TOL * scale:
-        raise ContractViolationError(f"{what} is not symmetric (max skew {skew:.3g})")
+        raise ContractViolationError(f"K is not symmetric (max skew {skew:.3g})")
 
 
 def _factor(A, lam: float, b) -> np.ndarray:
@@ -177,8 +176,7 @@ def _woodbury(Ft, b, lam: float) -> np.ndarray:
     return (b - Ft.T @ np.linalg.solve(small, Ft @ b)) / lam
 
 
-def _solve(K, b, lam: float, scale: float = 1.0, offset: float = 0.0,
-           what: str = "K") -> np.ndarray:
+def _solve(K, b, lam: float, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:
     """(offset 11' + scale K + lam I)^{-1} b for a K whose entries are not
     yet checked: Woodbury on a pivoted factor of K, scaled by sqrt(scale)
     and with the row sqrt(offset) 1' on top when offset > 0, when one fits;
@@ -204,7 +202,7 @@ def _solve(K, b, lam: float, scale: float = 1.0, offset: float = 0.0,
                                _ROUND_OFF * np.finfo(np.float64).eps * d.sum()))
         Ft = _pivoted_factor(K, tol)
     if Ft is None or 2 * tol > _SYM_TOL * (1.0 + d.max()):
-        _check_entries(K, what)
+        _check_entries(K)
     if Ft is None:
         A = np.multiply(scale, K, order="C")
         if offset:
@@ -216,10 +214,13 @@ def _solve(K, b, lam: float, scale: float = 1.0, offset: float = 0.0,
     return _woodbury(Ft, b, lam)
 
 
-def solve_exact(K, z, lam: float) -> np.ndarray:
-    """Minimize the ridge objective: alpha = (K + lam I)^{-1} z."""
+def solve_exact(K, z, lam: float, c0: float = 0.0, c1: float = 1.0) -> np.ndarray:
+    """Minimize the ridge objective for the kernel c0 11' + (c1 - c0) K, which
+    is K at the defaults: alpha = (c0 11' + (c1 - c0) K + lam I)^{-1} z, the
+    offset never assembled. Needs 0 <= c0 < c1 < inf (`_check_constants`)."""
+    _check_constants(c0, c1)
     K, z = _check_system(K, z, lam)
-    return _solve(K, z, lam)
+    return _solve(K, z, lam, c1 - c0, c0)
 
 
 def nystrom_solve(gram: MeteredGram, landmarks, z, lam: float) -> np.ndarray:
@@ -314,15 +315,3 @@ def classify_rows(alpha_hat, n: int, k: float, eps: float) -> np.ndarray:
     """
     scaled = (n / k) * np.asarray(alpha_hat, dtype=np.float64)
     return np.where(scaled > classification_midpoint(eps), CLASS_S1, CLASS_S2)
-
-
-def indicator_solve(G, z, lam: float, c0: float, c1: float) -> np.ndarray:
-    """Ridge solve for K = c0 * 11' + (c1 - c0) * G without assembling K.
-
-    The offset joins the factor of (c1 - c0) G as the one row sqrt(c0) 1',
-    or the dense working copy as an added constant. 0 <= c0 < c1 < inf is
-    required (`_check_constants`).
-    """
-    _check_constants(c0, c1)
-    G, z = _check_system(G, z, lam, "G")
-    return _solve(G, z, lam, c1 - c0, c0, "G")

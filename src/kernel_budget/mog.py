@@ -22,7 +22,7 @@ rotating the hidden point set changes nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log, sqrt
+from math import ceil, isfinite, log, sqrt
 from typing import Optional
 
 import numpy as np
@@ -137,8 +137,12 @@ def assign_by_pair_tests(X, means):
 def sketch_dimension(n: int, k: int, eps: float, c_sketch: float = DEFAULT_SKETCH_CONST,
                      delta_exponent: int = 3) -> int:
     """Rows needed to separate all points from all wrong means at once:
-    ceil(c_sketch * (1/eps) * ln((n k)^delta_exponent))."""
-    return ceil(c_sketch * (1.0 / eps) * delta_exponent * log(n * k))
+    ceil(c_sketch * (1/eps) * ln((n k)^delta_exponent)), which must be finite."""
+    rows = c_sketch * (1.0 / eps) * delta_exponent * log(n * k)
+    if not isfinite(rows):
+        raise ContractViolationError(f"sketch rows are not finite at eps = {eps!r}, "
+                                     f"c_sketch = {c_sketch!r}")
+    return ceil(rows)
 
 
 def sketch_sizes(n: int, k: int, eps: float, d: int, c_sketch: float = DEFAULT_SKETCH_CONST,

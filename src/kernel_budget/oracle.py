@@ -13,7 +13,7 @@ an upper-triangle bitmap whose rows start on byte boundaries, in anonymous
 memory of which only the pages a charge writes are resident (see
 QueryLedger); no value is kept, since a value is a pure function of the
 hidden points. The kernel is the dot product; a two-valued kernel on basis
-vectors is algebra on this gram (krr.indicator_solve). Values for the
+vectors is algebra on this gram (krr.solve_exact's c0 and c1). Values for the
 instances in this package lie in {0, 1/2, 1} and small dot products, so
 float64 is exact for all comparisons that matter.
 """
@@ -65,9 +65,9 @@ class QueryLedger:
     boundary. So a byte's column hi >> 3 and its mask depend on hi alone,
     and the bits below the diagonal in a row's first byte, and those past
     n in its last, belong to no pair and stay 0. The bitmap is about
-    n^2/16 + n/2 bytes of address space, mapped on the first scalar, block
-    or pairs charge; only the pages a charge writes become resident. A full
-    reveal drops it and sets an all-revealed flag instead.
+    n^2/16 + n/2 bytes of address space, mapped on the first charge of a
+    fresh pair; only the pages a charge writes become resident. A full
+    reveal sets every pair's bit, so the popcount is the distinct count.
     """
 
     def __init__(self, n: int, budget: Optional[int] = None):
@@ -77,7 +77,6 @@ class QueryLedger:
         self.total_requests = 0
         self.per_row = np.zeros(n, dtype=np.int64)
         self.budget_exhausted = False
-        self._all_revealed = False
         self._bits: Optional[mmap.mmap] = None
 
     def set_budget(self, budget: Optional[int]):
@@ -124,8 +123,6 @@ class QueryLedger:
     def charge_scalar(self, i: int, j: int) -> bool:
         """Count one request; returns True if the pair is newly revealed."""
         self.total_requests += 1
-        if self._all_revealed:
-            return False
         lo, hi = (i, j) if i <= j else (j, i)
         byte, mask = self._offset(lo) + (hi >> 3), 1 << (hi & 7)
         bits = self._bitmap()
@@ -159,7 +156,7 @@ class QueryLedger:
         """
         requests = int(rows.size) * int(cols.size)
         self.total_requests += requests
-        if self._all_revealed or requests == 0:
+        if requests == 0:
             return
         R, C = np.unique(rows), np.unique(cols)
         r_in_c, c_in_r = np.isin(R, C, assume_unique=True), np.isin(C, R, assume_unique=True)
@@ -219,8 +216,7 @@ class QueryLedger:
         size = int(rows.size)
         if self.n * self.n * size >= 1 << 63:
             raise ContractViolationError(f"{size} pairs at n={self.n} overflow the sort key")
-        if self._all_revealed or size == 0:
-            self.total_requests += size
+        if size == 0:
             return
         lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
         byte = self._offset(lo) + (hi >> 3)
@@ -246,18 +242,23 @@ class QueryLedger:
                 f"({rows[cut]}, {cols[cut]})", prefix=cut)
 
     def charge_full(self):
-        total = self.n * (self.n + 1) // 2
-        self.total_requests += self.n * self.n
-        if self._all_revealed:
+        """Count a reveal of every pair, atomic under the budget: set every
+        byte, then clear each row's bits below the diagonal and past n."""
+        n, requests = self.n, self.n * self.n
+        self.total_requests += requests
+        fresh = n * (n + 1) // 2 - self.distinct_entries
+        if fresh == 0:
             return
-        fresh = total - self.distinct_entries
         if self._over_budget(fresh):
-            self._refuse(self.n * self.n, f"full reveal of {fresh} fresh entries "
-                                          f"exceeds budget {self.budget}")
-        self._all_revealed = True
-        self._bits = None
-        self.distinct_entries = total
-        self.per_row[:] = self.n
+            self._refuse(requests, f"full reveal of {fresh} fresh entries "
+                                   f"exceeds budget {self.budget}")
+        bits, lo = np.frombuffer(self._bitmap(), dtype=np.uint8), np.arange(n)
+        bits[:] = 0xFF
+        bits[self._offset(lo) + (lo >> 3)] = (0xFF << (lo & 7)).astype(np.uint8)
+        if n & 7:
+            bits[self._offset(lo) + (n >> 3)] &= np.uint8((1 << (n & 7)) - 1)
+        self.distinct_entries += fresh
+        self.per_row[:] = n
 
     def report(self) -> QueryReport:
         per_row = self.per_row.copy()

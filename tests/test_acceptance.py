@@ -22,8 +22,7 @@ from kernel_budget.kkmc import (Clustering, block_clustering, cost_explicit,
                                 coordinate_counts, multi_cluster_lower_bound,
                                 rank_cost_gap, recover_labels,
                                 single_block_cost, small_cluster_lower_bound)
-from kernel_budget.krr import (classify_rows, d_eff, hard_instance_optimum,
-                               indicator_solve, solve_exact)
+from kernel_budget.krr import classify_rows, d_eff, hard_instance_optimum, solve_exact
 from kernel_budget.mog import (assign_by_pair_tests, build_sketch,
                                cluster_mog, separation_thresholds,
                                sketch_dimension)
@@ -120,7 +119,7 @@ class TestA04IndicatorPath:
             c0 = float(rng.uniform(0.0, 0.9))
             c1 = c0 + float(rng.uniform(0.05, 2.0))
             G = inst.points @ inst.points.T
-            fast = indicator_solve(G, inst.z, inst.lam, c0, c1)
+            fast = solve_exact(G, inst.z, inst.lam, c0, c1)
             K = c0 * np.ones((n, n)) + (c1 - c0) * G
             direct = solve_exact(K, inst.z, inst.lam)
             worst = max(worst, float(np.abs(fast - direct).max()))

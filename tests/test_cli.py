@@ -18,7 +18,7 @@ from kernel_budget.cli import (AGG_COLUMNS, CSV_COLUMNS, KINDS,
                                write_results)
 from kernel_budget.errors import BudgetExhaustedError
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr, gen_mog
-from kernel_budget.krr import hard_instance_optimum, indicator_solve
+from kernel_budget.krr import hard_instance_optimum, solve_exact
 from kernel_budget.mog import cluster_mog, separation_thresholds, sketch_sizes
 from kernel_budget.rng import stream
 
@@ -224,14 +224,14 @@ class TestRunners:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_indicator_certificate_matches_out_of_place(self, seed):
-        # the row is indicator_solve's distance from the closed-form minimizer
+        # the row is solve_exact's distance from the closed-form minimizer at c0, c1
         p = TINY_INSTANCES["krr-indicator"]
         (row,), errors = run(ExperimentConfig(kind="krr-indicator", seeds=[seed],
                                               instance=p))
         assert not errors
         inst = gen_krr(p["n"], p["J"], p["epsilon"], seed)
         c0, c1 = p["c0"], p["c1"]
-        fast = indicator_solve(inst.gram.full(), inst.z, inst.lam, c0, c1)
+        fast = solve_exact(inst.gram.full(), inst.z, inst.lam, c0, c1)
         assert row.value == float(np.max(np.abs(fast - hard_instance_optimum(inst, c0, c1))))
 
     @pytest.mark.parametrize("instance, dense_factors", [
@@ -599,6 +599,24 @@ class TestCliEndToEnd:
         assert code == 2 and [r["metric"] for r in rows] == ["error"]
         name = {"epsilon": "eps", "C_sketch": "c_sketch"}.get(param, param)
         assert f"got {name} = " in errors[0]
+
+    @pytest.mark.parametrize("kind, param, value", [
+        ("mog-pipeline", "C_sketch", float("inf")),
+        ("mog-pipeline", "epsilon", 1e-320),
+        ("kkmc-recover", "sample_factor", float("inf")),
+    ], ids=["mog-C_sketch-inf", "mog-epsilon-subnormal", "recover-sample_factor-inf"])
+    def test_sample_count_that_is_not_finite_is_an_error_row(self, tmp_path, kind, param,
+                                                             value):
+        """json reads Infinity, and 1 / 1e-320 overflows to inf: a sample
+        count that is not finite is an error row naming the value, not an
+        OverflowError out of ceil."""
+        instance = {"mog-pipeline": {"n": 300, "d": 8, "k": 2, "epsilon": 0.25, "sigma": 1.0},
+                    "kkmc-recover": {"n": 600, "k": 3, "epsilon": 0.25}}[kind]
+        code, rows, errors = self._run_budgeted(
+            tmp_path, {"kind": kind, "seeds": [0], "instance": {**instance, param: value}})
+        assert code == 2 and [r["metric"] for r in rows] == ["error"]
+        assert errors[0].startswith("seed 0: ContractViolationError: ")
+        assert f" = {value!r}" in errors[0]
 
     def test_budget_flag_and_budgets_is_a_usage_error(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, {"kind": "budget-curve", "instance": {

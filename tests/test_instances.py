@@ -194,7 +194,7 @@ class TestHiddenTruthConsistency:
 
     def test_indicator_instance_consistency(self):
         # the gram is the indicator of equal basis indices, so a two-valued
-        # kernel c0 + (c1 - c0) K (krr.indicator_solve) needs no other oracle
+        # kernel c0 + (c1 - c0) K (krr.solve_exact's c0 and c1) needs no other oracle
         inst = gen_krr(30, 8, 0.25, seed=6)
         K = inst.gram.full()
         same = inst.basis_index[:, None] == inst.basis_index[None, :]

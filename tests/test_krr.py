@@ -12,8 +12,7 @@ from kernel_budget.errors import (BudgetExhaustedError, ContractViolationError,
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
 from kernel_budget.krr import (_SYM_TILE, _check_entries, check_guarantee,
                                classification_midpoint, classify_rows, d_eff,
-                               hard_instance_optimum, indicator_solve,
-                               nystrom_solve, solve_exact)
+                               hard_instance_optimum, nystrom_solve, solve_exact)
 from kernel_budget.oracle import MeteredGram
 from kernel_budget.rng import stream
 
@@ -64,7 +63,7 @@ class TestSolveExact:
 
 DENSE_SOLVERS = {
     "exact": solve_exact,
-    "indicator": lambda K, z, lam: indicator_solve(K, z, lam, 0.1, 1.0),
+    "indicator": lambda K, z, lam: solve_exact(K, z, lam, 0.1, 1.0),
 }
 
 
@@ -252,7 +251,7 @@ class TestPivotedRoute:
         G = inst.gram.full()
         c0, c1 = 0.25, 1.0
         K = c0 + (c1 - c0) * G
-        for solve, args in ((indicator_solve, (G, inst.z, inst.lam, c0, c1)),
+        for solve, args in ((solve_exact, (G, inst.z, inst.lam, c0, c1)),
                             (solve_exact, (K, inst.z, inst.lam))):
             alpha = solve(*args)
             assert factor_calls == []
@@ -324,7 +323,7 @@ class TestPivotedRoute:
         # inf would drop the n * s = 6.3e-13 that (c1 - c0) G adds to lam
         n, c1 = 64, 1e-322
         G = np.full((n, n), 1e308)
-        alpha = indicator_solve(G, np.ones(n), 1.0, 0.0, c1)
+        alpha = solve_exact(G, np.ones(n), 1.0, 0.0, c1)
         assert factor_calls == [n]
         np.testing.assert_allclose(alpha, 1.0 / (1.0 + n * (c1 * 1e308)), rtol=1e-14)
 
@@ -354,9 +353,9 @@ def entry_checks(monkeypatch):
     """The sizes of the matrices given the full entry check while it is in use."""
     calls, real = [], krr._check_entries
 
-    def spy(K, what="K"):
+    def spy(K):
         calls.append(K.shape[0])
-        return real(K, what)
+        return real(K)
 
     monkeypatch.setattr(krr, "_check_entries", spy)
     return calls
@@ -403,7 +402,7 @@ class TestFusedEntryCheck:
         K = inst.gram.full()
         c0, c1 = 0.25, 1.0
         if case == "indicator-G":
-            solve, args = indicator_solve, (K, inst.z, inst.lam, c0, c1)
+            solve, args = solve_exact, (K, inst.z, inst.lam, c0, c1)
         else:
             if case == "indicator-K":
                 K = c0 + (c1 - c0) * K
@@ -431,9 +430,8 @@ class TestFusedEntryCheck:
                           label="where")
         factor = data.draw(st.floats(0.0, 3.0), label="factor")
         K = _planted(n, rank, plant, where, factor)
-        what = "G" if solver == "indicator" else "K"
         assert (_rejection(DENSE_SOLVERS[solver], K, np.ones(n), lam)
-                == _rejection(_check_entries, K, what))
+                == _rejection(_check_entries, K))
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_skew_that_fits_is_still_rejected(self, solver):
@@ -709,12 +707,12 @@ class TestHardInstanceOptimum:
     @settings(max_examples=200, deadline=None)
     @given(c0=st.floats(-2.0, 2.0) | st.sampled_from([0.0, np.nan, np.inf, -np.inf]),
            c1=st.floats(-2.0, 2.0) | st.sampled_from([0.0, np.nan, np.inf, -np.inf]))
-    def test_refuses_what_indicator_solve_refuses(self, c0, c1):
+    def test_refuses_what_solve_exact_refuses(self, c0, c1):
         inst = gen_krr(8, 4, 0.5, seed=0)
         G = inst.gram.full()
         refusals = []
         for solve in (lambda: hard_instance_optimum(inst, c0, c1),
-                      lambda: indicator_solve(G, inst.z, inst.lam, c0, c1)):
+                      lambda: solve_exact(G, inst.z, inst.lam, c0, c1)):
             try:
                 solve()
                 refusals.append(None)
@@ -758,14 +756,14 @@ class TestIndicatorSolve:
         rng = stream(8, "ind0")
         G = random_psd(12, 6, rng)
         z = rng.standard_normal(12)
-        fast = indicator_solve(G, z, 0.9, 0.0, 1.0)
+        fast = solve_exact(G, z, 0.9, 0.0, 1.0)
         ref = solve_exact(G, z, 0.9)
         assert np.abs(fast - ref).max() <= 1e-10
 
     def test_pure_scaling(self):
         inst = gen_krr(8, 4, 0.5, seed=9)
         G = inst.points @ inst.points.T
-        fast = indicator_solve(G, inst.z, 1.0, 0.0, 2.0)
+        fast = solve_exact(G, inst.z, 1.0, 0.0, 2.0)
         ref = solve_exact(2.0 * G, inst.z, 1.0)
         assert np.abs(fast - ref).max() <= 1e-10
 
@@ -773,15 +771,15 @@ class TestIndicatorSolve:
     def _both_routes(monkeypatch, factor_calls, G, z, lam, c0, c1):
         """The largest difference, relative to the largest entry of the
         reference, between np.linalg.solve on the assembled c0 11' +
-        (c1 - c0) G + lam I and indicator_solve, on the pivoted route and
+        (c1 - c0) G + lam I and solve_exact, on the pivoted route and
         then with it switched off."""
         n = G.shape[0]
         ref = np.linalg.solve(c0 * np.ones((n, n)) + (c1 - c0) * G + lam * np.eye(n), z)
-        pivoted = indicator_solve(G, z, lam, c0, c1)
+        pivoted = solve_exact(G, z, lam, c0, c1)
         assert factor_calls == []
         with monkeypatch.context() as m:
             m.setattr(krr, "_pivoted_factor", lambda K, tol: None)
-            dense = indicator_solve(G, z, lam, c0, c1)
+            dense = solve_exact(G, z, lam, c0, c1)
         assert factor_calls == [n]
         return [np.abs(got - ref).max() / np.abs(ref).max() for got in (pivoted, dense)]
 
@@ -804,14 +802,14 @@ class TestIndicatorSolve:
     ], ids=["c1-below-c0", "c1-equal-c0", "c0-negative", "c0-nan", "c1-nan", "c1-inf"])
     def test_rejects_bad_constants(self, c0, c1):
         with pytest.raises(ContractViolationError, match="0 <= c0 < c1 < inf"):
-            indicator_solve(np.eye(3), np.ones(3), 1.0, c0, c1)
+            solve_exact(np.eye(3), np.ones(3), 1.0, c0, c1)
 
     def test_indicator_kernel_instance_end_to_end(self):
         # the two-valued kernel on the hidden basis indices against
-        # indicator_solve on the oracle's dot-product gram
+        # solve_exact at c0, c1 on the oracle's dot-product gram
         inst = gen_krr(60, 8, 0.25, seed=12)
         same = inst.basis_index[:, None] == inst.basis_index[None, :]
         K = np.where(same, 1.4, 0.2)
-        fast = indicator_solve(inst.gram.full(), inst.z, inst.lam, 0.2, 1.4)
+        fast = solve_exact(inst.gram.full(), inst.z, inst.lam, 0.2, 1.4)
         ref = solve_exact(K, inst.z, inst.lam)
         assert np.abs(fast - ref).max() <= 1e-9

@@ -398,24 +398,46 @@ class TestLedgerStorage:
 
     def test_empty_reads_map_no_bitmap(self):
         """An empty read charges nothing, so even a ledger of n=0, whose
-        bitmap would take 0 bytes, maps none."""
+        bitmap would take 0 bytes, maps none; nor does its full reveal,
+        which has no pair to charge."""
         ledger, empty = QueryLedger(0), np.zeros(0, dtype=np.int64)
         ledger.charge_pairs(empty, empty)
         ledger.charge_block(empty, empty)
+        ledger.charge_full()
         assert ledger._bits is None
         assert ledger.report().total_requests == 0
 
-    def test_bitmap_is_lazy_and_dropped_by_full(self):
+    def test_bitmap_is_lazy_and_full_sets_every_pair(self):
+        """full() sets the bit of every pair and no padding bit, whatever was
+        read before it, and later reads then change only the requests."""
         g = MeteredGram(np.eye(9))
         assert g.ledger._bits is None
         g.query(3, 8)
         # rows 0-7 hold hi in [0, 9) in 2 bytes each, row 8 hi in [8, 9) in 1
         assert len(g.ledger._bits) == _bitmap_bytes(9) == 17
-        g.full()
-        assert g.ledger._bits is None
-        g.query(0, 1)
-        g.query_block(np.arange(9), np.arange(9))
-        assert g.ledger._bits is None
+        for n in (9, 13, 21, 40):
+            g = MeteredGram(np.eye(n))
+            g.query(3, 8)
+            g.full()
+            assert _as_int(g.ledger._bits) == _pair_bits(n)
+            before = _state(g.ledger)
+            g.query(0, 1)
+            g.query_pairs([n - 1, 2], [0, 2])
+            g.query_block(np.arange(n), np.arange(n))
+            after = _state(g.ledger)
+            assert after[:2] + after[3:] == before[:2] + before[3:]
+            assert after[2] == before[2] + 3 + n * n
+
+    def test_full_leaves_the_ledger_of_a_whole_block(self):
+        """A full reveal leaves what a block of every row and column leaves,
+        bitmap bytes included, at each n from 1 to 79 (every n & 7, and rows
+        of up to 10 bytes)."""
+        for n in range(1, 80):
+            full, block, every = QueryLedger(n), QueryLedger(n), np.arange(n)
+            full.charge_full()
+            block.charge_block(every, every)
+            assert _state(full) == _state(block)
+            assert _popcount(full) == full.distinct_entries
 
     def test_every_pair_has_its_own_bit(self):
         """Each pair sets its own bit and none ever sets a padding bit; at
@@ -488,9 +510,8 @@ def _popcount(ledger):
 
 
 def _check_popcount(ledger):
-    """One set bit per distinct entry, unless a full reveal dropped the bitmap."""
-    if not ledger._all_revealed:
-        assert _popcount(ledger) == ledger.distinct_entries
+    """One set bit per distinct entry."""
+    assert _popcount(ledger) == ledger.distinct_entries
 
 
 class SetLedger:
