@@ -229,7 +229,7 @@ def _gen_krr(p, seed):
 
 
 def _read_krr_alpha(inst, p, seed, budget):
-    return solve_exact(inst.gram.full(), inst.z, inst.lam)
+    return solve_exact(inst.gram, inst.z, inst.lam)
 
 
 def _read_krr_classify(inst, p, seed, budget):
@@ -238,7 +238,7 @@ def _read_krr_classify(inst, p, seed, budget):
 
 
 def _read_krr_indicator(inst, p, seed, budget):
-    return solve_exact(inst.gram.full(), inst.z, inst.lam, float(p["c0"]), float(p["c1"]))
+    return solve_exact(inst.gram, inst.z, inst.lam, float(p["c0"]), float(p["c1"]))
 
 
 def _score_closed_form(inst, p, alpha, report, c0=0.0, c1=1.0):

@@ -31,7 +31,7 @@ from .errors import (ContractViolationError, DegenerateRowError,
                      DegenerateSketchError, EstimationFailureError,
                      NumericalDegeneracyError, PipelineStageError)
 from .kkmc import Clustering
-from .krr import _ROUND_OFF, _fits, _pivot
+from .krr import _ROUND_OFF, _pivot
 from .oracle import _TILE, MeteredGram, _panels
 
 # Gaussian-mean test threshold constant: separation^2 >= 144 sigma^2 ln(1/delta)
@@ -42,7 +42,27 @@ PAIR_TEST_SEPARATION_CONST = 144.0
 DEFAULT_SKETCH_CONST = 8.0
 MEAN_SAMPLE_CONST = 2.0
 _FIT_TOL = 1e-8  # relative Frobenius residual a bootstrap factor may leave
+_FIT_ROWS = 32   # rows of the bootstrap block compared with its factor at a time
 _ASSIGN_PANEL = 42 * _TILE  # sketched_assign's columns at a time: 2016
+
+
+def _fits(K, Ft, tol: float) -> bool:
+    """||K - Ft'Ft||_F <= tol, over panels of _FIT_ROWS whole rows: each
+    panel's product goes into one _FIT_ROWS x n buffer, which then takes the
+    difference from the same rows of K. Every entry of K is compared, so a
+    NaN or an infinity fails; stops at the first panel that takes the sum
+    over."""
+    n = K.shape[0]
+    buf = np.empty((_FIT_ROWS, n))
+    ss = 0.0
+    for i in range(0, n, _FIT_ROWS):
+        D = buf[:min(_FIT_ROWS, n - i)]
+        np.matmul(Ft[:, i:i + _FIT_ROWS].T, Ft, out=D)
+        np.subtract(K[i:i + _FIT_ROWS], D, out=D)
+        ss += np.vdot(D, D)
+        if not np.sqrt(ss) <= tol:
+            return False
+    return True
 
 
 def bootstrap_extract(gram: MeteredGram, t: int) -> np.ndarray:

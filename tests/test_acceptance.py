@@ -26,6 +26,7 @@ from kernel_budget.krr import classify_rows, d_eff, hard_instance_optimum, solve
 from kernel_budget.mog import (assign_by_pair_tests, build_sketch,
                                cluster_mog, separation_thresholds,
                                sketch_dimension)
+from kernel_budget.oracle import MeteredGram
 from kernel_budget.rng import stream
 
 # mixture configuration for a10: the sketch constant is calibrated to desk
@@ -45,8 +46,7 @@ class TestA01HardInstanceClosedForm:
         s1_vals, s2_vals = [], []
         for seed in range(5):
             inst = gen_krr(n, J, eps, seed=seed)
-            K = inst.gram.full()
-            alpha = solve_exact(K, inst.z, inst.lam)
+            alpha = solve_exact(inst.gram, inst.z, inst.lam)
             worst = max(worst, float(np.abs(alpha - hard_instance_optimum(inst)).max()))
             scaled = (inst.n / inst.k) * alpha
             s1_vals.append(scaled[inst.classes == CLASS_S1])
@@ -97,8 +97,7 @@ class TestA03ClassificationReduction:
         accs = []
         for seed in range(20):
             inst = gen_krr(n, J, eps, seed=seed)
-            K = inst.points @ inst.points.T
-            alpha = solve_exact(K, inst.z, inst.lam)
+            alpha = solve_exact(inst.gram, inst.z, inst.lam)
             labels = classify_rows(alpha, inst.n, inst.k, inst.eps)
             acc = float(np.mean(labels == inst.classes))
             accs.append(acc)
@@ -118,9 +117,10 @@ class TestA04IndicatorPath:
             inst = gen_krr(n, 8, 0.25, seed=seed)
             c0 = float(rng.uniform(0.0, 0.9))
             c1 = c0 + float(rng.uniform(0.05, 2.0))
-            G = inst.points @ inst.points.T
-            fast = solve_exact(G, inst.z, inst.lam, c0, c1)
-            K = c0 * np.ones((n, n)) + (c1 - c0) * G
+            fast = solve_exact(inst.gram, inst.z, inst.lam, c0, c1)
+            # the gram of [sqrt(c1 - c0) P, sqrt(c0) 1] is c0 11' + (c1 - c0) P P'
+            K = MeteredGram(np.hstack([np.sqrt(c1 - c0) * inst.points,
+                                       np.full((n, 1), np.sqrt(c0))]))
             direct = solve_exact(K, inst.z, inst.lam)
             worst = max(worst, float(np.abs(fast - direct).max()))
         ok = worst <= 1e-9

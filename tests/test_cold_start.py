@@ -56,7 +56,7 @@ for name, cfg in configs.items():
 loaded["runs"] = "scipy" in sys.modules
 # rank 6 at n=40 is past the n // 16 pivot cap: a dense Cholesky solve
 inst = kernel_budget.gen_krr(40, 8, 0.25, 0)
-alpha = kernel_budget.solve_exact(inst.gram.full(), inst.z, inst.lam)
+alpha = kernel_budget.solve_exact(inst.gram, inst.z, inst.lam)
 loaded["solve"] = "scipy.linalg" in sys.modules
 diff = float(np.max(np.abs(alpha - kernel_budget.hard_instance_optimum(inst))))
 print(json.dumps({"loaded": loaded, "codes": codes, "diff": diff}))

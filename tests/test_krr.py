@@ -10,94 +10,123 @@ from kernel_budget import krr
 from kernel_budget.errors import (BudgetExhaustedError, ContractViolationError,
                                   NumericalDegeneracyError)
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
-from kernel_budget.krr import (_SYM_TILE, _check_entries, check_guarantee,
-                               classification_midpoint, classify_rows, d_eff,
+from kernel_budget.krr import (check_guarantee, classification_midpoint, classify_rows, d_eff,
                                hard_instance_optimum, nystrom_solve, solve_exact)
 from kernel_budget.oracle import MeteredGram
 from kernel_budget.rng import stream
 
 
+def _points(n: int, rank: int, rng, scale: float = 1.0) -> np.ndarray:
+    """n Gaussian points in rank dimensions, times scale: their gram is
+    scale^2 random_psd(n, rank, rng), up to round-off."""
+    return scale * rng.standard_normal((n, rank))
+
+
+def _indicator_points(points, c0: float, c1: float) -> np.ndarray:
+    """[sqrt(c1 - c0) P, sqrt(c0) 1], whose gram is the kernel
+    c0 11' + (c1 - c0) P P' that solve_exact's c0 and c1 ask for."""
+    n = points.shape[0]
+    return np.hstack([np.sqrt(c1 - c0) * points, np.full((n, 1), np.sqrt(c0))])
+
+
 class TestSolveExact:
     def test_identity_kernel(self):
-        alpha = solve_exact(np.eye(2), np.ones(2), 1.0)
+        alpha = solve_exact(MeteredGram(np.eye(2)), np.ones(2), 1.0)
         assert np.allclose(alpha, [0.5, 0.5], atol=1e-14)
 
     def test_pure_ridge(self):
-        alpha = solve_exact(np.zeros((2, 2)), np.array([4.0, 6.0]), 2.0)
+        alpha = solve_exact(MeteredGram(np.zeros((2, 1))), np.array([4.0, 6.0]), 2.0)
         assert np.allclose(alpha, [2.0, 3.0], atol=1e-14)
 
     def test_matches_independent_dense_solve(self):
         rng = stream(0, "psd")
-        K = random_psd(6, 6, rng)
+        A = _points(6, 6, rng)
         z = rng.standard_normal(6)
-        alpha = solve_exact(K, z, 0.7)
-        ref = np.linalg.solve(K + 0.7 * np.eye(6), z)
+        alpha = solve_exact(MeteredGram(A), z, 0.7)
+        ref = np.linalg.solve(A @ A.T + 0.7 * np.eye(6), z)
         assert np.abs(alpha - ref).max() <= 1e-10
 
     def test_solution_solves_system(self):
         rng = stream(1, "psd2")
-        K = random_psd(20, 5, rng)
+        A = _points(20, 5, rng)
         z = rng.standard_normal(20)
-        alpha = solve_exact(K, z, 1.3)
-        resid = (K + 1.3 * np.eye(20)) @ alpha - z
+        alpha = solve_exact(MeteredGram(A), z, 1.3)
+        resid = (A @ A.T + 1.3 * np.eye(20)) @ alpha - z
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(z)
-
-    def test_rejects_asymmetric(self):
-        K = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ContractViolationError):
-            solve_exact(K, np.ones(2), 1.0)
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ContractViolationError):
-            solve_exact(np.eye(2), np.ones(2), 0.0)
+            solve_exact(MeteredGram(np.eye(2)), np.ones(2), 0.0)
 
     def test_scale_covariance(self):
         rng = stream(2, "scale")
-        K = random_psd(8, 8, rng)
+        A = _points(8, 8, rng)
         z = rng.standard_normal(8)
-        base = solve_exact(K, z, 0.5)
+        base = solve_exact(MeteredGram(A), z, 0.5)
         for c in (0.2, 3.0, 17.0):
-            scaled = solve_exact(c * K, c * z, c * 0.5)
+            scaled = solve_exact(MeteredGram(np.sqrt(c) * A), c * z, c * 0.5)
             assert np.abs(scaled - base).max() <= 1e-9
 
 
 DENSE_SOLVERS = {
     "exact": solve_exact,
-    "indicator": lambda K, z, lam: solve_exact(K, z, lam, 0.1, 1.0),
+    "indicator": lambda gram, z, lam: solve_exact(gram, z, lam, 0.1, 1.0),
 }
 
 
 class TestCheckSystem:
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
-    @pytest.mark.parametrize("K, z, lam", [
-        (np.ones((3, 2)), np.ones(3), 1.0),
+    @pytest.mark.parametrize("points, z, lam", [
         (np.eye(3), np.ones(4), 1.0),
         (np.eye(3), np.ones((3, 1)), 1.0),
-        (np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2), 1.0),
         (np.eye(2), np.ones(2), 0.0),
         (np.eye(2), np.ones(2), -1.0),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2), 1.0),
-        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2), 1.0),
-        (np.array([[1.0, np.inf], [np.inf, 1.0]]), np.ones(2), 1.0),
-        (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), np.ones(2), 1.0),
+        # inf * 0 puts a NaN off the diagonal, beside an infinite diagonal
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 1.0),
+        (np.array([[1e200], [1e200]]), np.ones(2), 1.0),
+        (np.array([[1e200], [-1e200]]), np.ones(2), 1.0),
         (np.eye(2), np.array([1.0, np.nan]), 1.0),
         (np.eye(2), np.array([np.inf, 1.0]), 1.0),
         (np.eye(2), np.ones(2), np.nan),
-        (np.zeros((0, 0)), np.zeros(0), 1.0),
-    ], ids=["non-square", "non-conforming", "z-matrix", "asymmetric",
-            "lam-zero", "lam-negative", "nan-diagonal", "nan-off-diagonal",
-            "inf-off-diagonal", "neg-inf-off-diagonal", "z-nan", "z-inf",
+        (np.zeros((0, 2)), np.zeros(0), 1.0),
+    ], ids=["non-conforming", "z-matrix", "lam-zero", "lam-negative", "nan-diagonal",
+            "nan-off-diagonal", "inf-off-diagonal", "neg-inf-off-diagonal", "z-nan", "z-inf",
             "lam-nan", "empty"])
-    def test_dense_solvers_reject_malformed_systems(self, solver, K, z, lam):
-        with pytest.raises(ContractViolationError):
-            DENSE_SOLVERS[solver](K, z, lam)
+    def test_dense_solvers_reject_malformed_systems(self, solver, points, z, lam):
+        # no point makes no gram: MeteredGram refuses it
+        with np.errstate(all="ignore"), pytest.raises(ContractViolationError):
+            DENSE_SOLVERS[solver](MeteredGram(points), z, lam)
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan],
-                             ids=["lam-zero", "lam-negative", "lam-nan"])
-    def test_nystrom_rejects_bad_lam_before_reading(self, lam):
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    @pytest.mark.parametrize("z, lam", [
+        (np.ones(3), 0.0), (np.ones(3), np.nan), (np.ones(4), 1.0),
+        (np.array([1.0, np.nan, 1.0]), 1.0), (np.array([1.0, 1.0, -np.inf]), 1.0),
+    ], ids=["lam-zero", "lam-nan", "z-length", "z-nan", "z-inf"])
+    def test_refusals_read_nothing(self, solver, z, lam):
+        # as do refused c0 and c1 (TestIndicatorSolve.test_rejects_bad_constants)
+        gram = MeteredGram(np.eye(3))
+        with pytest.raises(ContractViolationError):
+            DENSE_SOLVERS[solver](gram, z, lam)
+        assert gram.ledger_report().total_requests == 0
+
+    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_gram_that_is_not_finite_is_refused(self, solver, value):
+        # 1e200 squared is past the largest double: its diagonal entry is inf
+        points = np.ones((20, 2))
+        points[7, 1] = value
+        with np.errstate(all="ignore"), pytest.raises(ContractViolationError, match="finite"):
+            DENSE_SOLVERS[solver](MeteredGram(points), np.ones(20), 1.0)
+
+    @pytest.mark.parametrize("z, lam", [
+        (np.ones(4), 0.0), (np.ones(4), -1.0), (np.ones(4), np.nan),
+        (np.array([1.0, np.nan, 1.0, 1.0]), 1.0), (np.array([1.0, 1.0, np.inf, 1.0]), 1.0),
+    ], ids=["lam-zero", "lam-negative", "lam-nan", "z-nan", "z-inf"])
+    def test_nystrom_rejects_bad_lam_before_reading(self, z, lam):
         gram = MeteredGram(np.eye(4))
         with pytest.raises(ContractViolationError):
-            nystrom_solve(gram, [0, 1], np.ones(4), lam)
+            nystrom_solve(gram, [0, 1], z, lam)
         assert gram.ledger_report().total_requests == 0
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan],
@@ -108,95 +137,59 @@ class TestCheckSystem:
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_dense_solvers_reject_indefinite_systems(self, solver):
-        # exact: -I + 0.5 I; indicator: 0.1 11' + 0.9 (-I) + 0.5 I, with
-        # eigenvalues -0.2 and -0.4
+        # a gram is positive semidefinite, but at rank 3 (4 with the offset)
+        # and n = 40, past the 2 pivots, with lam far below its round-off,
+        # K + lam I is indefinite in floating point, and the Cholesky says so
+        gram = MeteredGram(_points(40, 3, stream(3, "indefinite")))
         with pytest.raises(NumericalDegeneracyError, match="not positive definite"):
-            DENSE_SOLVERS[solver](-np.eye(2), np.ones(2), 0.5)
-
-    @staticmethod
-    @st.composite
-    def _planted_skew(draw):
-        """A symmetric definite K (either sign) around the tile size with one
-        entry moved by about the symmetry tolerance, in a diagonal tile, an
-        off-diagonal tile or the ragged last tile."""
-        T = _SYM_TILE
-        n = draw(st.sampled_from([1, T - 1, T, T + 1, 2 * T + 3]))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        S = rng.random((n, n))
-        K = draw(st.sampled_from([1.0, -1.0])) * (S + S.T + 2 * n * np.eye(n))
-        regions = ["diagonal"] + (["off-diagonal"] if n > T else [])
-        regions += ["ragged"] if n % T else []
-        region = draw(st.sampled_from(regions))
-        last = (n - 1) // T * T
-        if region == "diagonal":
-            t = draw(st.integers(0, (n - 1) // T)) * T
-            i, j = (draw(st.integers(t, min(t + T, n) - 1)) for _ in range(2))
-        elif region == "off-diagonal":
-            i = draw(st.integers(0, T - 1))
-            j = draw(st.integers(T, n - 1))
-        else:
-            i = draw(st.integers(last, n - 1))
-            j = draw(st.integers(0, n - 1))
-        if draw(st.booleans()):
-            i, j = j, i
-        factor = draw(st.floats(0.0, 3.0))
-        K[i, j] += factor * 1e-8 * (1.0 + np.abs(K).max())
-        return K
-
-    @settings(max_examples=60, deadline=None)
-    @given(K=_planted_skew())
-    def test_tiled_check_matches_dense_reference(self, K):
-        skew = np.abs(K - K.T).max()
-        if skew <= 1e-8 * (1.0 + np.abs(K).max()):
-            _check_entries(K)
-        else:
-            with pytest.raises(ContractViolationError) as err:
-                _check_entries(K)
-            assert f"(max skew {skew:.3g})" in str(err.value)
+            DENSE_SOLVERS[solver](gram, np.ones(40), 1e-300)
 
 
 def _layout_case():
     rng = stream(5, "layout")
     A = rng.integers(-3, 4, size=(40, 7))
-    K = A @ A.T
     z = rng.standard_normal(40)
-    return K, z
+    return A, z
 
 
 class TestDenseSolverInputs:
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_inputs_are_not_written(self, solver):
-        K, z = _layout_case()
-        K = K.astype(np.float64)  # float input is the caller's own array, not a converted copy
-        for M in (K, np.asfortranarray(K)):
+        # a gram keeps float points as given: they are the caller's own array
+        A, z = _layout_case()
+        A = A.astype(np.float64)
+        for M in (A, np.asfortranarray(A)):
             before = (M.tobytes(order="A"), z.tobytes())
-            DENSE_SOLVERS[solver](M, z, 0.7)
+            DENSE_SOLVERS[solver](MeteredGram(M), z, 0.7)
             assert (M.tobytes(order="A"), z.tobytes()) == before
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_layout_and_dtype_do_not_change_alpha(self, solver):
-        K, z = _layout_case()
-        ref = DENSE_SOLVERS[solver](K.astype(np.float64), z, 0.7)
-        big = np.zeros((2 * K.shape[0], 2 * K.shape[1]))
-        big[::2, ::2] = K
-        for M in (K, np.asfortranarray(K.astype(np.float64)), big[::2, ::2]):
-            np.testing.assert_array_equal(DENSE_SOLVERS[solver](M, z, 0.7), ref)
+        A, z = _layout_case()
+        ref = DENSE_SOLVERS[solver](MeteredGram(A.astype(np.float64)), z, 0.7)
+        big = np.zeros((2 * A.shape[0], 2 * A.shape[1]))
+        big[::2, ::2] = A
+        for M in (A, np.asfortranarray(A.astype(np.float64)), big[::2, ::2]):
+            for b in (z, np.repeat(z, 2)[::2], z.tolist()):
+                np.testing.assert_array_equal(DENSE_SOLVERS[solver](MeteredGram(M), b, 0.7),
+                                              ref)
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_one_working_copy(self, solver):
+        # the whole solve, its reveal included: rank 20 at n = 1000 is
+        # factored, beside the revealed array, in at most n / 16 rows
         n = 1000
-        K = random_psd(n, 20, stream(6, "copy")) / n
+        A = _points(n, 20, stream(6, "copy"), 1 / np.sqrt(n))
         z = np.ones(n)
-        for M in (K, np.asfortranarray(K)):
-            _, peak = traced_peak(DENSE_SOLVERS[solver], M, z, 0.5)
-            assert peak <= 1.1 * K.nbytes
+        for M in (A, np.asfortranarray(A)):
+            _, peak = traced_peak(DENSE_SOLVERS[solver], MeteredGram(M), z, 0.5)
+            assert peak <= 1.1 * n * n * 8
 
 
 def _clusters(n: int, r: int) -> np.ndarray:
-    """The 0/1 gram of n points on r basis vectors in contiguous runs: rank r,
-    factored exactly, and each pivot is the first point of its run."""
-    labels = np.arange(n) * r // n
-    return (labels[:, None] == labels[None, :]).astype(np.float64)
+    """n points on r basis vectors in contiguous runs, whose 0/1 gram has
+    rank r, is factored exactly, and pivots on the first point of each run."""
+    return np.eye(r)[np.arange(n) * r // n]
 
 
 @pytest.fixture
@@ -212,247 +205,160 @@ def factor_calls(monkeypatch):
     return calls
 
 
-def _outcome(solve, *args):
-    """solve(*args), or the message of the NumericalDegeneracyError it raised."""
-    try:
-        return solve(*args)
-    except NumericalDegeneracyError as e:
-        return str(e)
-
-
 def _dense_outcome(monkeypatch, solve, *args):
-    """_outcome with the pivoted route switched off."""
+    """solve(*args) with the pivoted route switched off."""
     with monkeypatch.context() as m:
-        m.setattr(krr, "_pivoted_factor", lambda K, tol: None)
-        return _outcome(solve, *args)
-
-
-def _assert_same(got, want):
-    assert type(got) is type(want)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        np.testing.assert_array_equal(got, want)
+        m.setattr(krr, "_pivot", lambda K, tol, cap: None)
+        return solve(*args)
 
 
 class TestPivotedRoute:
     @pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
     def test_hard_instance_takes_the_route(self, monkeypatch, factor_calls, augmented):
         inst = gen_krr(400, 8, 0.25, seed=3, augmented=augmented)
-        K = inst.gram.full()
-        alpha = solve_exact(K, inst.z, inst.lam)
+        alpha = solve_exact(inst.gram, inst.z, inst.lam)
         assert factor_calls == []
-        dense = _dense_outcome(monkeypatch, solve_exact, K, inst.z, inst.lam)
+        dense = _dense_outcome(monkeypatch, solve_exact, inst.gram, inst.z, inst.lam)
         assert factor_calls == [inst.n_total]
         assert np.abs(alpha - dense).max() <= 1e-12
 
     def test_indicator_kernel_takes_the_route(self, monkeypatch, factor_calls):
         inst = gen_krr(400, 8, 0.25, seed=4)
-        G = inst.gram.full()
         c0, c1 = 0.25, 1.0
-        K = c0 + (c1 - c0) * G
-        for solve, args in ((solve_exact, (G, inst.z, inst.lam, c0, c1)),
-                            (solve_exact, (K, inst.z, inst.lam))):
-            alpha = solve(*args)
+        K = MeteredGram(_indicator_points(inst.points, c0, c1))
+        for args in ((inst.gram, inst.z, inst.lam, c0, c1), (K, inst.z, inst.lam)):
+            alpha = solve_exact(*args)
             assert factor_calls == []
-            dense = _dense_outcome(monkeypatch, solve, *args)
+            dense = _dense_outcome(monkeypatch, solve_exact, *args)
             assert np.abs(alpha - dense).max() <= 1e-12
             factor_calls.clear()
 
     def test_random_low_rank_takes_the_route(self, monkeypatch, factor_calls):
         rng = stream(13, "pivot")
-        K = random_psd(640, 12, rng) / 12
+        gram = MeteredGram(_points(640, 12, rng, 1 / np.sqrt(12)))
         z = rng.standard_normal(640)
-        alpha = solve_exact(K, z, 1.0)
+        alpha = solve_exact(gram, z, 1.0)
         assert factor_calls == []
-        dense = _dense_outcome(monkeypatch, solve_exact, K, z, 1.0)
+        dense = _dense_outcome(monkeypatch, solve_exact, gram, z, 1.0)
         assert np.abs(alpha - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("n, rank, lam", [(640, 12, 0.1), (1000, 20, 0.5)])
     def test_fit_floored_at_round_off_takes_the_route(self, monkeypatch, factor_calls, n,
                                                       rank, lam):
         # the factor's round-off exceeds 1e-13 * lam here: it fits only to
-        # the 8 eps sum|K_ii| floor
+        # the 8 eps trace(K) floor
         rng = stream(13, "pivot")
-        K = random_psd(n, rank, rng) / rank
+        gram = MeteredGram(_points(n, rank, rng, 1 / np.sqrt(rank)))
         z = rng.standard_normal(n)
-        alpha = solve_exact(K, z, lam)
+        alpha = solve_exact(gram, z, lam)
         assert factor_calls == []
-        dense = _dense_outcome(monkeypatch, solve_exact, K, z, lam)
+        dense = _dense_outcome(monkeypatch, solve_exact, gram, z, lam)
         assert np.abs(alpha - dense).max() <= 1e-10 * np.abs(dense).max()
 
     @pytest.mark.parametrize("rank, taken", [(10, True), (11, False)])
     def test_at_most_n_over_16_pivots(self, factor_calls, rank, taken):
         n = 160
-        K = _clusters(n, rank)
+        P = _clusters(n, rank)
         z = stream(14, "cap").standard_normal(n)
-        alpha = solve_exact(K, z, 0.5)
+        alpha = solve_exact(MeteredGram(P), z, 0.5)
         assert factor_calls == ([] if taken else [n])
-        ref = np.linalg.solve(K + 0.5 * np.eye(n), z)
+        ref = np.linalg.solve(P @ P.T + 0.5 * np.eye(n), z)
         assert np.abs(alpha - ref).max() <= 1e-12
-
-    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
-    @pytest.mark.parametrize("eta", [0.5, 3.0], ids=["definite", "indefinite"])
-    def test_unverified_factor_falls_back(self, monkeypatch, factor_calls, solver, eta):
-        # rank 3 plus eta at (1, n - 1), two points that never pivot: the
-        # residual diagonal is 0 after three pivots, the residual at (1, n - 1)
-        # is eta, and K + I is indefinite once eta > 2
-        n = 64
-        K = _clusters(n, 3)
-        K[1, -1] = K[-1, 1] = eta
-        z = np.ones(n)
-        got = _outcome(DENSE_SOLVERS[solver], K, z, 1.0)
-        assert factor_calls == [n]
-        _assert_same(got, _dense_outcome(monkeypatch, DENSE_SOLVERS[solver], K, z, 1.0))
-        assert isinstance(got, str) == (eta > 2)
-
-    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
-    def test_negative_diagonal_gives_up_before_verifying(self, monkeypatch, factor_calls,
-                                                         solver):
-        n = 64
-        K = _clusters(n, 3)
-        K[0, 0] = -1.0
-        z = np.ones(n)
-        monkeypatch.setattr(krr, "_fits", lambda *a: pytest.fail("verified a non-PSD factor"))
-        got = _outcome(DENSE_SOLVERS[solver], K, z, 1.0)
-        assert factor_calls == [n]
-        _assert_same(got, _dense_outcome(monkeypatch, DENSE_SOLVERS[solver], K, z, 1.0))
 
     def test_overflowing_tolerance_falls_back(self, factor_calls):
         # 1e-13 * lam / (c1 - c0) overflows; an empty factor fitted to that
-        # inf would drop the n * s = 6.3e-13 that (c1 - c0) G adds to lam
-        n, c1 = 64, 1e-322
-        G = np.full((n, n), 1e308)
-        alpha = solve_exact(G, np.ones(n), 1.0, 0.0, c1)
+        # inf would drop the n * s = 8.5e-14 that (c1 - c0) G adds to lam.
+        # G's entries g = 1.7e308 / n leave its trace finite
+        n, c1 = 64, 5e-322
+        gram = MeteredGram(np.full((n, 1), np.sqrt(1.7e308 / n)))
+        g = gram.full()[0, 0]
+        alpha = solve_exact(gram, np.ones(n), 1.0, 0.0, c1)
         assert factor_calls == [n]
-        np.testing.assert_allclose(alpha, 1.0 / (1.0 + n * (c1 * 1e308)), rtol=1e-14)
+        np.testing.assert_allclose(alpha, 1.0 / (1.0 + n * (c1 * g)), rtol=1e-14)
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_full_rank_falls_back_holding_one_working_copy(self, monkeypatch, factor_calls,
                                                            solver):
-        n = 512
+        # the whole solve, its reveal included: the fallback factors the
+        # revealed array in place. At n = 1200 the reveal's gathers of 48
+        # points a side are 0.08 of that array. The untraced first solve
+        # loads scipy, whose one-time import no array of the solve holds
+        n = 1200
         rng = stream(15, "full")
-        K = random_psd(n, n, rng) / n
+        gram = MeteredGram(_points(n, n, rng, 1 / np.sqrt(n)))
         z = rng.standard_normal(n)
-        got, peak = traced_peak(DENSE_SOLVERS[solver], K, z, 0.5)
-        assert factor_calls == [n]
-        assert peak <= 1.1 * K.nbytes
-        _assert_same(got, _dense_outcome(monkeypatch, DENSE_SOLVERS[solver], K, z, 0.5))
+        want = _dense_outcome(monkeypatch, DENSE_SOLVERS[solver], gram, z, 0.5)
+        got, peak = traced_peak(DENSE_SOLVERS[solver], gram, z, 0.5)
+        assert factor_calls == [n, n]
+        assert peak <= 1.1 * n * n * 8
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_low_rank_solve_holds_no_n_by_n_copy(self, factor_calls, solver):
+        # beside the revealed array, only the factor's rows
         inst = gen_krr(2000, 40, 0.1, seed=5)
-        K = inst.gram.full()
-        _, peak = traced_peak(DENSE_SOLVERS[solver], K, inst.z, inst.lam)
+        n = inst.n_total
+        _, peak = traced_peak(DENSE_SOLVERS[solver], inst.gram, inst.z, inst.lam)
         assert factor_calls == []
-        assert peak <= 0.25 * K.nbytes
-
-
-@pytest.fixture
-def entry_checks(monkeypatch):
-    """The sizes of the matrices given the full entry check while it is in use."""
-    calls, real = [], krr._check_entries
-
-    def spy(K):
-        calls.append(K.shape[0])
-        return real(K)
-
-    monkeypatch.setattr(krr, "_check_entries", spy)
-    return calls
-
-
-def _planted(n, rank, plant, where, factor):
-    """_clusters(n, rank) with entry `where` planted: a NaN, +-inf, or moved
-    by factor times the symmetry tolerance 1e-8 * (1 + max|K|) ("skew"; for
-    "pair" the transposed entry also moves the other way, by the same). An
-    inf goes to a pair of two points that never pivot (a point that is the
-    first of its run, and so pivots, is replaced by the next), so only the
-    fit can see it."""
-    K = _clusters(n, rank)
-    i, j = where
-    if plant.endswith("inf"):
-        pivots = set(np.arange(rank) * n // rank + (np.arange(rank) * n % rank > 0))
-        i, j = (x + 1 if x in pivots else x for x in (i, j))
-    if plant == "pair":
-        K[j, i] -= factor * 2e-8
-    K[i, j] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}.get(
-        plant, K[i, j] + factor * 2e-8)
-    return K
-
-
-def _rejection(check, *args):
-    """The message of the ContractViolationError check(*args) raised, or None."""
-    try:
-        check(*args)
-    except ContractViolationError as e:
-        return str(e)
-    return None
+        assert peak <= 1.1 * n * n * 8
 
 
 class TestFusedEntryCheck:
-    """A pivoted factor that fits K vouches for its entries: the full finite
-    and symmetric pass runs only on the fallback or at a lam so large that
-    the fit no longer bounds the skew, and every matrix that pass rejects
-    is still rejected the same way."""
+    """The one check on a gram's entries is fused into the pivot loop's
+    read of the diagonal: a trace that is not finite is refused. The pivoted
+    route reads the diagonal and the pivot rows of the revealed K, and no
+    other entry."""
 
     @pytest.mark.parametrize("case", ["plain", "augmented", "indicator-G", "indicator-K"])
-    def test_route_skips_the_entry_check(self, monkeypatch, factor_calls, entry_checks,
-                                         case):
+    def test_route_skips_the_entry_check(self, monkeypatch, factor_calls, case):
         inst = gen_krr(400, 8, 0.25, seed=6, augmented=case == "augmented")
-        K = inst.gram.full()
         c0, c1 = 0.25, 1.0
+        gram, args = inst.gram, (inst.z, inst.lam)
         if case == "indicator-G":
-            solve, args = solve_exact, (K, inst.z, inst.lam, c0, c1)
-        else:
-            if case == "indicator-K":
-                K = c0 + (c1 - c0) * K
-            solve, args = solve_exact, (K, inst.z, inst.lam)
-        alpha = solve(*args)
-        assert (factor_calls, entry_checks) == ([], [])
-        # K is exactly symmetric, so with no tolerance left the check runs and passes
-        monkeypatch.setattr(krr, "_SYM_TOL", 0.0)
-        forced = solve(*args)
-        assert (factor_calls, entry_checks) == ([], [K.shape[0]])
-        assert alpha.tobytes() == forced.tobytes()
+            args += (c0, c1)
+        elif case == "indicator-K":
+            gram = MeteredGram(_indicator_points(inst.points, c0, c1))
+        K, n, rows = gram.full(), gram.n, []
 
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(64, 600), data=st.data(),
-           plant=st.sampled_from(["nan", "inf", "-inf", "skew", "pair"]),
-           lam=st.sampled_from([0.5, 1e4, 1.9e5, 1e6]),
+        class Logged(np.ndarray):
+            def __getitem__(self, key):
+                if self.ndim == 2:  # K, not the copies of its diagonal
+                    rows.append(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(gram, "full", lambda: K.copy().view(Logged))
+        alpha = solve_exact(gram, *args)
+        assert factor_calls == []
+        assert all(isinstance(i, int) for i in rows)
+        assert 0 < len(rows) == len(set(rows)) <= n // 16
+        # every other entry a NaN: the same alpha, to the bit
+        poisoned = np.full((n, n), np.nan)
+        poisoned[rows] = K[rows]
+        np.fill_diagonal(poisoned, K.diagonal())
+        monkeypatch.setattr(gram, "full", lambda: poisoned.copy())
+        assert solve_exact(gram, *args).tobytes() == alpha.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(16, 300), data=st.data(),
+           plant=st.sampled_from([np.nan, np.inf, -np.inf, 1e200, 1e100, 1e-200, 3.0]),
+           lam=st.sampled_from([0.5, 1e4, 1e6]),
            solver=st.sampled_from(sorted(DENSE_SOLVERS)))
     def test_solvers_reject_exactly_what_the_entry_check_rejects(self, n, data, plant, lam,
                                                                   solver):
-        # the fit vouches for symmetry while 2 tol <= 1e-8 * (1 + 1), so up
-        # to lam = 1e5 (1e5 * 0.9 for the indicator's G); at 1.9e5 and 1e6 a
-        # planted skew up to tol fits, and only the full check rejects it
+        # the entry check is the gram's: every point finite, and the sum of
+        # their squared norms too
         rank = data.draw(st.integers(1, n // 16), label="rank")
-        where = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          label="where")
-        factor = data.draw(st.floats(0.0, 3.0), label="factor")
-        K = _planted(n, rank, plant, where, factor)
-        assert (_rejection(DENSE_SOLVERS[solver], K, np.ones(n), lam)
-                == _rejection(_check_entries, K))
-
-    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
-    def test_skew_that_fits_is_still_rejected(self, solver):
-        # K_ij and K_ji each moved by 0.6 * 2e-8 the other way: skew 1.2
-        # times the tolerance, a fit residual of sqrt(2) * 1.2e-8 = 1.7e-8
-        # within tol = 1e-13 * lam (over 0.9 for G) = 1.9e-8 or 2.1e-8
-        K = _planted(64, 2, "pair", (3, 40), 0.6)
-        lam = 1.9e5
-        tol = 1e-13 * lam / (0.9 if solver == "indicator" else 1.0)
-        assert krr._pivoted_factor(K, tol) is not None
-        with pytest.raises(ContractViolationError, match="not symmetric"):
-            DENSE_SOLVERS[solver](K, np.ones(64), lam)
-
-    @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
-    @pytest.mark.parametrize("where", [(99, 5), (5, 99), (98, 97)],
-                             ids=["last-row", "last-column", "last-panel"])
-    def test_fit_reads_the_ragged_last_panel(self, solver, where):
-        # rows 96..99 make the last, 4-row, panel of the fit
-        K = _planted(100, 3, "inf", where, 0.0)
-        with pytest.raises(ContractViolationError, match="must be finite"):
-            DENSE_SOLVERS[solver](K, np.ones(100), 0.5)
+        i = data.draw(st.integers(0, n - 1), label="point")
+        P = _clusters(n, rank)
+        P[i, data.draw(st.integers(0, rank - 1), label="coordinate")] = plant
+        with np.errstate(all="ignore"):
+            finite = bool(np.isfinite(P).all() and np.isfinite(np.square(P).sum()))
+            try:
+                DENSE_SOLVERS[solver](MeteredGram(P), np.ones(n), lam)
+                refused = None
+            except ContractViolationError as e:
+                refused = str(e)
+        assert refused == (None if finite else "the gram must be finite")
 
 
 class TestEffectiveDimension:
@@ -534,7 +440,7 @@ class TestSpectralApprox:
         rng = stream(5, "spec")
         pts = rng.standard_normal((10, 10))
         z = rng.standard_normal(10)
-        opt = solve_exact(pts @ pts.T, z, 1.0)
+        opt = solve_exact(MeteredGram(pts), z, 1.0)
         hat = nystrom_solve(MeteredGram(pts), np.arange(10), z, 1.0)
         assert np.abs(hat - opt).max() <= 1e-12
 
@@ -550,7 +456,7 @@ class TestSpectralApprox:
             landmarks = certified_landmarks(K, lam, eps, seed)
             assert landmarks is not None
             hat = nystrom_solve(MeteredGram(pts), landmarks, z, lam)
-            assert check_guarantee(hat, solve_exact(K, z, lam), eps)
+            assert check_guarantee(hat, solve_exact(MeteredGram(pts), z, lam), eps)
 
     def test_certificate_below_full_rank(self):
         # at noise 0.05 above, every seed needs all 64 landmarks; at 0.001 the
@@ -565,7 +471,7 @@ class TestSpectralApprox:
             landmarks = certified_landmarks(K, lam, eps, seed)
             assert landmarks is not None and landmarks.size < 64
             hat = nystrom_solve(MeteredGram(pts), landmarks, z, lam)
-            assert check_guarantee(hat, solve_exact(K, z, lam), eps)
+            assert check_guarantee(hat, solve_exact(MeteredGram(pts), z, lam), eps)
 
     def test_nystrom_bound_is_real(self):
         rng = stream(7, "nyb")
@@ -581,7 +487,7 @@ class TestSpectralApprox:
         hat = nystrom_solve(MeteredGram(pts), landmarks, z, lam)
         ref = np.linalg.solve(K - gap + lam * np.eye(40), z)
         assert np.abs(hat - ref).max() <= 1e-10 * np.abs(ref).max()
-        assert check_guarantee(hat, solve_exact(K, z, lam), gap_eigs.max() / lam)
+        assert check_guarantee(hat, solve_exact(MeteredGram(pts), z, lam), gap_eigs.max() / lam)
 
     def test_zero_kernel_gives_pure_ridge(self):
         # no landmark eigenvalue survives the cut, so K_tilde = 0
@@ -665,21 +571,18 @@ class TestHardInstanceOptimum:
 
     def test_matches_exact_solver(self):
         inst = gen_krr(200, 20, 0.2, seed=1)
-        K = inst.points @ inst.points.T
-        alpha = solve_exact(K, inst.z, inst.lam)
+        alpha = solve_exact(inst.gram, inst.z, inst.lam)
         assert np.abs(alpha - hard_instance_optimum(inst)).max() <= 1e-9
 
     def test_closed_form_consistency_many_seeds(self):
         for seed in range(20):
             inst = gen_krr(160, 16, 0.25, seed=seed)
-            K = inst.points @ inst.points.T
-            alpha = solve_exact(K, inst.z, inst.lam)
+            alpha = solve_exact(inst.gram, inst.z, inst.lam)
             assert np.abs(alpha - hard_instance_optimum(inst)).max() <= 1e-9
 
     def test_augmented_matches_exact_solver(self):
         inst = gen_krr(120, 12, 0.25, seed=2, augmented=True)
-        K = inst.points @ inst.points.T
-        alpha = solve_exact(K, inst.z, inst.lam)
+        alpha = solve_exact(inst.gram, inst.z, inst.lam)
         assert np.abs(alpha - hard_instance_optimum(inst)).max() <= 1e-9
 
     @settings(max_examples=100, deadline=None)
@@ -709,10 +612,9 @@ class TestHardInstanceOptimum:
            c1=st.floats(-2.0, 2.0) | st.sampled_from([0.0, np.nan, np.inf, -np.inf]))
     def test_refuses_what_solve_exact_refuses(self, c0, c1):
         inst = gen_krr(8, 4, 0.5, seed=0)
-        G = inst.gram.full()
         refusals = []
         for solve in (lambda: hard_instance_optimum(inst, c0, c1),
-                      lambda: solve_exact(G, inst.z, inst.lam, c0, c1)):
+                      lambda: solve_exact(inst.gram, inst.z, inst.lam, c0, c1)):
             try:
                 solve()
                 refusals.append(None)
@@ -745,8 +647,7 @@ class TestClassifyRows:
 
     def test_end_to_end_accuracy(self):
         inst = gen_krr(5000, 100, 0.1, seed=4)
-        K = inst.points @ inst.points.T
-        alpha = solve_exact(K, inst.z, inst.lam)
+        alpha = solve_exact(inst.gram, inst.z, inst.lam)
         labels = classify_rows(alpha, inst.n, inst.k, inst.eps)
         assert np.mean(labels == inst.classes) >= 0.9
 
@@ -754,62 +655,61 @@ class TestClassifyRows:
 class TestIndicatorSolve:
     def test_zero_offset_reduces_to_plain_solve(self):
         rng = stream(8, "ind0")
-        G = random_psd(12, 6, rng)
+        gram = MeteredGram(_points(12, 6, rng))
         z = rng.standard_normal(12)
-        fast = solve_exact(G, z, 0.9, 0.0, 1.0)
-        ref = solve_exact(G, z, 0.9)
+        fast = solve_exact(gram, z, 0.9, 0.0, 1.0)
+        ref = solve_exact(gram, z, 0.9)
         assert np.abs(fast - ref).max() <= 1e-10
 
     def test_pure_scaling(self):
         inst = gen_krr(8, 4, 0.5, seed=9)
-        G = inst.points @ inst.points.T
-        fast = solve_exact(G, inst.z, 1.0, 0.0, 2.0)
-        ref = solve_exact(2.0 * G, inst.z, 1.0)
+        fast = solve_exact(inst.gram, inst.z, 1.0, 0.0, 2.0)
+        ref = solve_exact(MeteredGram(np.sqrt(2.0) * inst.points), inst.z, 1.0)
         assert np.abs(fast - ref).max() <= 1e-10
 
     @staticmethod
-    def _both_routes(monkeypatch, factor_calls, G, z, lam, c0, c1):
+    def _both_routes(monkeypatch, factor_calls, gram, z, lam, c0, c1):
         """The largest difference, relative to the largest entry of the
         reference, between np.linalg.solve on the assembled c0 11' +
         (c1 - c0) G + lam I and solve_exact, on the pivoted route and
         then with it switched off."""
-        n = G.shape[0]
+        n, G = gram.n, gram.full()
         ref = np.linalg.solve(c0 * np.ones((n, n)) + (c1 - c0) * G + lam * np.eye(n), z)
-        pivoted = solve_exact(G, z, lam, c0, c1)
+        pivoted = solve_exact(gram, z, lam, c0, c1)
         assert factor_calls == []
-        with monkeypatch.context() as m:
-            m.setattr(krr, "_pivoted_factor", lambda K, tol: None)
-            dense = solve_exact(G, z, lam, c0, c1)
+        dense = _dense_outcome(monkeypatch, solve_exact, gram, z, lam, c0, c1)
         assert factor_calls == [n]
         return [np.abs(got - ref).max() / np.abs(ref).max() for got in (pivoted, dense)]
 
     def test_offset_matches_direct_assembly(self, monkeypatch, factor_calls):
         inst = gen_krr(3000, 40, 0.1, seed=10)
-        errs = self._both_routes(monkeypatch, factor_calls, inst.gram.full(), inst.z,
-                                 inst.lam, 0.3, 1.0)
+        errs = self._both_routes(monkeypatch, factor_calls, inst.gram, inst.z, inst.lam,
+                                 0.3, 1.0)
         assert max(errs) <= 1e-12
 
     def test_general_target_vector(self, monkeypatch, factor_calls):
         # rank 8 at n = 160 is within the n / 16 = 10 pivots
         rng = stream(11, "indz")
-        G = random_psd(160, 8, rng)
+        gram = MeteredGram(_points(160, 8, rng))
         z = rng.standard_normal(160)
-        errs = self._both_routes(monkeypatch, factor_calls, G, z, 2.0, 0.4, 1.7)
+        errs = self._both_routes(monkeypatch, factor_calls, gram, z, 2.0, 0.4, 1.7)
         assert max(errs) <= 1e-12
 
     @pytest.mark.parametrize("c0, c1", [
         (1.0, 0.5), (0.5, 0.5), (-0.1, 1.0), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
     ], ids=["c1-below-c0", "c1-equal-c0", "c0-negative", "c0-nan", "c1-nan", "c1-inf"])
     def test_rejects_bad_constants(self, c0, c1):
+        gram = MeteredGram(np.eye(3))
         with pytest.raises(ContractViolationError, match="0 <= c0 < c1 < inf"):
-            solve_exact(np.eye(3), np.ones(3), 1.0, c0, c1)
+            solve_exact(gram, np.ones(3), 1.0, c0, c1)
+        assert gram.ledger_report().total_requests == 0
 
     def test_indicator_kernel_instance_end_to_end(self):
-        # the two-valued kernel on the hidden basis indices against
-        # solve_exact at c0, c1 on the oracle's dot-product gram
+        # the two-valued kernel on the hidden basis indices, assembled,
+        # against solve_exact at c0, c1 on the oracle's dot-product gram
         inst = gen_krr(60, 8, 0.25, seed=12)
         same = inst.basis_index[:, None] == inst.basis_index[None, :]
         K = np.where(same, 1.4, 0.2)
-        fast = solve_exact(inst.gram.full(), inst.z, inst.lam, 0.2, 1.4)
-        ref = solve_exact(K, inst.z, inst.lam)
+        fast = solve_exact(inst.gram, inst.z, inst.lam, 0.2, 1.4)
+        ref = np.linalg.solve(K + inst.lam * np.eye(60), inst.z)
         assert np.abs(fast - ref).max() <= 1e-9
