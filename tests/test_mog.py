@@ -65,14 +65,15 @@ class TestBootstrap:
         with pytest.raises(NumericalDegeneracyError):
             bootstrap_extract(_PoisonedGram(), 4)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("where", [(99, 5), (5, 99), (98, 97)],
                              ids=["last-row", "last-column", "last-panel"])
-    def test_fit_reads_the_ragged_last_panel(self, where):
+    def test_fit_reads_the_ragged_last_panel(self, where, value):
         # rank 3 on 100 points pivots on points 0, 34 and 67, so only the fit
         # reads the planted entry; rows 96..99 make its last, 4-row, panel
         P = np.eye(3)[np.arange(100) * 3 // 100]
         block = P @ P.T
-        block[where] = np.inf
+        block[where] = value
         with pytest.raises(NumericalDegeneracyError):
             bootstrap_extract(_PoisonedGram(block), 100)
 
