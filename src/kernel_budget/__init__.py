@@ -2,10 +2,10 @@
 
 Kernel values are only reachable through a counting (optionally budgeted)
 Gram oracle. On top of it: seeded hard-instance generators with hidden
-ground truth, exact and landmark kernel ridge regression with its
-effective dimension and closed-form hard-instance optimum, kernel k-means
-cost calculus with lower-bound formulas and neighbor-sampling label
-recovery, and a query-efficient clustering pipeline for Gaussian mixtures.
+ground truth, exact kernel ridge regression with its effective dimension
+and closed-form hard-instance optimum, kernel k-means cost calculus with
+lower-bound formulas and neighbor-sampling label recovery, and a
+query-efficient clustering pipeline for Gaussian mixtures.
 """
 
 __version__ = "0.1.0"
@@ -22,8 +22,7 @@ from .kkmc import (Clustering, CostBreakdown, block_clustering, cost_explicit,
                    cost_kernel, kappa, large_cluster_bound,
                    multi_cluster_lower_bound, rank_cost_gap, recover_labels,
                    single_block_cost, small_cluster_lower_bound)
-from .krr import (check_guarantee, classify_rows, d_eff, hard_instance_optimum,
-                  nystrom_solve, solve_exact)
+from .krr import classify_rows, d_eff, hard_instance_optimum, solve_exact
 from .mog import (MogResult, SketchOperator, bootstrap_extract, build_sketch,
                   cluster_mog, estimate_means, separation_thresholds,
                   sketch_apply_many, sketched_assign)
@@ -38,8 +37,7 @@ __all__ = [
     "MogInstance", "gen_krr", "gen_rank", "gen_kkmc", "gen_mog",
     "make_balanced_kkmc",
     # krr
-    "solve_exact", "nystrom_solve", "d_eff", "check_guarantee",
-    "hard_instance_optimum", "classify_rows",
+    "solve_exact", "d_eff", "hard_instance_optimum", "classify_rows",
     # kkmc
     "Clustering", "CostBreakdown", "cost_kernel", "cost_explicit",
     "block_clustering", "kappa", "small_cluster_lower_bound",

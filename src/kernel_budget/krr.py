@@ -1,6 +1,6 @@
-"""Kernel ridge regression: the exact dense solve, for the dot-product and
-the two-valued (indicator) kernel, a metered landmark (Nystrom) solve,
-effective dimension and the hard-instance closed form.
+"""Kernel ridge regression: the exact solve, for the dot-product and the
+two-valued (indicator) kernel, effective dimension and the hard-instance
+closed form.
 
 The regularized objective ||K a - z||^2 + lam * a' K a has minimizer
 a = (K + lam I)^{-1} z. `solve_exact` takes a metered gram; desk scale
@@ -19,11 +19,10 @@ positive-definite Cholesky of the revealed array itself, overwritten with
 offset c0 11' of the kernel c0 11' + (c1 - c0) K is one more factor row
 sqrt(c0) 1', or a constant added to that array. scipy loads on the first
 dense Cholesky, so importing the package, and a low-rank solve, load only
-numpy. `nystrom_solve` reads only the landmark columns of a metered gram;
-both solvers share one Woodbury solve. `_pivot` is the package's one pivot
-loop, which `mog.bootstrap_extract` runs too. `hard_instance_optimum`
-gives the instance's exact minimizer for either kernel apart from every
-solver.
+numpy. `_pivot` is the package's one pivot loop; it reads K through a
+column source, and `mog.bootstrap_extract` runs it too.
+`hard_instance_optimum` gives the instance's exact minimizer for either
+kernel apart from every solver.
 """
 
 from __future__ import annotations
@@ -45,18 +44,6 @@ def _check_lam(lam: float):
         raise ContractViolationError(f"lam must be positive, got {lam}")
 
 
-def _check_rhs(gram: MeteredGram, z, lam: float) -> np.ndarray:
-    """z as a float array, once lam > 0 and z is finite with one entry per
-    point of the gram; reads nothing from the gram."""
-    _check_lam(lam)
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (gram.n,):
-        raise ContractViolationError("z must have one entry per point")
-    if not np.isfinite(z).all():
-        raise ContractViolationError("z must be finite")
-    return z
-
-
 def _factor(A, lam: float, b) -> np.ndarray:
     """(A + lam I)^{-1} b for one right-hand side, factoring A + lam I in
     place. A is a symmetric C-order array that the solver owns.
@@ -75,37 +62,44 @@ def _factor(A, lam: float, b) -> np.ndarray:
     return scipy.linalg.cho_solve(cho, b, check_finite=False)
 
 
-def _pivot(K, tol: float, cap: int):
+def _pivot(diag, column, tol: float, cap: int):
     """Greedy pivoted Cholesky rows Ft (r x n) of a square K, r <= cap, or
-    None; the one pivot loop every factor in the package runs.
+    None; the one pivot loop every factor in the package runs. diag is K's
+    diagonal, copied here as the residual, and column(p) returns K[:, p],
+    called once for each pivot p; a caller holding a revealed K passes its
+    row K[p].
 
-    Each step pivots on the largest residual diagonal, takes that row of K
-    less the rows already found and divides it by the pivot's residual
+    Each step pivots on the largest residual diagonal, takes that column of
+    K less the rows already found and divides it by the pivot's residual
     root. Pivoting stops once the residual trace is at most tol, and gives
     up on a residual diagonal below -tol (K is not positive semidefinite),
     on a NaN or infinite tol, or when a pivot past cap is needed. Only the
-    diagonal and the pivot rows of K are read. For a Gram matrix the
+    diagonal and the pivot columns of K are read. For a Gram matrix the
     residual K - Ft'Ft is positive semidefinite, so its trace bounds
-    ||K - Ft'Ft||_F; a K that may be anything else is confirmed against
-    every entry by the caller (`mog._fits`).
+    ||K - Ft'Ft||_F. Ft grows in place, doubling its rows up to cap, and
+    is cut to its r rows on return: an array that owns its memory.
     """
     if not tol < np.inf:  # a NaN, or an overflow: no fit means anything
         return None
-    n = K.shape[0]
-    d = K.diagonal().copy()
-    Ft = np.empty((cap, n))
+    d = np.array(diag, dtype=np.float64)
+    n = d.size
+    Ft = np.empty((0, n))
     r = 0
     while True:
         if d.min() < -tol:
             return None
         if d.sum() <= tol:
-            return Ft[:r]
+            Ft.resize((r, n), refcheck=False)
+            return Ft
         if r == cap:
             return None
+        if r == Ft.shape[0]:  # no view of Ft lives across the realloc
+            Ft.resize((min(2 * r or 1, cap), n), refcheck=False)
         p = int(np.argmax(d))
-        row = np.subtract(K[p], Ft[:r, p] @ Ft[:r], out=Ft[r])
+        row = column(p) - Ft[:r, p] @ Ft[:r]
         row /= np.sqrt(d[p])
         d -= row * row
+        Ft[r] = row
         r += 1
 
 
@@ -138,7 +132,7 @@ def _solve(K, b, lam: float, scale: float = 1.0, offset: float = 0.0) -> np.ndar
         if not np.isfinite(trace):
             raise ContractViolationError("the gram must be finite")
         tol = max(_PIVOT_TOL * lam / scale, _ROUND_OFF * np.finfo(np.float64).eps * trace)
-    Ft = _pivot(K, tol, K.shape[0] // _PIVOT_CAP)
+    Ft = _pivot(K.diagonal(), K.__getitem__, tol, K.shape[0] // _PIVOT_CAP)
     if Ft is None:
         K *= scale
         if offset:
@@ -159,36 +153,13 @@ def solve_exact(gram: MeteredGram, z, lam: float, c0: float = 0.0,
     entry per point, all checked before the one read: a full reveal of K,
     whose array the solve then owns."""
     _check_constants(c0, c1)
-    z = _check_rhs(gram, z, lam)
+    _check_lam(lam)
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (gram.n,):
+        raise ContractViolationError("z must have one entry per point")
+    if not np.isfinite(z).all():
+        raise ContractViolationError("z must be finite")
     return _solve(gram.full(), z, lam, c1 - c0, c0)
-
-
-def nystrom_solve(gram: MeteredGram, landmarks, z, lam: float) -> np.ndarray:
-    """Ridge solve against the landmark approximation K_tilde = C W^+ C'.
-
-    C = K[:, landmarks] is read in one metered block, the only read: n*L
-    requests and n*L - L(L-1)/2 distinct entries for L fresh landmarks. With
-    W = C[landmarks] = V diag(w) V' and B = C V_k / sqrt(w_k) over the
-    eigenvalues above round-off, K_tilde = B B', and Woodbury gives
-
-        alpha = (K_tilde + lam I)^{-1} z = (z - B (B'B + lam I)^{-1} B'z) / lam
-
-    with no n x n array. K - K_tilde is positive semidefinite (a Schur
-    complement); once its top eigenvalue is at most lam * eps, alpha is
-    within eps relative distance of the exact minimizer. The caller chooses
-    the landmarks: distinct indices, at least one.
-    """
-    z = _check_rhs(gram, z, lam)
-    landmarks = np.asarray(landmarks)
-    if (landmarks.ndim != 1 or landmarks.size == 0
-            or np.unique(landmarks).size != landmarks.size):
-        raise ContractViolationError("landmarks must be a nonempty list of distinct indices")
-    C = gram.query_block(np.arange(gram.n), landmarks)
-    W = C[landmarks]
-    w, V = np.linalg.eigh(0.5 * (W + W.T))
-    keep = w > max(1e-12, 1e-12 * np.abs(w).max())
-    B = C @ (V[:, keep] / np.sqrt(w[keep]))
-    return _woodbury(B.T, z, lam)
 
 
 def d_eff(eigenvalues, lam: float) -> float:
@@ -199,15 +170,6 @@ def d_eff(eigenvalues, lam: float) -> float:
         raise ContractViolationError("eigenvalues must be nonnegative")
     s = np.clip(s, 0.0, None)
     return float(np.sum(s / (s + lam)))
-
-
-def check_guarantee(alpha_hat, alpha_opt, eps: float) -> bool:
-    """||alpha_hat - alpha_opt|| <= eps * ||alpha_opt|| (inclusive)."""
-    a = np.asarray(alpha_hat, dtype=np.float64)
-    b = np.asarray(alpha_opt, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ContractViolationError("vectors must have the same length")
-    return bool(np.linalg.norm(a - b) <= eps * np.linalg.norm(b))
 
 
 def _check_constants(c0: float, c1: float):

@@ -11,7 +11,7 @@ Assignment decisions happen in the sketched space via midpoint sign tests
 against projected mean estimates, all pairs of means in one product.
 
 The 2m x N sketch read is the pipeline's largest array, and nothing of its
-size is held beside it: the bootstrap keeps r rows of its pivot buffer, the
+size is held beside it: the bootstrap's factor grows to its r rows, the
 read's row differences are taken in place, and the projections and sign
 tests run a panel of columns at a time.
 
@@ -41,28 +41,7 @@ PAIR_TEST_SEPARATION_CONST = 144.0
 
 DEFAULT_SKETCH_CONST = 8.0
 MEAN_SAMPLE_CONST = 2.0
-_FIT_TOL = 1e-8  # relative Frobenius residual a bootstrap factor may leave
-_FIT_ROWS = 32   # rows of the bootstrap block compared with its factor at a time
 _ASSIGN_PANEL = 42 * _TILE  # sketched_assign's columns at a time: 2016
-
-
-def _fits(K, Ft, tol: float) -> bool:
-    """||K - Ft'Ft||_F <= tol, over panels of _FIT_ROWS whole rows: each
-    panel's product goes into one _FIT_ROWS x n buffer, which then takes the
-    difference from the same rows of K. Every entry of K is compared, so a
-    NaN or an infinity fails; stops at the first panel that takes the sum
-    over."""
-    n = K.shape[0]
-    buf = np.empty((_FIT_ROWS, n))
-    ss = 0.0
-    for i in range(0, n, _FIT_ROWS):
-        D = buf[:min(_FIT_ROWS, n - i)]
-        np.matmul(Ft[:, i:i + _FIT_ROWS].T, Ft, out=D)
-        np.subtract(K[i:i + _FIT_ROWS], D, out=D)
-        ss += np.vdot(D, D)
-        if not np.sqrt(ss) <= tol:
-            return False
-    return True
 
 
 def bootstrap_extract(gram: MeteredGram, t: int) -> np.ndarray:
@@ -72,11 +51,12 @@ def bootstrap_extract(gram: MeteredGram, t: int) -> np.ndarray:
     points in general position).
 
     The factor comes from the greedy pivoted Cholesky loop that krr's
-    solvers run, pivoting until the residual trace is at most 8 eps
-    sum|K_ii|, with up to t pivots. ||K - F F'||_F above
-    _FIT_TOL * max(1, max|K_ii|) means the block is not a Gram matrix to
-    working precision (a negative direction, or a NaN or an infinity in
-    it) and is an error. Charges exactly t(t+1)/2 fresh entries on an
+    solver runs, pivoting until the residual trace is at most 8 eps
+    sum|K_ii|, with up to t pivots. A gram block is positive semidefinite,
+    so that trace bounds ||K - F F'||_F, and a finite diagonal bounds every
+    entry. The loop finding no factor is an error: a NaN or an infinity on
+    the diagonal, or a residual diagonal below minus the tolerance (a
+    negative direction). Charges exactly t(t+1)/2 fresh entries on an
     untouched gram.
     """
     if not 1 <= t <= gram.n:
@@ -84,13 +64,13 @@ def bootstrap_extract(gram: MeteredGram, t: int) -> np.ndarray:
     idx = np.arange(t)
     block = gram.query_block(idx, idx)
     with np.errstate(all="ignore"):  # a NaN or an infinity gives no factor
-        diag = np.abs(block.diagonal())
-        Ft = _pivot(block, _ROUND_OFF * np.finfo(np.float64).eps * diag.sum(), t)
-        if Ft is None or not _fits(block, Ft, _FIT_TOL * max(1.0, diag.max())):
-            raise NumericalDegeneracyError(
-                "bootstrap block is not a Gram matrix to working precision")
-    # Ft views _pivot's t x t buffer: keep only its r rows
-    return Ft.copy().T
+        diag = block.diagonal()
+        tol = _ROUND_OFF * np.finfo(np.float64).eps * np.abs(diag).sum()
+        Ft = _pivot(diag, block.__getitem__, tol, t)
+    if Ft is None:
+        raise NumericalDegeneracyError(
+            "bootstrap block is not a Gram matrix to working precision")
+    return Ft.T
 
 
 def mean_sample_size(k: int, d: int) -> int:

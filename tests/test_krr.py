@@ -7,11 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kernel_budget import krr
-from kernel_budget.errors import (BudgetExhaustedError, ContractViolationError,
-                                  NumericalDegeneracyError)
+from kernel_budget.errors import ContractViolationError, NumericalDegeneracyError
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr
-from kernel_budget.krr import (check_guarantee, classification_midpoint, classify_rows, d_eff,
-                               hard_instance_optimum, nystrom_solve, solve_exact)
+from kernel_budget.krr import (classification_midpoint, classify_rows, d_eff,
+                               hard_instance_optimum, solve_exact)
 from kernel_budget.oracle import MeteredGram
 from kernel_budget.rng import stream
 
@@ -100,9 +99,9 @@ class TestCheckSystem:
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     @pytest.mark.parametrize("z, lam", [
-        (np.ones(3), 0.0), (np.ones(3), np.nan), (np.ones(4), 1.0),
+        (np.ones(3), 0.0), (np.ones(3), -1.0), (np.ones(3), np.nan), (np.ones(4), 1.0),
         (np.array([1.0, np.nan, 1.0]), 1.0), (np.array([1.0, 1.0, -np.inf]), 1.0),
-    ], ids=["lam-zero", "lam-nan", "z-length", "z-nan", "z-inf"])
+    ], ids=["lam-zero", "lam-negative", "lam-nan", "z-length", "z-nan", "z-inf"])
     def test_refusals_read_nothing(self, solver, z, lam):
         # as do refused c0 and c1 (TestIndicatorSolve.test_rejects_bad_constants)
         gram = MeteredGram(np.eye(3))
@@ -118,16 +117,6 @@ class TestCheckSystem:
         points[7, 1] = value
         with np.errstate(all="ignore"), pytest.raises(ContractViolationError, match="finite"):
             DENSE_SOLVERS[solver](MeteredGram(points), np.ones(20), 1.0)
-
-    @pytest.mark.parametrize("z, lam", [
-        (np.ones(4), 0.0), (np.ones(4), -1.0), (np.ones(4), np.nan),
-        (np.array([1.0, np.nan, 1.0, 1.0]), 1.0), (np.array([1.0, 1.0, np.inf, 1.0]), 1.0),
-    ], ids=["lam-zero", "lam-negative", "lam-nan", "z-nan", "z-inf"])
-    def test_nystrom_rejects_bad_lam_before_reading(self, z, lam):
-        gram = MeteredGram(np.eye(4))
-        with pytest.raises(ContractViolationError):
-            nystrom_solve(gram, [0, 1], z, lam)
-        assert gram.ledger_report().total_requests == 0
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan],
                              ids=["lam-zero", "lam-negative", "lam-nan"])
@@ -208,7 +197,7 @@ def factor_calls(monkeypatch):
 def _dense_outcome(monkeypatch, solve, *args):
     """solve(*args) with the pivoted route switched off."""
     with monkeypatch.context() as m:
-        m.setattr(krr, "_pivot", lambda K, tol, cap: None)
+        m.setattr(krr, "_pivot", lambda diag, column, tol, cap: None)
         return solve(*args)
 
 
@@ -301,6 +290,75 @@ class TestPivotedRoute:
         _, peak = traced_peak(DENSE_SOLVERS[solver], inst.gram, inst.z, inst.lam)
         assert factor_calls == []
         assert peak <= 1.1 * n * n * 8
+
+
+def _preallocated_pivot(K, tol: float, cap: int):
+    """The pivot loop as it ran on a revealed K into a preallocated cap x n
+    buffer: the reference the grown factor must equal bit for bit."""
+    if not tol < np.inf:
+        return None
+    n = K.shape[0]
+    d = K.diagonal().copy()
+    Ft = np.empty((cap, n))
+    r = 0
+    while True:
+        if d.min() < -tol:
+            return None
+        if d.sum() <= tol:
+            return Ft[:r]
+        if r == cap:
+            return None
+        p = int(np.argmax(d))
+        row = np.subtract(K[p], Ft[:r, p] @ Ft[:r], out=Ft[r])
+        row /= np.sqrt(d[p])
+        d -= row * row
+        r += 1
+
+
+class TestPivotLoop:
+    """krr._pivot(diag, column, tol, cap) over a column source."""
+
+    @staticmethod
+    def _source(rank: int, n: int = 100):
+        """A rank-r Gaussian gram, its read-only diagonal, the 8 eps trace
+        tolerance, and a column source that logs each column it is asked.
+        P @ P.T is numpy's syrk, so K is symmetric to the bit and its
+        columns are its rows."""
+        P = _points(n, rank, stream(rank, "grow"))
+        K = P @ P.T
+        assert np.array_equal(K, K.T)
+        diag = K.diagonal().copy()
+        diag.flags.writeable = False
+        asked = []
+
+        def column(p):
+            asked.append(p)
+            return K[:, p].copy()
+
+        return K, diag, 8 * np.finfo(np.float64).eps * diag.sum(), column, asked
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 31, 32, 33, 64, 65])
+    def test_grown_factor_is_the_preallocated_loop(self, rank):
+        # the ranks cross each doubling edge of the factor's rows
+        K, diag, tol, column, asked = self._source(rank)
+        Ft = krr._pivot(diag, column, tol, K.shape[0])
+        assert Ft.shape == (rank, K.shape[0]) and Ft.base is None
+        assert len(asked) == len(set(asked)) == rank
+        ref = _preallocated_pivot(K, tol, K.shape[0])
+        assert Ft.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("rank", [1, 32, 33, 65])
+    def test_gives_up_at_the_cap(self, rank):
+        K, diag, tol, column, asked = self._source(rank)
+        assert krr._pivot(diag, column, tol, rank - 1) is None
+        assert len(asked) == len(set(asked)) == rank - 1
+        assert krr._pivot(diag, column, tol, rank).shape == (rank, K.shape[0])
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_gives_up_on_a_tolerance_that_is_not_finite(self, tol):
+        _, diag, _, column, asked = self._source(3)
+        assert krr._pivot(diag, column, tol, 100) is None
+        assert asked == []
 
 
 class TestFusedEntryCheck:
@@ -401,160 +459,6 @@ class TestEffectiveDimension:
             d_eff([1.0], 0.0)
         with pytest.raises(ContractViolationError):
             d_eff([-1.0], 1.0)
-
-
-def nystrom_gap(K, landmarks):
-    """K - C W^+ C', the Schur complement the landmarks leave, with W^+ over
-    the landmark block's eigenvalues above round-off (the solver's cut)."""
-    C = K[:, landmarks]
-    w, V = np.linalg.eigh(K[np.ix_(landmarks, landmarks)])
-    keep = w > max(1e-12, 1e-12 * np.abs(w).max())
-    B = C @ (V[:, keep] / np.sqrt(w[keep]))
-    return K - B @ B.T
-
-
-def uniform_landmarks(n, m, seed):
-    return np.sort(stream(seed, "nystrom").choice(n, size=m, replace=False))
-
-
-def certified_landmarks(K, lam, eps, seed):
-    """Grow m in steps of 4 until the dense certificate is at most lam * eps."""
-    n = K.shape[0]
-    for m in range(4, n + 1, 4):
-        landmarks = uniform_landmarks(n, m, seed)
-        if np.linalg.eigvalsh(nystrom_gap(K, landmarks)).max() <= lam * eps:
-            return landmarks
-    return None
-
-
-def one_landmark_per_direction(inst):
-    """The first point on each coordinate direction the instance uses."""
-    return np.unique(inst.points.argmax(axis=1), return_index=True)[1]
-
-
-class TestSpectralApprox:
-    """nystrom_solve, the landmark approximation K_tilde = C W^+ C'."""
-
-    def test_exact_approximation_recovers_optimum(self):
-        # every point a landmark: K_tilde = K
-        rng = stream(5, "spec")
-        pts = rng.standard_normal((10, 10))
-        z = rng.standard_normal(10)
-        opt = solve_exact(MeteredGram(pts), z, 1.0)
-        hat = nystrom_solve(MeteredGram(pts), np.arange(10), z, 1.0)
-        assert np.abs(hat - opt).max() <= 1e-12
-
-    def test_nystrom_certificate_implies_guarantee(self):
-        # guarantee chain: certified bound <= lam * eps forces eps-closeness
-        lam, eps = 1.5, 0.4
-        for seed in range(100):
-            rng = stream(seed, "ny")
-            pts = np.hstack([rng.standard_normal((64, 12)),
-                             np.sqrt(0.05) * rng.standard_normal((64, 64))])
-            K = pts @ pts.T
-            z = rng.standard_normal(64)
-            landmarks = certified_landmarks(K, lam, eps, seed)
-            assert landmarks is not None
-            hat = nystrom_solve(MeteredGram(pts), landmarks, z, lam)
-            assert check_guarantee(hat, solve_exact(MeteredGram(pts), z, lam), eps)
-
-    def test_certificate_below_full_rank(self):
-        # at noise 0.05 above, every seed needs all 64 landmarks; at 0.001 the
-        # certificate holds with a proper subset, so the chain is exercised
-        lam, eps = 1.5, 0.4
-        for seed in range(20):
-            rng = stream(seed, "ny")
-            pts = np.hstack([rng.standard_normal((64, 12)),
-                             np.sqrt(0.001) * rng.standard_normal((64, 64))])
-            K = pts @ pts.T
-            z = rng.standard_normal(64)
-            landmarks = certified_landmarks(K, lam, eps, seed)
-            assert landmarks is not None and landmarks.size < 64
-            hat = nystrom_solve(MeteredGram(pts), landmarks, z, lam)
-            assert check_guarantee(hat, solve_exact(MeteredGram(pts), z, lam), eps)
-
-    def test_nystrom_bound_is_real(self):
-        rng = stream(7, "nyb")
-        pts = rng.standard_normal((40, 40))
-        K = pts @ pts.T
-        z = rng.standard_normal(40)
-        landmarks = uniform_landmarks(40, 10, seed=0)
-        gap = nystrom_gap(K, landmarks)
-        gap_eigs = np.linalg.eigvalsh(gap)
-        assert gap_eigs.min() >= -1e-8  # K_tilde never exceeds K
-        # the solve is against K_tilde, and its error is within bound / lam
-        lam = 1.0
-        hat = nystrom_solve(MeteredGram(pts), landmarks, z, lam)
-        ref = np.linalg.solve(K - gap + lam * np.eye(40), z)
-        assert np.abs(hat - ref).max() <= 1e-10 * np.abs(ref).max()
-        assert check_guarantee(hat, solve_exact(MeteredGram(pts), z, lam), gap_eigs.max() / lam)
-
-    def test_zero_kernel_gives_pure_ridge(self):
-        # no landmark eigenvalue survives the cut, so K_tilde = 0
-        z = np.array([4.0, 6.0, -2.0, 1.0])
-        alpha = nystrom_solve(MeteredGram(np.zeros((4, 2))), [0, 2], z, 2.0)
-        assert np.array_equal(alpha, z / 2.0)
-
-    @pytest.mark.parametrize("n_landmarks", [1, 7, 50])
-    def test_reads_only_the_landmark_columns(self, n_landmarks):
-        pts = stream(8, "nycount").standard_normal((50, 6))
-        gram = MeteredGram(pts)
-        nystrom_solve(gram, uniform_landmarks(50, n_landmarks, seed=1), np.ones(50), 1.0)
-        rep = gram.ledger_report()
-        L = n_landmarks
-        assert rep.distinct_entries == 50 * L - L * (L - 1) // 2
-        assert rep.total_requests == 50 * L
-
-    @pytest.mark.parametrize("augmented", [False, True])
-    def test_hard_instance_exact(self, augmented):
-        inst = gen_krr(5000, 100, 0.1, seed=0, augmented=augmented)
-        landmarks = one_landmark_per_direction(inst)
-        alpha = nystrom_solve(inst.gram, landmarks, inst.z, inst.lam)
-        assert np.abs(alpha - hard_instance_optimum(inst)).max() <= 1e-12
-        n, L = inst.n_total, landmarks.size
-        assert L == np.count_nonzero(inst.counts) + (round(inst.k) if augmented else 0)
-        assert inst.gram.ledger_report().distinct_entries == n * L - L * (L - 1) // 2
-
-    def test_budget_below_column_read_moves_nothing(self):
-        inst = gen_krr(400, 20, 0.25, seed=3)
-        inst.gram.query(0, 0)
-        before = inst.gram.ledger_report()
-        landmarks = one_landmark_per_direction(inst)
-        L = landmarks.size
-        fresh = 400 * L - L * (L - 1) // 2 - int(0 in landmarks)
-        inst.gram.set_budget(before.distinct_entries + fresh - 1)
-        with pytest.raises(BudgetExhaustedError):
-            nystrom_solve(inst.gram, landmarks, inst.z, inst.lam)
-        after = inst.gram.ledger_report()
-        assert after.distinct_entries == before.distinct_entries
-        assert after.total_requests == before.total_requests
-        assert np.array_equal(after.per_row, before.per_row)
-        inst.gram.set_budget(before.distinct_entries + fresh)
-        nystrom_solve(inst.gram, landmarks, inst.z, inst.lam)
-        assert inst.gram.ledger_report().distinct_entries == before.distinct_entries + fresh
-
-    @pytest.mark.parametrize("landmarks, z_len, lam", [
-        ([], 6, 1.0), ([2, 2], 6, 1.0), ([[0, 1]], 6, 1.0),
-        ([0, 1], 5, 1.0), ([0, 1], 6, 0.0), ([1.7, 3.2], 6, 1.0)])
-    def test_rejects_bad_arguments_before_reading(self, landmarks, z_len, lam):
-        gram = MeteredGram(np.eye(6))
-        with pytest.raises(ContractViolationError):
-            nystrom_solve(gram, landmarks, np.ones(z_len), lam)
-        assert gram.ledger_report().total_requests == 0
-
-
-class TestCheckGuarantee:
-    def test_exact_match(self):
-        a = np.array([1.0, 2.0])
-        assert check_guarantee(a, a, 0.0)
-
-    def test_violation(self):
-        assert not check_guarantee(np.array([1.0, 0.1]), np.array([1.0, 0.0]), 0.05)
-
-    def test_boundary_inclusive(self):
-        opt = np.array([3.0, 4.0])
-        eps = 0.25
-        assert check_guarantee((1 + eps) * opt, opt, eps)
 
 
 class TestHardInstanceOptimum:

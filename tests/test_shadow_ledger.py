@@ -1,0 +1,161 @@
+"""Shadow ledger: every CLI kind's counts equal the pairs its reads returned.
+
+Each of MeteredGram's four reads is wrapped to record the unordered pairs
+(min, max) it returned, and the requests they took, in a set held on the
+gram itself. A budgeted query_pairs that is cut records the prefix it
+charged; a refused read records nothing. Each ledger_report, and each
+refusal, compares the ledger's distinct entries, requests and per_row
+with that set, and the bits set in the ledger's bitmap with its size: a
+dropped bit shows there at once, while the counts would show it only when
+a later read counted its pair again. The shadow lives on the gram object,
+not in a table keyed by id(gram): a freed gram's id is reused by the next
+pass's gram.
+"""
+
+import numpy as np
+import pytest
+
+from kernel_budget.cli import KINDS, ExperimentConfig, run
+from kernel_budget.errors import BudgetExhaustedError
+from kernel_budget.oracle import MeteredGram
+
+SIZES = {
+    "krr-closed-form": {"n": 400, "J": 8, "epsilon": 0.25},
+    "krr-classify": {"n": 400, "J": 8, "epsilon": 0.25},
+    "krr-indicator": {"n": 400, "J": 8, "epsilon": 0.25, "c0": 0.2, "c1": 1.3},
+    "d-eff-scan": {"n": 400, "J": 8, "epsilon": 0.25},
+    "kkmc-cost-envelope": {"n": 600, "k": 3, "epsilon": 0.5},
+    "kkmc-recover": {"n": 600, "k": 3, "epsilon": 0.5},
+    "rank-gap": {"n": 600, "k": 3},
+    "mog-pipeline": {"n": 900, "d": 16, "k": 3, "epsilon": 0.25, "sigma": 1.0},
+    "budget-curve": {"n": 400, "J": 8, "epsilon": 0.25,
+                     "budgets": ["0.3*n*J/4", "n*J/4", "3*n*J/4"]},
+}
+
+# a budget each kind runs out of partway, where it reads at all: a refused
+# full reveal, scalar reads past the budget, and a refused sketch block
+# after the bootstrap
+BUDGETS = {
+    "krr-closed-form": "n*n/4",
+    "krr-classify": "n*n/4",
+    "krr-indicator": "n*n/4",
+    "kkmc-recover": "n/8",
+    "mog-pipeline": "t*(t+1)/2 + m*(n-t)",
+}
+
+
+class Shadow:
+    """The distinct pairs, as keys lo * n + hi, and the requests of every
+    read a gram returned."""
+
+    def __init__(self, n: int):
+        self.n, self.pairs, self.requests = n, set(), 0
+
+    def add(self, rows, cols):
+        rows, cols = np.ravel(rows).astype(np.int64), np.ravel(cols).astype(np.int64)
+        self.pairs.update((np.minimum(rows, cols) * self.n + np.maximum(rows, cols)).tolist())
+        self.requests += rows.size
+
+    def mismatches(self, report, ledger) -> list:
+        keys = np.fromiter(self.pairs, dtype=np.int64, count=len(self.pairs))
+        lo, hi = np.divmod(keys, self.n)
+        per_row = np.bincount(np.concatenate([lo, hi[lo != hi]]), minlength=self.n)
+        found = []
+        if report.distinct_entries != len(self.pairs):
+            found.append(f"distinct {report.distinct_entries} != {len(self.pairs)}")
+        bits = 0 if ledger._bits is None else int(
+            np.bitwise_count(np.frombuffer(ledger._bits, dtype=np.uint8)).sum())
+        if bits != len(self.pairs):
+            found.append(f"bits set {bits} != {len(self.pairs)}")
+        if report.total_requests != self.requests:
+            found.append(f"requests {report.total_requests} != {self.requests}")
+        if not np.array_equal(report.per_row, per_row):
+            found.append(f"per_row differs in {np.count_nonzero(report.per_row != per_row)} rows")
+        return found
+
+
+def _outer(rows, cols):
+    rows, cols = np.atleast_1d(rows), np.atleast_1d(cols)
+    return np.repeat(rows, cols.size), np.tile(cols, rows.size)
+
+
+# read -> the (rows, cols) pair lists its arguments ask for
+_PAIRS = {
+    "query": lambda gram, i, j: ([i], [j]),
+    "query_pairs": lambda gram, rows, cols: (rows, cols),
+    "query_block": lambda gram, rows, cols: _outer(rows, cols),
+    "full": lambda gram: _outer(np.arange(gram.n), np.arange(gram.n)),
+}
+
+
+@pytest.fixture
+def shadowed(monkeypatch):
+    """Wraps MeteredGram's reads and ledger_report; returns the list of
+    comparisons made, as (distinct entries, mismatches)."""
+    checks = []
+
+    def shadow(gram) -> Shadow:
+        if "_shadow" not in vars(gram):
+            gram._shadow = Shadow(gram.n)
+        return gram._shadow
+
+    def check(gram, report):
+        checks.append((report.distinct_entries, shadow(gram).mismatches(report, gram.ledger)))
+
+    def wrap(name, real):
+        def read(self, *args):
+            try:
+                out = real(self, *args)
+            except BudgetExhaustedError as e:
+                if e.prefix is not None:  # a cut query_pairs charged its prefix
+                    rows, cols = _PAIRS[name](self, *args)
+                    shadow(self).add(np.ravel(rows)[:e.prefix], np.ravel(cols)[:e.prefix])
+                check(self, real_report(self))
+                raise
+            shadow(self).add(*_PAIRS[name](self, *args))
+            return out
+        return read
+
+    real_report = MeteredGram.ledger_report
+    for name in _PAIRS:
+        monkeypatch.setattr(MeteredGram, name, wrap(name, getattr(MeteredGram, name)))
+
+    def report(self):
+        rep = real_report(self)
+        check(self, rep)
+        return rep
+
+    monkeypatch.setattr(MeteredGram, "ledger_report", report)
+    return checks
+
+
+def test_every_kind_reads_what_its_ledger_counts(shadowed, monkeypatch):
+    assert sorted(SIZES) == sorted(KINDS)
+    runs = 0
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KB_THREADS", threads)
+        for kind, instance in SIZES.items():
+            budgets = [None] if "budgets" in instance else [None, BUDGETS.get(kind, "n")]
+            for budget in budgets:
+                rows, _ = run(ExperimentConfig(kind=kind, instance=instance,
+                                               seeds=[0, 1, 2], budget=budget))
+                assert len({r.seed for r in rows}) == 3
+                runs += 1
+    assert runs == 2 * 17
+    assert shadowed and all(not found for _, found in shadowed), \
+        [found for _, found in shadowed if found][:5]
+    # the comparisons saw reads, not only empty ledgers: per thread count,
+    # 11 per seed (3 unbudgeted KRR passes, kkmc-recover's and the
+    # mixture's 2 each, and budget-curve's 3 budgets and its one refusal)
+    assert sum(distinct > 0 for distinct, _ in shadowed) == 2 * 3 * 11
+
+
+def test_cut_query_pairs_records_its_prefix(shadowed):
+    gram = MeteredGram(np.eye(6), budget=5)
+    gram.query_block([0, 1], [0, 1])  # 3 fresh
+    with pytest.raises(BudgetExhaustedError) as info:
+        gram.query_pairs([2, 0, 3, 4, 5], [2, 1, 4, 4, 5])  # fresh, seen, fresh, past
+    assert info.value.prefix == 3
+    gram.ledger_report()
+    assert [distinct for distinct, _ in shadowed] == [5, 5]
+    assert all(not found for _, found in shadowed)
