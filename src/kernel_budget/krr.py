@@ -5,22 +5,24 @@ closed form.
 The regularized objective ||K a - z||^2 + lam * a' K a has minimizer
 a = (K + lam I)^{-1} z. `solve_exact` takes a metered gram; desk scale
 (n <= 5000) needs no iterative machinery. It first checks c0 and c1, lam
-and z, then reveals K with one `full()` and owns that array. K is a
-dot-product Gram, so symmetric and positive semidefinite by construction;
-the one check left on it is that its trace is finite. A greedy pivoted
-Cholesky then takes at most n // 16 pivots, each on the largest residual
-diagonal, until the residual trace, which bounds ||K - Ft'Ft||_F for a
-Gram, is at most tol = max(1e-13 * lam, 8 eps trace(K)). The system is
-then solved from the r x n factor Ft by Woodbury in O(n r^2), and alpha is
-within tol / lam relative distance of the exact minimizer. Past the cap,
-or when tol overflows, the solve falls back to a symmetric
-positive-definite Cholesky of the revealed array itself, overwritten with
-(c1 - c0) K + c0 and factored in place, so it holds one n x n array. The
-offset c0 11' of the kernel c0 11' + (c1 - c0) K is one more factor row
-sqrt(c0) 1', or a constant added to that array. scipy loads on the first
-dense Cholesky, so importing the package, and a low-rank solve, load only
-numpy. `_pivot` is the package's one pivot loop; it reads K through a
-column source, and `mog.bootstrap_extract` runs it too.
+and z, then charges a reveal of K with one `reveal()`, whose view it reads
+K through. K is a dot-product Gram, so symmetric and positive semidefinite
+by construction; the one check left on it is that its trace is finite. A
+greedy pivoted Cholesky then takes at most n // 16 pivots, each on the
+largest residual diagonal, until the residual trace, which bounds
+||K - Ft'Ft||_F for a Gram, is at most tol = max(1e-13 * lam, 8 eps
+trace(K)). It reads the view's diagonal and one column per pivot, and no
+n x n array is built. The system is then solved from the r x n factor Ft
+by Woodbury in O(n r^2), and alpha is within tol / lam relative distance
+of the exact minimizer. Past the cap, or when tol overflows, the solve
+falls back to a symmetric positive-definite Cholesky of the view's array,
+overwritten with (c1 - c0) K + c0 and factored in place, so it holds one
+n x n array. The offset c0 11' of the kernel c0 11' + (c1 - c0) K is one
+more factor row sqrt(c0) 1', or a constant added to that array. scipy
+loads on the first dense Cholesky, so importing the package, and a
+low-rank solve, load only numpy. `_pivot` is the package's one pivot loop;
+it reads K through a column source, and `mog.bootstrap_extract` runs it
+too.
 `hard_instance_optimum` gives the instance's exact minimizer for either
 kernel apart from every solver.
 """
@@ -112,11 +114,12 @@ def _woodbury(Ft, b, lam: float) -> np.ndarray:
 
 
 def _solve(K, b, lam: float, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:
-    """(offset 11' + scale K + lam I)^{-1} b for a revealed Gram matrix K
-    that the solver owns: Woodbury on a pivoted factor of K, scaled by
-    sqrt(scale) and with the row sqrt(offset) 1' on top when offset > 0,
-    when one fits; else the dense Cholesky of K itself, overwritten with
-    scale K + offset.
+    """(offset 11' + scale K + lam I)^{-1} b for a Gram matrix K read
+    through a revealed view (oracle.Revealed): Woodbury on a pivoted factor
+    of K, from its diagonal and pivot columns, scaled by sqrt(scale) and
+    with the row sqrt(offset) 1' on top when offset > 0, when one fits;
+    else the dense Cholesky of the view's array, overwritten with scale K
+    + offset.
 
     The factor must fit to tol = max(_PIVOT_TOL * lam / scale, _ROUND_OFF *
     eps * trace(K)), so ||alpha_hat - alpha|| <= tol * scale * ||alpha|| / lam
@@ -128,19 +131,21 @@ def _solve(K, b, lam: float, scale: float = 1.0, offset: float = 0.0) -> np.ndar
     norm that overflows) is refused before either route runs.
     """
     with np.errstate(over="ignore"):  # an overflow is refused, or falls back
-        trace = float(K.diagonal().sum())
+        diag = K.diagonal()
+        trace = float(diag.sum())
         if not np.isfinite(trace):
             raise ContractViolationError("the gram must be finite")
         tol = max(_PIVOT_TOL * lam / scale, _ROUND_OFF * np.finfo(np.float64).eps * trace)
-    Ft = _pivot(K.diagonal(), K.__getitem__, tol, K.shape[0] // _PIVOT_CAP)
+    Ft = _pivot(diag, K.column, tol, diag.size // _PIVOT_CAP)
     if Ft is None:
-        K *= scale
+        A = K.array()
+        A *= scale
         if offset:
-            K += offset
-        return _factor(K, lam, b)
+            A += offset
+        return _factor(A, lam, b)
     Ft *= np.sqrt(scale)
     if offset:
-        Ft = np.vstack([np.full(K.shape[0], np.sqrt(offset)), Ft])
+        Ft = np.vstack([np.full(diag.size, np.sqrt(offset)), Ft])
     return _woodbury(Ft, b, lam)
 
 
@@ -151,7 +156,8 @@ def solve_exact(gram: MeteredGram, z, lam: float, c0: float = 0.0,
     (c1 - c0) K + lam I)^{-1} z, the offset never assembled. Needs
     0 <= c0 < c1 < inf (`_check_constants`), lam > 0 and a finite z with one
     entry per point, all checked before the one read: a full reveal of K,
-    whose array the solve then owns."""
+    charged whole, whose view the solve reads. Only the dense fallback
+    builds K as an n x n array."""
     _check_constants(c0, c1)
     _check_lam(lam)
     z = np.asarray(z, dtype=np.float64)
@@ -159,7 +165,7 @@ def solve_exact(gram: MeteredGram, z, lam: float, c0: float = 0.0,
         raise ContractViolationError("z must have one entry per point")
     if not np.isfinite(z).all():
         raise ContractViolationError("z must be finite")
-    return _solve(gram.full(), z, lam, c1 - c0, c0)
+    return _solve(gram.reveal(), z, lam, c1 - c0, c0)
 
 
 def d_eff(eigenvalues, lam: float) -> float:

@@ -12,10 +12,12 @@ a re-read carries no new information. The ledger keeps one bit per pair in
 an upper-triangle bitmap whose rows start on byte boundaries, in anonymous
 memory of which only the pages a charge writes are resident (see
 QueryLedger); no value is kept, since a value is a pure function of the
-hidden points. The kernel is the dot product; a two-valued kernel on basis
-vectors is algebra on this gram (krr.solve_exact's c0 and c1). Values for the
-instances in this package lie in {0, 1/2, 1} and small dot products, so
-float64 is exact for all comparisons that matter.
+hidden points. A full reveal is charged whole, then returns a Revealed
+view that evaluates the diagonal, a column or the whole array on demand;
+full() is that view's array. The kernel is the dot product; a two-valued
+kernel on basis vectors is algebra on this gram (krr.solve_exact's c0 and
+c1). Values for the instances in this package lie in {0, 1/2, 1} and small
+dot products, so float64 is exact for all comparisons that matter.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, ContractViolationError
 
-# full() materializes a dense n x n matrix; refuse beyond this size
+# reveal() charges all n(n+1)/2 entries, and full() makes them a dense
+# n x n array; both refuse beyond this size
 _FULL_REVEAL_MAX_N = 20_000
 # mask of bit b within a bitmap byte
 _BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)
@@ -289,11 +292,37 @@ def _index_array(x) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
+class Revealed:
+    """Read-only view of a gram whose every entry is charged, from
+    MeteredGram.reveal. Each read evaluates the dot products again:
+    diagonal() takes O(n d), column(p) one matrix-vector product with no
+    gather, and array() the whole n x n matrix, as query_block of every row
+    and column fills it."""
+
+    def __init__(self, gram: MeteredGram):
+        self._gram = gram
+
+    def diagonal(self) -> np.ndarray:
+        """K[i, i] for every i, as a new array."""
+        points = self._gram._points
+        return np.vecdot(points, points)
+
+    def column(self, p: int) -> np.ndarray:
+        """K[:, p] as a new array."""
+        points = self._gram._points
+        return points @ points[p]
+
+    def array(self) -> np.ndarray:
+        """K as a new n x n array."""
+        every = np.arange(self._gram.n)
+        return self._gram._block(every, every)
+
+
 class MeteredGram:
     """Kernel matrix of a hidden point set, readable only entry by entry.
 
     points: (n, d) array, one hidden point per row. All reads go through
-    query / query_pairs / query_block / full, which update a shared ledger;
+    query / query_pairs / query_block / reveal, which update a shared ledger;
     a re-read costs a request but no distinct entry. No value is stored:
     each read is a dot product of the points. Safe for concurrent readers:
     ledger updates hold a lock, so final counts match some serialization.
@@ -412,16 +441,22 @@ class MeteredGram:
             self.ledger.charge_block(rows, cols)
             return self._block(rows, cols)
 
-    def full(self) -> np.ndarray:
-        """The entire matrix; ledger jumps to n(n+1)/2 distinct entries."""
+    def reveal(self) -> Revealed:
+        """Charge a read of every entry, then return a view of the revealed
+        matrix; the ledger jumps to n(n+1)/2 distinct entries. Charged
+        whole before any value is read, so the view reads only charged
+        entries; a refused reveal charges and returns nothing."""
         if self.n > _FULL_REVEAL_MAX_N:
             raise ContractViolationError(
                 f"refusing to materialize a {self.n} x {self.n} matrix"
             )
         with self._lock:
             self.ledger.charge_full()
-            every = np.arange(self.n)
-            return self._block(every, every)
+        return Revealed(self)
+
+    def full(self) -> np.ndarray:
+        """The entire matrix, charged as reveal() charges it."""
+        return self.reveal().array()
 
     def set_budget(self, budget: Optional[int]):
         """Cap distinct entries from now on; None lifts the cap."""

@@ -253,12 +253,13 @@ class TestRunners:
         assert factors == dense_factors
         assert row.value > 1e-9
 
-    @pytest.mark.parametrize("n, J, copies", [(600, 40, 1.2), (1000, 100, 1.2)],
+    @pytest.mark.parametrize("n, J, copies", [(600, 40, 0.25), (1000, 100, 1.2)],
                              ids=["pivoted", "dense"])
     def test_indicator_peak_memory(self, n, J, copies):
-        # the revealed G and nothing of its size beside it: the dense route,
-        # where the rank 3J/4 = 75 is above the cap n // 16 = 62, factors G
-        # in place. The first run is not traced: its one-time imports (scipy,
+        # the pivoted route (rank 3J/4 = 30, cap n // 16 = 37) builds no
+        # n x n array; the dense route, where the rank 75 is above the cap
+        # 62, builds G and nothing of its size beside it, and factors G in
+        # place. The first run is not traced: its one-time imports (scipy,
         # on the first dense Cholesky) take about 13 MB that no array of the
         # kind holds
         cfg = ExperimentConfig(kind="krr-indicator", seeds=[0],

@@ -166,7 +166,7 @@ class TestDenseSolverInputs:
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_one_working_copy(self, solver):
         # the whole solve, its reveal included: rank 20 at n = 1000 is
-        # factored, beside the revealed array, in at most n / 16 rows
+        # factored in at most n / 16 rows, whatever the layout of the points
         n = 1000
         A = _points(n, 20, stream(6, "copy"), 1 / np.sqrt(n))
         z = np.ones(n)
@@ -268,10 +268,11 @@ class TestPivotedRoute:
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_full_rank_falls_back_holding_one_working_copy(self, monkeypatch, factor_calls,
                                                            solver):
-        # the whole solve, its reveal included: the fallback factors the
-        # revealed array in place. At n = 1200 the reveal's gathers of 48
-        # points a side are 0.08 of that array. The untraced first solve
-        # loads scipy, whose one-time import no array of the solve holds
+        # the whole solve, its reveal included: the fallback builds the
+        # view's array and factors it in place. At n = 1200 the array's
+        # gathers of 48 points a side are 0.08 of it. The untraced first
+        # solve loads scipy, whose one-time import no array of the solve
+        # holds
         n = 1200
         rng = stream(15, "full")
         gram = MeteredGram(_points(n, n, rng, 1 / np.sqrt(n)))
@@ -284,12 +285,14 @@ class TestPivotedRoute:
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_low_rank_solve_holds_no_n_by_n_copy(self, factor_calls, solver):
-        # beside the revealed array, only the factor's rows
+        # no n x n array: the diagonal, the factor's 30 rows (one more, and
+        # a copy, for the offset row) and one column at a time, 0.02-0.03
+        # of n^2 floats
         inst = gen_krr(2000, 40, 0.1, seed=5)
         n = inst.n_total
         _, peak = traced_peak(DENSE_SOLVERS[solver], inst.gram, inst.z, inst.lam)
         assert factor_calls == []
-        assert peak <= 1.1 * n * n * 8
+        assert peak <= 0.05 * n * n * 8
 
 
 def _preallocated_pivot(K, tol: float, cap: int):
@@ -361,11 +364,27 @@ class TestPivotLoop:
         assert asked == []
 
 
+class _View:
+    """The pivoted route's reads of a view, as gram.reveal() returns one,
+    over a given K and diagonal: each returns a new array, and the columns
+    asked are logged."""
+
+    def __init__(self, K, diag):
+        self.K, self.diag, self.asked = K, diag, []
+
+    def diagonal(self):
+        return self.diag.copy()
+
+    def column(self, p):
+        self.asked.append(p)
+        return self.K[:, p].copy()
+
+
 class TestFusedEntryCheck:
     """The one check on a gram's entries is fused into the pivot loop's
     read of the diagonal: a trace that is not finite is refused. The pivoted
-    route reads the diagonal and the pivot rows of the revealed K, and no
-    other entry."""
+    route reads the view's diagonal and its pivot columns, and no other
+    entry."""
 
     @pytest.mark.parametrize("case", ["plain", "augmented", "indicator-G", "indicator-K"])
     def test_route_skips_the_entry_check(self, monkeypatch, factor_calls, case):
@@ -376,24 +395,19 @@ class TestFusedEntryCheck:
             args += (c0, c1)
         elif case == "indicator-K":
             gram = MeteredGram(_indicator_points(inst.points, c0, c1))
-        K, n, rows = gram.full(), gram.n, []
-
-        class Logged(np.ndarray):
-            def __getitem__(self, key):
-                if self.ndim == 2:  # K, not the copies of its diagonal
-                    rows.append(key)
-                return super().__getitem__(key)
-
-        monkeypatch.setattr(gram, "full", lambda: K.copy().view(Logged))
+        real, n = gram.reveal(), gram.n
+        K = np.stack([real.column(p) for p in range(n)], axis=1)
+        logged = _View(K, real.diagonal())
+        monkeypatch.setattr(gram, "reveal", lambda: logged)
         alpha = solve_exact(gram, *args)
         assert factor_calls == []
-        assert all(isinstance(i, int) for i in rows)
-        assert 0 < len(rows) == len(set(rows)) <= n // 16
-        # every other entry a NaN: the same alpha, to the bit
+        cols = logged.asked
+        assert all(isinstance(p, int) for p in cols)
+        assert 0 < len(cols) == len(set(cols)) <= n // 16
+        # every other column a NaN: the same alpha, to the bit
         poisoned = np.full((n, n), np.nan)
-        poisoned[rows] = K[rows]
-        np.fill_diagonal(poisoned, K.diagonal())
-        monkeypatch.setattr(gram, "full", lambda: poisoned.copy())
+        poisoned[:, cols] = K[:, cols]
+        monkeypatch.setattr(gram, "reveal", lambda: _View(poisoned, real.diagonal()))
         assert solve_exact(gram, *args).tobytes() == alpha.tobytes()
 
     @settings(max_examples=60, deadline=None)

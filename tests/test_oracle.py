@@ -166,10 +166,15 @@ class TestLedger:
         assert g1.ledger_report().total_requests == rows.size * cols.size
 
     def test_block_budget_is_atomic(self):
-        g = MeteredGram(np.eye(6), budget=5)
-        with pytest.raises(BudgetExhaustedError):
-            g.query_block(np.arange(3), np.arange(3))  # 6 unordered pairs
-        assert g.ledger_report().distinct_entries == 0
+        # a block of 6 unordered pairs, and full reveals of 21
+        for read in (lambda g: g.query_block(np.arange(3), np.arange(3)),
+                     MeteredGram.full, MeteredGram.reveal):
+            g = MeteredGram(np.eye(6), budget=5)
+            with pytest.raises(BudgetExhaustedError):
+                read(g)
+            rep = g.ledger_report()
+            assert (rep.distinct_entries, rep.total_requests) == (0, 0)
+            assert rep.budget_exhausted and _popcount(g.ledger) == 0
 
     def test_full_reveal(self):
         g = MeteredGram(np.eye(7))
@@ -183,12 +188,25 @@ class TestLedger:
         assert rep2.distinct_entries == 7 * 8 // 2
         assert rep2.total_requests == 49 + 1
         # full() runs query_block's product: numpy's syrk for X @ X.T rounds
-        # differently on these points
+        # differently on these points. The view's diagonal and columns are
+        # dot products and matrix-vector products, so they agree with it
+        # to round-off
+        eps = np.finfo(np.float64).eps
         for n, d in ((300, 30), (301, 7), (1100, 64)):  # 1100 > 1008: panels
             X = stream(n, "full").standard_normal((n, d))
             every = np.arange(n)
-            assert (MeteredGram(X).full().tobytes()
-                    == MeteredGram(X).query_block(every, every).tobytes())
+            K = MeteredGram(X).full()
+            assert K.tobytes() == MeteredGram(X).query_block(every, every).tobytes()
+            view, bound = MeteredGram(X).reveal(), 2 * d * eps * (np.abs(X) @ np.abs(X).T)
+            assert (np.abs(view.diagonal() - K.diagonal()) <= bound.diagonal()).all()
+            for p in (0, n // 2, n - 1):
+                assert (np.abs(view.column(p) - K[p]) <= bound[p]).all()
+        # on the generated instances every entry is exact: to the bit
+        for augmented in (False, True):
+            g = gen_krr(300, 8, 0.25, seed=0, augmented=augmented).gram
+            K, view = g.full(), g.reveal()
+            assert view.diagonal().tobytes() == K.diagonal().tobytes()
+            assert all(view.column(p).tobytes() == K[p].tobytes() for p in range(g.n))
 
     def test_block_reread_after_full_adds_requests_only(self):
         g = MeteredGram(np.eye(7), budget=28)
@@ -398,9 +416,14 @@ class TestIndexValidation:
 
 class TestLedgerStorage:
     def test_unqueried_gram_holds_no_bitmap(self):
+        # nor does a full reveal past n = 20000, refused before it charges
         g = MeteredGram(np.ones((100_000, 1)))
         assert g.ledger._bits is None
-        assert g.ledger_report().distinct_entries == 0
+        for read in (g.full, g.reveal):
+            with pytest.raises(ContractViolationError, match="refusing to materialize"):
+                read()
+        rep = g.ledger_report()
+        assert (rep.distinct_entries, rep.total_requests) == (0, 0)
         assert g.ledger._bits is None
 
     def test_empty_reads_map_no_bitmap(self):
@@ -436,14 +459,16 @@ class TestLedgerStorage:
             assert after[2] == before[2] + 3 + n * n
 
     def test_full_leaves_the_ledger_of_a_whole_block(self):
-        """A full reveal leaves what a block of every row and column leaves,
-        bitmap bytes included, at each n from 1 to 79 (every n & 7, and rows
-        of up to 10 bytes)."""
+        """A full reveal, and a gram's reveal(), leave what a block of every
+        row and column leaves, bitmap bytes included, at each n from 1 to 79
+        (every n & 7, and rows of up to 10 bytes)."""
         for n in range(1, 80):
             full, block, every = QueryLedger(n), QueryLedger(n), np.arange(n)
             full.charge_full()
             block.charge_block(every, every)
-            assert _state(full) == _state(block)
+            gram = MeteredGram(np.eye(n))
+            gram.reveal()
+            assert _state(full) == _state(block) == _state(gram.ledger)
             assert _popcount(full) == full.distinct_entries
 
     def test_every_pair_has_its_own_bit(self):

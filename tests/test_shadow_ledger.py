@@ -1,15 +1,17 @@
 """Shadow ledger: every CLI kind's counts equal the pairs its reads returned.
 
-Each of MeteredGram's four reads is wrapped to record the unordered pairs
-(min, max) it returned, and the requests they took, in a set held on the
-gram itself. A budgeted query_pairs that is cut records the prefix it
-charged; a refused read records nothing. Each ledger_report, and each
-refusal, compares the ledger's distinct entries, requests and per_row
-with that set, and the bits set in the ledger's bitmap with its size: a
-dropped bit shows there at once, while the counts would show it only when
-a later read counted its pair again. The shadow lives on the gram object,
-not in a table keyed by id(gram): a freed gram's id is reused by the next
-pass's gram.
+Each of MeteredGram's four reads, query, query_pairs, query_block and
+reveal, is wrapped to record the unordered pairs (min, max) it returned,
+and the requests they took, in a set held on the gram itself. reveal()
+returns a view of every pair; full() reads through it and is not wrapped
+apart, which would count its pairs twice. A budgeted query_pairs that is
+cut records the prefix it charged; a refused read records nothing. Each
+ledger_report, and each refusal, compares the ledger's distinct entries,
+requests and per_row with that set, and the bits set in the ledger's
+bitmap with its size: a dropped bit shows there at once, while the counts
+would show it only when a later read counted its pair again. The shadow
+lives on the gram object, not in a table keyed by id(gram): a freed gram's
+id is reused by the next pass's gram.
 """
 
 import numpy as np
@@ -84,7 +86,7 @@ _PAIRS = {
     "query": lambda gram, i, j: ([i], [j]),
     "query_pairs": lambda gram, rows, cols: (rows, cols),
     "query_block": lambda gram, rows, cols: _outer(rows, cols),
-    "full": lambda gram: _outer(np.arange(gram.n), np.arange(gram.n)),
+    "reveal": lambda gram: _outer(np.arange(gram.n), np.arange(gram.n)),
 }
 
 
