@@ -8,21 +8,19 @@ a = (K + lam I)^{-1} z. `solve_exact` takes a metered gram; desk scale
 and z, then charges a reveal of K with one `reveal()`, whose view it reads
 K through. K is a dot-product Gram, so symmetric and positive semidefinite
 by construction; the one check left on it is that its trace is finite. A
-greedy pivoted Cholesky then takes at most n // 16 pivots, each on the
-largest residual diagonal, until the residual trace, which bounds
-||K - Ft'Ft||_F for a Gram, is at most tol = max(1e-13 * lam, 8 eps
-trace(K)). It reads the view's diagonal and one column per pivot, and no
-n x n array is built. The system is then solved from the r x n factor Ft
-by Woodbury in O(n r^2), and alpha is within tol / lam relative distance
-of the exact minimizer. Past the cap, or when tol overflows, the solve
-falls back to a symmetric positive-definite Cholesky of the view's array,
-overwritten with (c1 - c0) K + c0 and factored in place, so it holds one
-n x n array. The offset c0 11' of the kernel c0 11' + (c1 - c0) K is one
-more factor row sqrt(c0) 1', or a constant added to that array. scipy
-loads on the first dense Cholesky, so importing the package, and a
-low-rank solve, load only numpy. `_pivot` is the package's one pivot loop;
-it reads K through a column source, and `mog.bootstrap_extract` runs it
-too.
+greedy pivoted Cholesky then takes up to n pivots, each on the largest
+residual diagonal, until the residual trace, which bounds ||K - Ft'Ft||_F
+for a Gram, is at most tol = max(1e-13 * lam, 8 eps trace(K)), or the
+round-off floor alone when 1e-13 * lam overflows. It reads the view's
+diagonal and one column per pivot, so K's rank r sets the cost, and no
+n x n array is built below full rank. The system is then solved from the
+r x n factor Ft by Woodbury in O(n r^2), and alpha is within tol / lam
+relative distance of the exact minimizer. The offset c0 11' of the kernel
+c0 11' + (c1 - c0) K is one more factor row sqrt(c0) 1'. A loop that
+finds no factor (a residual diagonal below -tol, which a Gram reaches only
+through round-off) raises NumericalDegeneracyError. The package runs on
+numpy alone. `_pivot` is the package's one pivot loop; it reads K through
+a column source, and `mog.bootstrap_extract` runs it too.
 `hard_instance_optimum` gives the instance's exact minimizer for either
 kernel apart from every solver.
 """
@@ -37,7 +35,6 @@ from .oracle import MeteredGram
 
 _PIVOT_TOL = 1e-13  # the pivoted factor must fit K to _PIVOT_TOL * lam ...
 _ROUND_OFF = 8      # ... or, if larger, to _ROUND_OFF * eps * trace(K)
-_PIVOT_CAP = 16     # at most n // _PIVOT_CAP pivots before the dense route
 
 
 def _check_lam(lam: float):
@@ -46,40 +43,22 @@ def _check_lam(lam: float):
         raise ContractViolationError(f"lam must be positive, got {lam}")
 
 
-def _factor(A, lam: float, b) -> np.ndarray:
-    """(A + lam I)^{-1} b for one right-hand side, factoring A + lam I in
-    place. A is a symmetric C-order array that the solver owns.
-
-    A.T is Fortran-ordered, so LAPACK factors its lower triangle (the upper
-    triangle of A) without another copy. This is the package's only use of
-    scipy, imported here so that no other route pays for loading it."""
-    import scipy.linalg
-
-    A.flat[::A.shape[0] + 1] += lam
-    try:
-        cho = scipy.linalg.cho_factor(A.T, lower=True, overwrite_a=True,
-                                      check_finite=False)
-    except np.linalg.LinAlgError as e:
-        raise NumericalDegeneracyError(str(e)) from e
-    return scipy.linalg.cho_solve(cho, b, check_finite=False)
-
-
-def _pivot(diag, column, tol: float, cap: int):
-    """Greedy pivoted Cholesky rows Ft (r x n) of a square K, r <= cap, or
-    None; the one pivot loop every factor in the package runs. diag is K's
-    diagonal, copied here as the residual, and column(p) returns K[:, p],
-    called once for each pivot p; a caller holding a revealed K passes its
-    row K[p].
+def _pivot(diag, column, tol: float):
+    """Greedy pivoted Cholesky rows Ft (r x n) of a square K, or None; the
+    one pivot loop every factor in the package runs. diag is K's diagonal,
+    copied here as the residual, and column(p) returns K[:, p], called once
+    for each pivot p; a caller holding K passes its row K[p].
 
     Each step pivots on the largest residual diagonal, takes that column of
     K less the rows already found and divides it by the pivot's residual
     root. Pivoting stops once the residual trace is at most tol, and gives
     up on a residual diagonal below -tol (K is not positive semidefinite),
-    on a NaN or infinite tol, or when a pivot past cap is needed. Only the
-    diagonal and the pivot columns of K are read. For a Gram matrix the
-    residual K - Ft'Ft is positive semidefinite, so its trace bounds
-    ||K - Ft'Ft||_F. Ft grows in place, doubling its rows up to cap, and
-    is cut to its r rows on return: an array that owns its memory.
+    on a NaN or infinite tol, or when the residual trace is still above tol
+    after n pivots. Only the diagonal and the pivot columns of K are read.
+    For a Gram matrix the residual K - Ft'Ft is positive semidefinite, so
+    its trace bounds ||K - Ft'Ft||_F. Ft grows in place, doubling its rows
+    up to n, and is cut to its r rows on return: an array that owns its
+    memory.
     """
     if not tol < np.inf:  # a NaN, or an overflow: no fit means anything
         return None
@@ -93,10 +72,10 @@ def _pivot(diag, column, tol: float, cap: int):
         if d.sum() <= tol:
             Ft.resize((r, n), refcheck=False)
             return Ft
-        if r == cap:
+        if r == n:
             return None
         if r == Ft.shape[0]:  # no view of Ft lives across the realloc
-            Ft.resize((min(2 * r or 1, cap), n), refcheck=False)
+            Ft.resize((min(2 * r or 1, n), n), refcheck=False)
         p = int(np.argmax(d))
         row = column(p) - Ft[:r, p] @ Ft[:r]
         row /= np.sqrt(d[p])
@@ -117,32 +96,30 @@ def _solve(K, b, lam: float, scale: float = 1.0, offset: float = 0.0) -> np.ndar
     """(offset 11' + scale K + lam I)^{-1} b for a Gram matrix K read
     through a revealed view (oracle.Revealed): Woodbury on a pivoted factor
     of K, from its diagonal and pivot columns, scaled by sqrt(scale) and
-    with the row sqrt(offset) 1' on top when offset > 0, when one fits;
-    else the dense Cholesky of the view's array, overwritten with scale K
-    + offset.
+    with the row sqrt(offset) 1' on top when offset > 0.
 
     The factor must fit to tol = max(_PIVOT_TOL * lam / scale, _ROUND_OFF *
     eps * trace(K)), so ||alpha_hat - alpha|| <= tol * scale * ||alpha|| / lam
     (the offset row is exact): a relative error of at most the larger of
     _PIVOT_TOL and 8 eps trace(scale K) / lam. For a K of rank r that is at
-    most 8 r eps ||scale K||_2 / lam, within 8 r of the dense Cholesky's own
+    most 8 r eps ||scale K||_2 / lam, within 8 r of a dense Cholesky's own
     forward error; a tolerance below it would fail on the factor's round-off.
-    A trace that is not finite (a NaN or an infinite point, or a squared
-    norm that overflows) is refused before either route runs.
+    Where _PIVOT_TOL * lam / scale overflows, tol is the round-off floor. A
+    trace that is not finite (a NaN or an infinite point, or a squared norm
+    that overflows) is refused before the loop runs, and a loop that finds
+    no factor raises NumericalDegeneracyError.
     """
-    with np.errstate(over="ignore"):  # an overflow is refused, or falls back
+    with np.errstate(over="ignore"):  # an overflow is refused, or floored
         diag = K.diagonal()
         trace = float(diag.sum())
         if not np.isfinite(trace):
             raise ContractViolationError("the gram must be finite")
-        tol = max(_PIVOT_TOL * lam / scale, _ROUND_OFF * np.finfo(np.float64).eps * trace)
-    Ft = _pivot(diag, K.column, tol, diag.size // _PIVOT_CAP)
+        fit = _PIVOT_TOL * lam / scale
+    floor = _ROUND_OFF * np.finfo(np.float64).eps * trace
+    Ft = _pivot(diag, K.column, max(fit, floor) if fit < np.inf else floor)
     if Ft is None:
-        A = K.array()
-        A *= scale
-        if offset:
-            A += offset
-        return _factor(A, lam, b)
+        raise NumericalDegeneracyError(
+            "the gram is not positive semidefinite to working precision")
     Ft *= np.sqrt(scale)
     if offset:
         Ft = np.vstack([np.full(diag.size, np.sqrt(offset)), Ft])
@@ -156,8 +133,8 @@ def solve_exact(gram: MeteredGram, z, lam: float, c0: float = 0.0,
     (c1 - c0) K + lam I)^{-1} z, the offset never assembled. Needs
     0 <= c0 < c1 < inf (`_check_constants`), lam > 0 and a finite z with one
     entry per point, all checked before the one read: a full reveal of K,
-    charged whole, whose view the solve reads. Only the dense fallback
-    builds K as an n x n array."""
+    charged whole, whose view the solve reads through its diagonal and
+    pivot columns."""
     _check_constants(c0, c1)
     _check_lam(lam)
     z = np.asarray(z, dtype=np.float64)

@@ -66,7 +66,7 @@ def bootstrap_extract(gram: MeteredGram, t: int) -> np.ndarray:
     with np.errstate(all="ignore"):  # a NaN or an infinity gives no factor
         diag = block.diagonal()
         tol = _ROUND_OFF * np.finfo(np.float64).eps * np.abs(diag).sum()
-        Ft = _pivot(diag, block.__getitem__, tol, t)
+        Ft = _pivot(diag, block.__getitem__, tol)
     if Ft is None:
         raise NumericalDegeneracyError(
             "bootstrap block is not a Gram matrix to working precision")

@@ -28,6 +28,13 @@ def _indicator_points(points, c0: float, c1: float) -> np.ndarray:
     return np.hstack([np.sqrt(c1 - c0) * points, np.full((n, 1), np.sqrt(c0))])
 
 
+def _reference(points, z, lam: float, c0: float = 0.0, c1: float = 1.0) -> np.ndarray:
+    """np.linalg.solve on the assembled c0 11' + (c1 - c0) P P' + lam I: the
+    minimizer solve_exact must give, through no code of the package."""
+    n = points.shape[0]
+    return np.linalg.solve(c0 + (c1 - c0) * (points @ points.T) + lam * np.eye(n), z)
+
+
 class TestSolveExact:
     def test_identity_kernel(self):
         alpha = solve_exact(MeteredGram(np.eye(2)), np.ones(2), 1.0)
@@ -125,13 +132,17 @@ class TestCheckSystem:
             d_eff([1.0], lam)
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
-    def test_dense_solvers_reject_indefinite_systems(self, solver):
-        # a gram is positive semidefinite, but at rank 3 (4 with the offset)
-        # and n = 40, past the 2 pivots, with lam far below its round-off,
-        # K + lam I is indefinite in floating point, and the Cholesky says so
-        gram = MeteredGram(_points(40, 3, stream(3, "indefinite")))
-        with pytest.raises(NumericalDegeneracyError, match="not positive definite"):
-            DENSE_SOLVERS[solver](gram, np.ones(40), 1e-300)
+    def test_dense_solvers_reject_indefinite_systems(self, monkeypatch, solver):
+        # a view whose columns hold 2 beside a unit diagonal is no Gram
+        # (|K_ij| > sqrt(K_ii K_jj)): the first pivot column drives every
+        # other residual diagonal to -3, and the loop finds no factor
+        n = 40
+        gram = MeteredGram(_clusters(n, 2))
+        indefinite = _View(np.full((n, n), 2.0), np.ones(n))
+        monkeypatch.setattr(gram, "reveal", lambda: indefinite)
+        with pytest.raises(NumericalDegeneracyError, match="not positive semidefinite"):
+            DENSE_SOLVERS[solver](gram, np.ones(n), 0.5)
+        assert indefinite.asked == [0]
 
 
 def _layout_case():
@@ -166,7 +177,7 @@ class TestDenseSolverInputs:
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
     def test_one_working_copy(self, solver):
         # the whole solve, its reveal included: rank 20 at n = 1000 is
-        # factored in at most n / 16 rows, whatever the layout of the points
+        # factored in 20 rows, whatever the layout of the points
         n = 1000
         A = _points(n, 20, stream(6, "copy"), 1 / np.sqrt(n))
         z = np.ones(n)
@@ -181,135 +192,105 @@ def _clusters(n: int, r: int) -> np.ndarray:
     return np.eye(r)[np.arange(n) * r // n]
 
 
-@pytest.fixture
-def factor_calls(monkeypatch):
-    """The sizes of the dense Cholesky factorizations made while it is in use."""
-    calls, real = [], krr._factor
-
-    def spy(A, lam, b):
-        calls.append(A.shape[0])
-        return real(A, lam, b)
-
-    monkeypatch.setattr(krr, "_factor", spy)
-    return calls
-
-
-def _dense_outcome(monkeypatch, solve, *args):
-    """solve(*args) with the pivoted route switched off."""
-    with monkeypatch.context() as m:
-        m.setattr(krr, "_pivot", lambda diag, column, tol, cap: None)
-        return solve(*args)
-
-
 class TestPivotedRoute:
-    @pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
-    def test_hard_instance_takes_the_route(self, monkeypatch, factor_calls, augmented):
-        inst = gen_krr(400, 8, 0.25, seed=3, augmented=augmented)
-        alpha = solve_exact(inst.gram, inst.z, inst.lam)
-        assert factor_calls == []
-        dense = _dense_outcome(monkeypatch, solve_exact, inst.gram, inst.z, inst.lam)
-        assert factor_calls == [inst.n_total]
-        assert np.abs(alpha - dense).max() <= 1e-12
+    """solve_exact against _reference, at ranks from a few up to n."""
 
-    def test_indicator_kernel_takes_the_route(self, monkeypatch, factor_calls):
+    @pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+    def test_hard_instance_takes_the_route(self, augmented):
+        # rank 6 at n = 400, and 75 at n = 1000 (8 and 85 augmented)
+        for n, J, eps, seed in ((400, 8, 0.25, 3), (1000, 100, 0.1, 0)):
+            inst = gen_krr(n, J, eps, seed=seed, augmented=augmented)
+            alpha = solve_exact(inst.gram, inst.z, inst.lam)
+            assert np.abs(alpha - _reference(inst.points, inst.z, inst.lam)).max() <= 1e-12
+
+    def test_indicator_kernel_takes_the_route(self):
         inst = gen_krr(400, 8, 0.25, seed=4)
         c0, c1 = 0.25, 1.0
         K = MeteredGram(_indicator_points(inst.points, c0, c1))
+        ref = _reference(inst.points, inst.z, inst.lam, c0, c1)
         for args in ((inst.gram, inst.z, inst.lam, c0, c1), (K, inst.z, inst.lam)):
-            alpha = solve_exact(*args)
-            assert factor_calls == []
-            dense = _dense_outcome(monkeypatch, solve_exact, *args)
-            assert np.abs(alpha - dense).max() <= 1e-12
-            factor_calls.clear()
+            assert np.abs(solve_exact(*args) - ref).max() <= 1e-12
 
-    def test_random_low_rank_takes_the_route(self, monkeypatch, factor_calls):
+    def test_random_low_rank_takes_the_route(self):
         rng = stream(13, "pivot")
-        gram = MeteredGram(_points(640, 12, rng, 1 / np.sqrt(12)))
+        P = _points(640, 12, rng, 1 / np.sqrt(12))
         z = rng.standard_normal(640)
-        alpha = solve_exact(gram, z, 1.0)
-        assert factor_calls == []
-        dense = _dense_outcome(monkeypatch, solve_exact, gram, z, 1.0)
-        assert np.abs(alpha - dense).max() <= 1e-12 * np.abs(dense).max()
+        alpha = solve_exact(MeteredGram(P), z, 1.0)
+        ref = _reference(P, z, 1.0)
+        assert np.abs(alpha - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n, rank, lam", [(640, 12, 0.1), (1000, 20, 0.5)])
-    def test_fit_floored_at_round_off_takes_the_route(self, monkeypatch, factor_calls, n,
-                                                      rank, lam):
+    def test_fit_floored_at_round_off_takes_the_route(self, n, rank, lam):
         # the factor's round-off exceeds 1e-13 * lam here: it fits only to
         # the 8 eps trace(K) floor
         rng = stream(13, "pivot")
-        gram = MeteredGram(_points(n, rank, rng, 1 / np.sqrt(rank)))
+        P = _points(n, rank, rng, 1 / np.sqrt(rank))
         z = rng.standard_normal(n)
-        alpha = solve_exact(gram, z, lam)
-        assert factor_calls == []
-        dense = _dense_outcome(monkeypatch, solve_exact, gram, z, lam)
-        assert np.abs(alpha - dense).max() <= 1e-10 * np.abs(dense).max()
+        alpha = solve_exact(MeteredGram(P), z, lam)
+        ref = _reference(P, z, lam)
+        assert np.abs(alpha - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("rank, taken", [(10, True), (11, False)])
-    def test_at_most_n_over_16_pivots(self, factor_calls, rank, taken):
+    @pytest.mark.parametrize("rank", [10, 11])
+    def test_pivots_to_the_rank(self, monkeypatch, rank):
+        # one column per pivot, the first point of each run
         n = 160
         P = _clusters(n, rank)
+        gram = MeteredGram(P)
+        logged = _View(P @ P.T, np.ones(n))
+        monkeypatch.setattr(gram, "reveal", lambda: logged)
         z = stream(14, "cap").standard_normal(n)
-        alpha = solve_exact(MeteredGram(P), z, 0.5)
-        assert factor_calls == ([] if taken else [n])
-        ref = np.linalg.solve(P @ P.T + 0.5 * np.eye(n), z)
-        assert np.abs(alpha - ref).max() <= 1e-12
+        alpha = solve_exact(gram, z, 0.5)
+        assert logged.asked == [int(np.argmax(P[:, c])) for c in range(rank)]
+        assert np.abs(alpha - _reference(P, z, 0.5)).max() <= 1e-12
 
-    def test_overflowing_tolerance_falls_back(self, factor_calls):
-        # 1e-13 * lam / (c1 - c0) overflows; an empty factor fitted to that
-        # inf would drop the n * s = 8.5e-14 that (c1 - c0) G adds to lam.
-        # G's entries g = 1.7e308 / n leave its trace finite
+    def test_overflowing_tolerance_falls_back(self):
+        # 1e-13 * lam / (c1 - c0) overflows, and the tolerance falls back to
+        # the 8 eps trace(G) floor; an empty factor fitted to that inf would
+        # drop the n * s = 8.5e-14 that (c1 - c0) G adds to lam. G's entries
+        # g = 1.7e308 / n leave its trace finite
         n, c1 = 64, 5e-322
         gram = MeteredGram(np.full((n, 1), np.sqrt(1.7e308 / n)))
         g = gram.full()[0, 0]
         alpha = solve_exact(gram, np.ones(n), 1.0, 0.0, c1)
-        assert factor_calls == [n]
         np.testing.assert_allclose(alpha, 1.0 / (1.0 + n * (c1 * g)), rtol=1e-14)
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
-    def test_full_rank_falls_back_holding_one_working_copy(self, monkeypatch, factor_calls,
-                                                           solver):
-        # the whole solve, its reveal included: the fallback builds the
-        # view's array and factors it in place. At n = 1200 the array's
-        # gathers of 48 points a side are 0.08 of it. The untraced first
-        # solve loads scipy, whose one-time import no array of the solve
-        # holds
+    def test_full_rank_matches_the_reference(self, solver):
+        # n pivots, the factor as large as K: about 1 s at n = 1200
         n = 1200
         rng = stream(15, "full")
-        gram = MeteredGram(_points(n, n, rng, 1 / np.sqrt(n)))
+        P = _points(n, n, rng, 1 / np.sqrt(n))
         z = rng.standard_normal(n)
-        want = _dense_outcome(monkeypatch, DENSE_SOLVERS[solver], gram, z, 0.5)
-        got, peak = traced_peak(DENSE_SOLVERS[solver], gram, z, 0.5)
-        assert factor_calls == [n, n]
-        assert peak <= 1.1 * n * n * 8
-        np.testing.assert_array_equal(got, want)
+        c0 = 0.1 if solver == "indicator" else 0.0
+        alpha = DENSE_SOLVERS[solver](MeteredGram(P), z, 0.5)
+        assert np.abs(alpha - _reference(P, z, 0.5, c0)).max() <= 1e-12
 
     @pytest.mark.parametrize("solver", sorted(DENSE_SOLVERS))
-    def test_low_rank_solve_holds_no_n_by_n_copy(self, factor_calls, solver):
+    def test_low_rank_solve_holds_no_n_by_n_copy(self, solver):
         # no n x n array: the diagonal, the factor's 30 rows (one more, and
         # a copy, for the offset row) and one column at a time, 0.02-0.03
         # of n^2 floats
         inst = gen_krr(2000, 40, 0.1, seed=5)
         n = inst.n_total
         _, peak = traced_peak(DENSE_SOLVERS[solver], inst.gram, inst.z, inst.lam)
-        assert factor_calls == []
         assert peak <= 0.05 * n * n * 8
 
 
-def _preallocated_pivot(K, tol: float, cap: int):
-    """The pivot loop as it ran on a revealed K into a preallocated cap x n
+def _preallocated_pivot(K, tol: float):
+    """The pivot loop as it ran on a revealed K into a preallocated n x n
     buffer: the reference the grown factor must equal bit for bit."""
     if not tol < np.inf:
         return None
     n = K.shape[0]
     d = K.diagonal().copy()
-    Ft = np.empty((cap, n))
+    Ft = np.empty((n, n))
     r = 0
     while True:
         if d.min() < -tol:
             return None
         if d.sum() <= tol:
             return Ft[:r]
-        if r == cap:
+        if r == n:
             return None
         p = int(np.argmax(d))
         row = np.subtract(K[p], Ft[:r, p] @ Ft[:r], out=Ft[r])
@@ -319,7 +300,7 @@ def _preallocated_pivot(K, tol: float, cap: int):
 
 
 class TestPivotLoop:
-    """krr._pivot(diag, column, tol, cap) over a column source."""
+    """krr._pivot(diag, column, tol) over a column source."""
 
     @staticmethod
     def _source(rank: int, n: int = 100):
@@ -344,23 +325,32 @@ class TestPivotLoop:
     def test_grown_factor_is_the_preallocated_loop(self, rank):
         # the ranks cross each doubling edge of the factor's rows
         K, diag, tol, column, asked = self._source(rank)
-        Ft = krr._pivot(diag, column, tol, K.shape[0])
+        Ft = krr._pivot(diag, column, tol)
         assert Ft.shape == (rank, K.shape[0]) and Ft.base is None
         assert len(asked) == len(set(asked)) == rank
-        ref = _preallocated_pivot(K, tol, K.shape[0])
+        ref = _preallocated_pivot(K, tol)
         assert Ft.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("rank", [1, 32, 33, 65])
-    def test_gives_up_at_the_cap(self, rank):
-        K, diag, tol, column, asked = self._source(rank)
-        assert krr._pivot(diag, column, tol, rank - 1) is None
-        assert len(asked) == len(set(asked)) == rank - 1
-        assert krr._pivot(diag, column, tol, rank).shape == (rank, K.shape[0])
+    @pytest.mark.parametrize("n", [1, 32, 33, 65])
+    def test_gives_up_at_the_cap(self, n):
+        # the cap is n pivots. Halved columns of I leave 3/4 of each
+        # residual diagonal: each is pivoted once and the trace stays 3n/4.
+        # The whole columns factor I in exactly n pivots
+        asked = []
+
+        def halved(p):
+            asked.append(p)
+            return 0.5 * np.eye(n)[p]
+
+        assert krr._pivot(np.ones(n), halved, 1e-3) is None
+        assert sorted(asked) == list(range(n))
+        Ft = krr._pivot(np.ones(n), lambda p: np.eye(n)[p], 1e-3)
+        assert Ft.shape == (n, n) and np.array_equal(np.abs(Ft), np.eye(n))
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_gives_up_on_a_tolerance_that_is_not_finite(self, tol):
         _, diag, _, column, asked = self._source(3)
-        assert krr._pivot(diag, column, tol, 100) is None
+        assert krr._pivot(diag, column, tol) is None
         assert asked == []
 
 
@@ -387,7 +377,7 @@ class TestFusedEntryCheck:
     entry."""
 
     @pytest.mark.parametrize("case", ["plain", "augmented", "indicator-G", "indicator-K"])
-    def test_route_skips_the_entry_check(self, monkeypatch, factor_calls, case):
+    def test_route_skips_the_entry_check(self, monkeypatch, case):
         inst = gen_krr(400, 8, 0.25, seed=6, augmented=case == "augmented")
         c0, c1 = 0.25, 1.0
         gram, args = inst.gram, (inst.z, inst.lam)
@@ -400,10 +390,9 @@ class TestFusedEntryCheck:
         logged = _View(K, real.diagonal())
         monkeypatch.setattr(gram, "reveal", lambda: logged)
         alpha = solve_exact(gram, *args)
-        assert factor_calls == []
         cols = logged.asked
         assert all(isinstance(p, int) for p in cols)
-        assert 0 < len(cols) == len(set(cols)) <= n // 16
+        assert 0 < len(cols) == len(set(cols)) == np.linalg.matrix_rank(K)
         # every other column a NaN: the same alpha, to the bit
         poisoned = np.full((n, n), np.nan)
         poisoned[:, cols] = K[:, cols]
@@ -586,32 +575,22 @@ class TestIndicatorSolve:
         assert np.abs(fast - ref).max() <= 1e-10
 
     @staticmethod
-    def _both_routes(monkeypatch, factor_calls, gram, z, lam, c0, c1):
-        """The largest difference, relative to the largest entry of the
-        reference, between np.linalg.solve on the assembled c0 11' +
-        (c1 - c0) G + lam I and solve_exact, on the pivoted route and
-        then with it switched off."""
-        n, G = gram.n, gram.full()
-        ref = np.linalg.solve(c0 * np.ones((n, n)) + (c1 - c0) * G + lam * np.eye(n), z)
-        pivoted = solve_exact(gram, z, lam, c0, c1)
-        assert factor_calls == []
-        dense = _dense_outcome(monkeypatch, solve_exact, gram, z, lam, c0, c1)
-        assert factor_calls == [n]
-        return [np.abs(got - ref).max() / np.abs(ref).max() for got in (pivoted, dense)]
+    def _relative_error(points, z, lam, c0, c1):
+        """The largest difference between solve_exact on the gram of points
+        and _reference, relative to the largest entry of the reference."""
+        ref = _reference(points, z, lam, c0, c1)
+        alpha = solve_exact(MeteredGram(points), z, lam, c0, c1)
+        return np.abs(alpha - ref).max() / np.abs(ref).max()
 
-    def test_offset_matches_direct_assembly(self, monkeypatch, factor_calls):
+    def test_offset_matches_direct_assembly(self):
         inst = gen_krr(3000, 40, 0.1, seed=10)
-        errs = self._both_routes(monkeypatch, factor_calls, inst.gram, inst.z, inst.lam,
-                                 0.3, 1.0)
-        assert max(errs) <= 1e-12
+        assert self._relative_error(inst.points, inst.z, inst.lam, 0.3, 1.0) <= 1e-12
 
-    def test_general_target_vector(self, monkeypatch, factor_calls):
-        # rank 8 at n = 160 is within the n / 16 = 10 pivots
+    def test_general_target_vector(self):
         rng = stream(11, "indz")
-        gram = MeteredGram(_points(160, 8, rng))
+        P = _points(160, 8, rng)
         z = rng.standard_normal(160)
-        errs = self._both_routes(monkeypatch, factor_calls, gram, z, 2.0, 0.4, 1.7)
-        assert max(errs) <= 1e-12
+        assert self._relative_error(P, z, 2.0, 0.4, 1.7) <= 1e-12
 
     @pytest.mark.parametrize("c0, c1", [
         (1.0, 0.5), (0.5, 0.5), (-0.1, 1.0), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
