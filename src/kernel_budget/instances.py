@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, frexp
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,8 @@ from .rng import stream
 
 CLASS_S1 = 1
 CLASS_S2 = 2
+# gen_mog draws of k > d means before it gives up
+_MOG_RETRIES = 50
 
 
 def _one_hot(indices: np.ndarray, dim: int, scales: Optional[np.ndarray] = None) -> np.ndarray:
@@ -173,10 +175,6 @@ class KkmcInstance:
     def inv_eps(self) -> int:
         return round(1.0 / self.eps)
 
-    @property
-    def dim(self) -> int:
-        return self.k * self.inv_eps
-
     def coordinates(self) -> np.ndarray:
         """Per-point absolute coordinate indices, shape (n, 2)."""
         return self.block[:, None] * self.inv_eps + self.pair
@@ -241,26 +239,45 @@ class MogInstance:
     separation: float
     seed: int
     means: np.ndarray                # (k, d)
-    weights: np.ndarray              # (k,)
     labels: np.ndarray               # per-point component in [0, k)
     gram: MeteredGram = field(repr=False)
     points: np.ndarray = field(repr=False)
 
     def min_separation(self) -> float:
-        if self.k == 1:
-            return np.inf
-        diffs = self.means[:, None, :] - self.means[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
-        return float(dist[~np.eye(self.k, dtype=bool)].min())
+        return _min_distance(self.means)
 
 
-def gen_mog(n: int, d: int, k: int, sigma: float, separation: float, seed: int,
-            weights=None, max_retries: int = 50) -> MogInstance:
-    """Sample a separated Gaussian mixture.
+def _min_distance(means: np.ndarray) -> float:
+    """Least distance between two rows of means; inf for one row."""
+    dist = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
+    dist[np.diag_indices(len(means))] = np.inf
+    return float(dist.min())
+
+
+def _on_grid(x: np.ndarray) -> np.ndarray:
+    """Round x, (rows, d), in place to multiples of 2^-s and return it:
+    s = floor((53 - ceil(log2 d) - 2e)/2), with 2^e the least power of two
+    above max|x| (1 if x is all zero). A product of two entries is then an
+    integer in units of 2^-2s, and a sum of d of them at most 2^53 units,
+    so a dot product of two rows is exact in any order. An entry moves by
+    at most 2^-(s+1)."""
+    s = (53 - (x.shape[1] - 1).bit_length() - 2 * frexp(max(x.max(), -x.min()))[1]) // 2
+    np.ldexp(x, s, out=x)
+    np.rint(x, out=x)
+    return np.ldexp(x, -s, out=x)
+
+
+def gen_mog(n: int, d: int, k: int, sigma: float, separation: float, seed: int) -> MogInstance:
+    """Sample a separated Gaussian mixture on a dyadic grid.
 
     Means sit at separation * (random orthonormal directions) when k <= d,
     which puts every pair at distance separation * sqrt(2); otherwise
-    rejection sampling inside a scaled ball, with bounded retries.
+    rejection sampling inside a scaled ball, with _MOG_RETRIES tries.
+    The points, and the means unless that brings two closer than the
+    separation, are rounded to the grid 2^-s of _on_grid, each array by its
+    own largest coordinate (s = 18 at d = 64 when that is in [16, 32)), and
+    move by at most 2^-(s+1) a coordinate. Every kernel entry is then
+    exact, so each read of a pair returns the same bits.
     """
     if n < 1 or k < 1 or d < 1:
         raise ContractViolationError("n, d, k must be positive")
@@ -268,34 +285,24 @@ def gen_mog(n: int, d: int, k: int, sigma: float, separation: float, seed: int,
         raise ContractViolationError("sigma must be nonnegative")
     rng = stream(seed, "gen-mog")
     if k <= d:
-        g = rng.standard_normal((d, k))
-        q, _ = np.linalg.qr(g)
+        q, _ = np.linalg.qr(rng.standard_normal((d, k)))
         means = separation * q[:, :k].T
     else:
-        means = None
         radius = separation * max(1.0, k ** (1.0 / d))
-        for _ in range(max_retries):
-            cand = rng.uniform(-radius, radius, size=(k, d))
-            diffs = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=2)
-            if diffs[~np.eye(k, dtype=bool)].min() >= separation:
-                means = cand
+        for _ in range(_MOG_RETRIES):
+            means = rng.uniform(-radius, radius, size=(k, d))
+            if _min_distance(means) >= separation:
                 break
             radius *= 1.5
-        if means is None:
+        else:
             raise GenerationFailureError(
                 f"could not place {k} means at separation {separation} in dimension {d}")
-    if weights is None:
-        weights = np.full(k, 1.0 / k)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (k,) or abs(weights.sum() - 1.0) > 1e-9 or (weights < 0).any():
-            raise ContractViolationError("weights must be a length-k probability vector")
-    labels = rng.choice(k, size=n, p=weights)
-    points = means[labels] + sigma * rng.standard_normal((n, d))
-    inst = MogInstance(n=n, d=d, k=k, sigma=sigma, separation=separation, seed=seed,
-                       means=means, weights=weights, labels=labels,
-                       gram=MeteredGram(points), points=points)
-    if k > 1 and inst.min_separation() < separation * (1 - 1e-12):
+    # the grid moves a pair of means by up to sqrt(d) 2^-s
+    if _min_distance(snapped := _on_grid(means.copy())) >= separation:
+        means = snapped
+    elif _min_distance(means) < separation * (1 - 1e-12):
         raise GenerationFailureError("mean placement failed the separation check")
-    return inst
-
+    labels = rng.choice(k, size=n, p=np.full(k, 1.0 / k))
+    points = _on_grid(means[labels] + sigma * rng.standard_normal((n, d)))
+    return MogInstance(n=n, d=d, k=k, sigma=sigma, separation=separation, seed=seed, means=means,
+                       labels=labels, gram=MeteredGram(points), points=points)

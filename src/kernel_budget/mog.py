@@ -32,7 +32,7 @@ from .errors import (ContractViolationError, DegenerateRowError,
                      NumericalDegeneracyError, PipelineStageError)
 from .kkmc import Clustering
 from .krr import _ROUND_OFF, _pivot
-from .oracle import _TILE, MeteredGram, _panels
+from .oracle import MeteredGram, _panels
 
 # Gaussian-mean test threshold constant: separation^2 >= 144 sigma^2 ln(1/delta)
 # keeps sigma at most a twelfth of the separation, which the midpoint sign
@@ -41,7 +41,7 @@ PAIR_TEST_SEPARATION_CONST = 144.0
 
 DEFAULT_SKETCH_CONST = 8.0
 MEAN_SAMPLE_CONST = 2.0
-_ASSIGN_PANEL = 42 * _TILE  # sketched_assign's columns at a time: 2016
+_ASSIGN_PANEL = 2016  # sketched_assign's columns at a time
 
 
 def bootstrap_extract(gram: MeteredGram, t: int) -> np.ndarray:
@@ -268,10 +268,7 @@ def sketched_assign(sketch: SketchOperator, sx, means) -> tuple:
     projected mean was used.
 
     Columns go through in panels of at most _ASSIGN_PANEL, so the
-    projections and scores live one panel at a time. Panel edges fall on
-    BLAS tile edges, as query_block's do, so each column is computed as in
-    one pass over all of them wherever BLAS runs a panel through the
-    kernels it runs for the whole (see MeteredGram._block).
+    projections and scores live one panel at a time.
     """
     sx = np.asarray(sx, dtype=np.float64)
     proj_means = sketch.project_direct(means)

@@ -16,8 +16,10 @@ hidden points. A full reveal is charged whole, then returns a Revealed
 view that evaluates the diagonal, a column or the whole array on demand;
 full() is that view's array. The kernel is the dot product; a two-valued
 kernel on basis vectors is algebra on this gram (krr.solve_exact's c0 and
-c1). Values for the instances in this package lie in {0, 1/2, 1} and small
-dot products, so float64 is exact for all comparisons that matter.
+c1). A generated instance's dot products are exact in float64 (at most
+two nonzero terms, or a mixture on instances.gen_mog's dyadic grid), so
+every read of a pair returns the same bits; over other points reads agree
+to round-off.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ _BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)
 _BANDS = 8
 # float64 values of points a read gathers at a time: 512 KB
 _GATHER = 1 << 16
-# _block's inner panel edges fall on multiples of this many points, a
-# multiple of every BLAS micro-tile edge (OpenBLAS on AVX-512 tiles a
-# block's columns by 16, 8 and 4 and its rows by 12 and 6)
-_TILE = 48
+# fewest points in a _block panel: thinner panels leave BLAS too little
+# work per call at large d
+_MIN_PANEL = 48
 
 
 @dataclass(frozen=True)
@@ -276,12 +277,10 @@ class QueryLedger:
 
 
 def _panels(size: int, step: int):
-    """(start, stop) of ceil(size / step) panels of at most step points, a
-    multiple of _TILE, as even as inner edges on multiples of _TILE allow,
-    so that no panel is a sliver BLAS would run through other kernels; the
-    points past the last multiple end the last panel."""
-    count, tiles = -(-size // step), size // _TILE
-    return pairwise([0, *(_TILE * -(-i * tiles // count) for i in range(1, count)), size])
+    """(start, stop) of ceil(size / step) panels of at most step points, as
+    even as integers allow."""
+    count = -(-size // step)
+    return pairwise(i * size // count for i in range(count + 1))
 
 
 def _index_array(x) -> np.ndarray:
@@ -324,8 +323,10 @@ class MeteredGram:
     points: (n, d) array, one hidden point per row. All reads go through
     query / query_pairs / query_block / reveal, which update a shared ledger;
     a re-read costs a request but no distinct entry. No value is stored:
-    each read is a dot product of the points. Safe for concurrent readers:
-    ledger updates hold a lock, so final counts match some serialization.
+    each read is a dot product of the points, so reads of a pair agree to
+    round-off, and bit for bit where the products are exact. Safe for
+    concurrent readers: ledger updates hold a lock, so final counts match
+    some serialization.
     """
 
     def __init__(self, points, budget: Optional[int] = None):
@@ -363,21 +364,15 @@ class MeteredGram:
 
     def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Entries rows x cols, filled in row and column panels of at most
-        _GATHER // d points (rounded down to a multiple of _TILE, and at
-        least _TILE), so the read holds its output and at most 512 KB of
-        gathered points a side for d <= 1365. A block of at most 1008
-        points a side at d = 64 is one product.
-
-        Inner panel edges fall on BLAS tile edges, so an entry is summed in
-        the order one product P[rows] P[cols]' sums it wherever BLAS runs
-        each panel through the kernels it runs for the whole block. X @ X.T
-        would take numpy's syrk instead, whose round-off differs.
+        _GATHER // d points (and at least _MIN_PANEL), so the read holds its
+        output and at most 512 KB of gathered points a side for d <= 1365.
+        A block of at most 1024 points a side at d = 64 is one product.
         """
         # the output goes before the point gathers, which glibc then frees
         # without splitting the heap under it (block-cost peak RSS 64 ->
         # 56-62 MB)
         out = np.empty((rows.size, cols.size))
-        step = max(_TILE, _GATHER // self._points.shape[1] // _TILE * _TILE)
+        step = max(_MIN_PANEL, _GATHER // self._points.shape[1])
         for r0, r1 in _panels(rows.size, step):
             left = self._points[rows[r0:r1]]
             for c0, c1 in _panels(cols.size, step):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kernel_budget import instances
 from kernel_budget.errors import ContractViolationError
 from kernel_budget.instances import (CLASS_S1, CLASS_S2, gen_kkmc, gen_krr,
                                      gen_mog, gen_rank, make_balanced_kkmc)
@@ -178,9 +179,30 @@ class TestGenMog:
         inst = gen_mog(20, 2, 5, 0.1, 1.0, seed=4)
         assert inst.min_separation() >= 1.0
 
-    def test_weights_validation(self):
-        with pytest.raises(ContractViolationError):
-            gen_mog(10, 4, 2, 1.0, 5.0, seed=0, weights=[0.7, 0.7])
+    @pytest.mark.parametrize("d, k, s", [(64, 4, 19), (1000, 3, 18), (3, 12, 22)])
+    def test_points_sit_on_the_grid(self, d, k, s):
+        # s = floor((53 - ceil(log2 d) - 2e)/2), 2^e the least power of two
+        # above max|x|: 2^4 at d = 64 (max 8.6), 2^3 at d = 1000 and 3 (4.9, 7.9)
+        inst = gen_mog(300, d, k, 1.0, 12.0 if k <= d else 1.0, seed=5)
+        scaled = inst.points * 2.0 ** s
+        assert np.array_equal(scaled, np.rint(scaled))
+        assert not np.array_equal(scaled / 2, np.rint(scaled / 2))  # not a coarser grid
+
+    def test_all_zero_points_are_left_as_they_are(self):
+        inst = gen_mog(10, 4, 2, 0.0, 0.0, seed=0)
+        assert not inst.points.any() and not inst.gram.full().any()
+
+    def test_means_the_grid_would_crowd_stay_off_it(self, monkeypatch):
+        real = instances._on_grid
+
+        def crowding(x):  # puts every mean where the first is
+            if x.shape[0] == 5:
+                x[:] = x[0]
+            return real(x)
+
+        monkeypatch.setattr(instances, "_on_grid", crowding)
+        inst = gen_mog(20, 2, 5, 0.1, 1.0, seed=4)
+        assert inst.min_separation() >= 1.0
 
 
 class TestHiddenTruthConsistency:

@@ -11,7 +11,7 @@ from kernel_budget.errors import (ContractViolationError, DegenerateRowError,
                                   DegenerateSketchError,
                                   EstimationFailureError,
                                   NumericalDegeneracyError, PipelineStageError)
-from kernel_budget.instances import gen_mog
+from kernel_budget.instances import _on_grid, gen_mog
 from kernel_budget.kkmc import Clustering, cost_explicit
 from kernel_budget.mog import (_ASSIGN_PANEL, assign_by_pair_tests,
                                bootstrap_extract, build_sketch, cluster_mog,
@@ -338,14 +338,16 @@ class TestSketchApply:
 
 
 class TestSketchPanels:
-    """Reads and assignments past two panels give the one-shot bits."""
+    """Reads and assignments past two panels give the one-shot bits: the
+    points sit on a dyadic grid, as a generated mixture's do, where every
+    order of summation gives the same bits."""
 
     N = 2 * _ASSIGN_PANEL + 1
     M, D = 34, 64
 
     def _sketch(self):
         rng = stream(18, "panels")
-        points = rng.standard_normal((2 * self.M + self.N, self.D))
+        points = _on_grid(rng.standard_normal((2 * self.M + self.N, self.D)))
         return points, build_sketch(points, np.arange(2 * self.M).reshape(self.M, 2), 1.0)
 
     def test_apply_matches_one_block(self):

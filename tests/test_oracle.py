@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernel_budget.errors import BudgetExhaustedError, ContractViolationError
-from kernel_budget.instances import gen_kkmc, gen_krr, gen_mog, gen_rank
+from kernel_budget.instances import _on_grid, gen_kkmc, gen_krr, gen_mog, gen_rank
 from kernel_budget.oracle import _BANDS, MeteredGram, QueryLedger
 from kernel_budget.rng import stream
 
@@ -845,33 +845,35 @@ class TestBlockChargeMemory:
 
 
 class TestQueryBlockPanels:
-    # (d, rows, cols): panels are 65520, 21840, 1008 and 96 points at d = 1,
-    # 3, 64 and 512, so each shape crosses a panel edge on at least one side
-    EXACT = [(1, 3, 131_041), (1, 131_041, 2), (3, 20, 43_681), (3, 43_681, 20),
-             (3, 43_681, 1), (64, 68, 19_932), (64, 2017, 68), (64, 1048, 2024),
-             (64, 2017, 1), (64, 1, 2017), (512, 136, 200), (512, 193, 64),
-             (512, 193, 1), (512, 1, 193)]
-    # OpenBLAS sums a block's last cols % 8 columns with edge kernels whose
-    # order follows the product's width and its split over threads; where a
-    # panel's differ from the whole block's, those columns agree to round-off
-    ROUND_OFF = [(512, 68, 193), (512, 193, 68), (64, 1009, 1009)]
+    # (d, rows, cols): panels are 65536, 21845, 1024 and 128 points at d = 1,
+    # 3, 64 and 512, so each shape but the last crosses a panel edge on at
+    # least one side
+    SHAPES = [(1, 3, 131_041), (1, 131_041, 2), (3, 20, 43_681), (3, 43_681, 20),
+              (3, 43_681, 1), (64, 68, 19_932), (64, 2017, 68), (64, 1048, 2024),
+              (64, 2017, 1), (64, 1, 2017), (512, 136, 200), (512, 193, 64),
+              (512, 193, 1), (512, 1, 193), (512, 68, 193), (512, 193, 68),
+              (64, 1009, 1009)]
 
     @staticmethod
-    def _read(d, r, c):
+    def _read(d, r, c, grid):
         rng = stream(d, "panels")
         points = rng.standard_normal((1000, d))
+        if grid:
+            _on_grid(points)
         rows, cols = rng.integers(0, 1000, size=r), rng.integers(0, 1000, size=c)
         return MeteredGram(points).query_block(rows, cols), points[rows], points[cols]
 
-    @pytest.mark.parametrize("d, r, c", EXACT)
+    @pytest.mark.parametrize("d, r, c", SHAPES)
     def test_matches_one_product(self, d, r, c):
-        # unsorted indices with repeats
-        got, left, right = self._read(d, r, c)
+        # unsorted indices with repeats, on a dyadic grid, where every order
+        # of summation gives the same bits
+        got, left, right = self._read(d, r, c, grid=True)
         assert got.tobytes() == np.matmul(left, right.T).tobytes()
 
-    @pytest.mark.parametrize("d, r, c", ROUND_OFF)
+    @pytest.mark.parametrize("d, r, c", SHAPES)
     def test_edge_columns_agree_to_round_off(self, d, r, c):
-        got, left, right = self._read(d, r, c)
+        # a caller's own points: panels and one product sum in different orders
+        got, left, right = self._read(d, r, c, grid=False)
         bound = 2 * d * np.finfo(np.float64).eps * (np.abs(left) @ np.abs(right).T)
         assert (np.abs(got - np.matmul(left, right.T)) <= bound).all()
 
@@ -905,6 +907,47 @@ class TestGeneratedGramProperties:
         for _ in range(40):
             i, j = (int(v) for v in rng.integers(0, 25, size=2))
             assert g.query(i, j) == g.query(j, i)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestRouteAgreement:
+    """Every read of a generated gram returns one value per pair, bit for
+    bit: each dot product is exact, whatever order a read sums it in."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_krr(1200, 8, 0.25, seed=0),
+        lambda: gen_krr(1200, 8, 0.25, seed=1, augmented=True),
+        lambda: gen_kkmc(1200, 3, 0.25, seed=2),
+        lambda: gen_rank(1200, 4, seed=3),
+        lambda: gen_mog(1200, 16, 3, 1.0, 10.0, seed=4),
+        lambda: gen_mog(1200, 64, 4, 1.0, 10.0, seed=5),
+        lambda: gen_mog(1200, 256, 3, 1.0, 10.0, seed=6),
+        lambda: gen_mog(1200, 1000, 3, 1.0, 10.0, seed=7),
+        lambda: gen_mog(1200, 8, 12, 1.0, 10.0, seed=8),
+    ], ids=["krr", "krr-augmented", "kkmc", "rank", "mog-16", "mog-64", "mog-256",
+            "mog-1000", "mog-k-over-d"])
+    def test_every_read_of_a_pair_returns_the_same_bits(self, make):
+        gram = make().gram
+        n, rng = gram.n, stream(10, "routes")
+        order, every = rng.permutation(n), np.arange(n)
+        rows, cols = rng.integers(0, n, size=(2, 5000))
+        scalar = [gram.query(int(i), int(j)) for i, j in zip(rows[:300], cols[:300])]
+        reads = [(rows, cols, gram.query_pairs(rows, cols)), (rows[:300], cols[:300], scalar)]
+        # panels are 1024 points at d = 64, 256 at d = 256 and 65 at d = 1000:
+        # from d = 64 on these blocks cross panel edges
+        square = rng.integers(0, n, size=700)  # unsorted, with repeats
+        for a, b in ((order[:68], order[68:]), (order[68:], order[:68]), (square, square)):
+            reads.append((a[:, None], b, gram.query_block(a, b)))
+        view = gram.reveal()
+        reads.append((every, every, view.diagonal()))
+        reads.extend((every, p, view.column(p)) for p in order[:5])
+        K = gram.full()
+        assert np.array_equal(_bits(K), _bits(K.T))
+        for r, c, values in reads:
+            assert np.array_equal(_bits(values), _bits(K[r, c]))
 
 
 class TestConcurrency:

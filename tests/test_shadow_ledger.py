@@ -1,4 +1,5 @@
-"""Shadow ledger: every CLI kind's counts equal the pairs its reads returned.
+"""Shadow ledger: every CLI kind's counts equal the pairs its reads returned,
+and every read of a pair returned the same bits.
 
 Each of MeteredGram's four reads, query, query_pairs, query_block and
 reveal, is wrapped to record the unordered pairs (min, max) it returned,
@@ -12,6 +13,10 @@ bitmap with its size: a dropped bit shows there at once, while the counts
 would show it only when a later read counted its pair again. The shadow
 lives on the gram object, not in a table keyed by id(gram): a freed gram's
 id is reused by the next pass's gram.
+
+The shadow also keeps the bits of each pair's first value, from the four
+reads and from the view's diagonal, columns and array, and counts every
+value that differs from its pair's first.
 """
 
 import numpy as np
@@ -19,7 +24,7 @@ import pytest
 
 from kernel_budget.cli import KINDS, ExperimentConfig, run
 from kernel_budget.errors import BudgetExhaustedError
-from kernel_budget.oracle import MeteredGram
+from kernel_budget.oracle import MeteredGram, Revealed
 
 SIZES = {
     "krr-closed-form": {"n": 400, "J": 8, "epsilon": 0.25},
@@ -29,7 +34,7 @@ SIZES = {
     "kkmc-cost-envelope": {"n": 600, "k": 3, "epsilon": 0.5},
     "kkmc-recover": {"n": 600, "k": 3, "epsilon": 0.5},
     "rank-gap": {"n": 600, "k": 3},
-    "mog-pipeline": {"n": 900, "d": 16, "k": 3, "epsilon": 0.25, "sigma": 1.0},
+    "mog-pipeline": {"n": 900, "d": 64, "k": 4, "epsilon": 0.25, "sigma": 1.0},
     "budget-curve": {"n": 400, "J": 8, "epsilon": 0.25,
                      "budgets": ["0.3*n*J/4", "n*J/4", "3*n*J/4"]},
 }
@@ -52,11 +57,29 @@ class Shadow:
 
     def __init__(self, n: int):
         self.n, self.pairs, self.requests = n, set(), 0
+        # bits of each pair (lo, hi)'s first value, where one is kept
+        self.first = self.kept = None
+        self.disagree = 0
 
     def add(self, rows, cols):
         rows, cols = np.ravel(rows).astype(np.int64), np.ravel(cols).astype(np.int64)
         self.pairs.update((np.minimum(rows, cols) * self.n + np.maximum(rows, cols)).tolist())
         self.requests += rows.size
+
+    def values(self, rows, cols, values):
+        """Keep the bits of each pair's first value, and count the values
+        read for pairs (rows[p], cols[p]) that differ from their pair's."""
+        if self.first is None:
+            self.first = np.zeros((self.n, self.n), np.uint64)
+            self.kept = np.zeros((self.n, self.n), bool)
+        first, kept = self.first, self.kept
+        rows, cols = np.ravel(rows).astype(np.int64), np.ravel(cols).astype(np.int64)
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        bits = np.ravel(np.asarray(values, dtype=np.float64)).view(np.uint64)
+        new = ~kept[lo, hi]
+        first[lo[new], hi[new]] = bits[new]
+        kept[lo, hi] = True
+        self.disagree += int(np.count_nonzero(first[lo, hi] != bits))
 
     def mismatches(self, report, ledger) -> list:
         keys = np.fromiter(self.pairs, dtype=np.int64, count=len(self.pairs))
@@ -73,6 +96,8 @@ class Shadow:
             found.append(f"requests {report.total_requests} != {self.requests}")
         if not np.array_equal(report.per_row, per_row):
             found.append(f"per_row differs in {np.count_nonzero(report.per_row != per_row)} rows")
+        if self.disagree:
+            found.append(f"{self.disagree} values differ from their pair's first read")
         return found
 
 
@@ -81,12 +106,19 @@ def _outer(rows, cols):
     return np.repeat(rows, cols.size), np.tile(cols, rows.size)
 
 
-# read -> the (rows, cols) pair lists its arguments ask for
+# read -> the (rows, cols) pair lists its arguments ask for, in the order
+# of its raveled values
 _PAIRS = {
     "query": lambda gram, i, j: ([i], [j]),
     "query_pairs": lambda gram, rows, cols: (rows, cols),
     "query_block": lambda gram, rows, cols: _outer(rows, cols),
     "reveal": lambda gram: _outer(np.arange(gram.n), np.arange(gram.n)),
+}
+# a revealed view's reads, alike
+_VIEW_PAIRS = {
+    "diagonal": lambda gram: (np.arange(gram.n), np.arange(gram.n)),
+    "column": lambda gram, p: (np.arange(gram.n), np.full(gram.n, p)),
+    "array": _PAIRS["reveal"],
 }
 
 
@@ -110,17 +142,29 @@ def shadowed(monkeypatch):
                 out = real(self, *args)
             except BudgetExhaustedError as e:
                 if e.prefix is not None:  # a cut query_pairs charged its prefix
-                    rows, cols = _PAIRS[name](self, *args)
-                    shadow(self).add(np.ravel(rows)[:e.prefix], np.ravel(cols)[:e.prefix])
+                    rows, cols = (np.ravel(x)[:e.prefix] for x in _PAIRS[name](self, *args))
+                    shadow(self).add(rows, cols)
+                    shadow(self).values(rows, cols, e.values)
                 check(self, real_report(self))
                 raise
             shadow(self).add(*_PAIRS[name](self, *args))
+            if name != "reveal":
+                shadow(self).values(*_PAIRS[name](self, *args), out)
+            return out
+        return read
+
+    def wrap_view(name, real):
+        def read(self, *args):
+            out = real(self, *args)
+            shadow(self._gram).values(*_VIEW_PAIRS[name](self._gram, *args), out)
             return out
         return read
 
     real_report = MeteredGram.ledger_report
     for name in _PAIRS:
         monkeypatch.setattr(MeteredGram, name, wrap(name, getattr(MeteredGram, name)))
+    for name in _VIEW_PAIRS:
+        monkeypatch.setattr(Revealed, name, wrap_view(name, getattr(Revealed, name)))
 
     def report(self):
         rep = real_report(self)
