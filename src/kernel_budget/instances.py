@@ -248,10 +248,9 @@ class MogInstance:
 
 
 def _min_distance(means: np.ndarray) -> float:
-    """Least distance between two rows of means; inf for one row."""
-    dist = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
-    dist[np.diag_indices(len(means))] = np.inf
-    return float(dist.min())
+    """Least distance between two rows of means, a row at a time; inf for one row."""
+    return min((float(np.linalg.norm(means[i + 1:] - means[i], axis=1).min())
+                for i in range(len(means) - 1)), default=np.inf)
 
 
 def _on_grid(x: np.ndarray) -> np.ndarray:

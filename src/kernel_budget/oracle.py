@@ -9,17 +9,17 @@ may catch to emulate a query-bounded adversary.
 
 Entries are counted as unordered pairs, the diagonal counting once, because
 a re-read carries no new information. The ledger keeps one bit per pair in
-an upper-triangle bitmap whose rows start on byte boundaries, in anonymous
-memory of which only the pages a charge writes are resident (see
-QueryLedger); no value is kept, since a value is a pure function of the
-hidden points. A full reveal is charged whole, then returns a Revealed
-view that evaluates the diagonal, a column or the whole array on demand;
-full() is that view's array. The kernel is the dot product; a two-valued
-kernel on basis vectors is algebra on this gram (krr.solve_exact's c0 and
-c1). A generated instance's dot products are exact in float64 (at most
-two nonzero terms, or a mixture on instances.gen_mog's dyadic grid), so
-every read of a pair returns the same bits; over other points reads agree
-to round-off.
+an upper-triangle bitmap of whole 64-bit word rows, which a block read
+scans 64 pairs at a time, in anonymous memory of which only the pages a
+charge writes are resident (see QueryLedger); no value is kept, since a
+value is a pure function of the hidden points. A full reveal is charged
+whole, then returns a Revealed view that evaluates the diagonal, a column
+or the whole array on demand; full() is that view's array. The kernel is
+the dot product; a two-valued kernel on basis vectors is algebra on this
+gram (krr.solve_exact's c0 and c1). A generated instance's dot products are
+exact in float64 (at most two nonzero terms, or a mixture on
+instances.gen_mog's dyadic grid), so every read of a pair returns the same
+bits; over other points reads agree to round-off.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ from .errors import BudgetExhaustedError, ContractViolationError
 _FULL_REVEAL_MAX_N = 20_000
 # mask of bit b within a bitmap byte
 _BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)
-# charge_block scans each run's rows in this many bands
-_BANDS = 8
+# _FROM[b]: the bits of a word from bit b on; _FROM[64] is 0
+_FROM = np.append(~np.uint64(0) << np.arange(64, dtype=np.uint64), np.uint64(0))
+# charge_block scans a run's rows in bands of at most this many words
+_BAND_WORDS = 1 << 15
 # float64 values of points a read gathers at a time: 512 KB
 _GATHER = 1 << 16
 # fewest points in a _block panel: thinner panels leave BLAS too little
@@ -65,13 +67,15 @@ class QueryLedger:
 
     Counters are monotone over the gram's lifetime. Pair (lo, hi), lo <= hi,
     is bit hi & 7 of byte _offset(lo) + (hi >> 3) of an upper-triangle
-    bitmap in which row lo holds hi in [8*(lo >> 3), n), starting on a byte
-    boundary. So a byte's column hi >> 3 and its mask depend on hi alone,
-    and the bits below the diagonal in a row's first byte, and those past
-    n in its last, belong to no pair and stay 0. The bitmap is about
-    n^2/16 + n/2 bytes of address space, mapped on the first charge of a
-    fresh pair; only the pages a charge writes become resident. A full
-    reveal sets every pair's bit, so the popcount is the distinct count.
+    bitmap in which row lo holds hi in [64*(lo >> 6), n), starting on an
+    8-byte boundary: a row is a whole number of little-endian uint64 words,
+    and the pair is bit hi & 63 of the row's word (hi >> 6) - (lo >> 6).
+    So a word's column hi >> 6 and its mask depend on hi alone, and the
+    bits below the diagonal in a row's first word, and those past n in its
+    last, belong to no pair and stay 0. The bitmap is about n^2/16 + 4n
+    bytes of address space, mapped on the first charge of a fresh pair;
+    only the pages a charge writes become resident. A full reveal sets
+    every pair's bit, so the popcount is the distinct count.
     """
 
     def __init__(self, n: int, budget: Optional[int] = None):
@@ -97,18 +101,18 @@ class QueryLedger:
     def _bitmap(self) -> mmap.mmap:
         if self._bits is None:
             # anonymous memory: a page is mapped, zero-filled, on its first write
-            self._bits = mmap.mmap(-1, self._offset(self.n) + (self.n >> 3))
+            self._bits = mmap.mmap(-1, self._offset(self.n) + 8 * (self.n >> 6))
         return self._bits
 
     def _offset(self, lo):
         """Byte of pair (lo, hi) less hi >> 3; lo an int or an int64 array.
 
-        With B = ceil(n/8), row l takes B - (l >> 3) bytes, so the rows
-        before lo = 8q + r take lo*B - 4q(q-1) - r*q bytes, and row lo's
-        first byte, for hi = 8q, is q past _offset(lo). _offset(n) + (n >> 3)
-        is the bitmap's size."""
-        q = lo >> 3
-        return lo * ((self.n + 7) >> 3) - 4 * q * (q - 1) - (lo & 7) * q - q
+        With W = ceil(n/64), row l takes W - (l >> 6) words, so the rows
+        before lo = 64q + r take lo*W - 32q(q-1) - r*q words, and row lo's
+        first byte, for hi = 64q, is 8q past _offset(lo), a multiple of 8.
+        _offset(n) + 8*(n >> 6) is the bitmap's size in bytes."""
+        q = lo >> 6
+        return 8 * (lo * ((self.n + 63) >> 6) - 32 * q * (q - 1) - (lo & 63) * q - q)
 
     def _over_budget(self, fresh: int) -> bool:
         """Whether fresh pairs would pass the budget; a read with none never does."""
@@ -153,10 +157,12 @@ class QueryLedger:
         With R and C the sorted distinct rows and columns, each unordered
         pair of R x C is (lo, hi), lo <= hi, in exactly one of three runs:
         R x C, C x (R - C) and (C - R) x (R & C). A run's lo past its last
-        hi has no pair; its other lo are split into _BANDS bands, each
-        scanned one uint8 per (lo, byte of hi) over the bytes from its first
-        lo on. Every band is scanned before the budget check and no bit is
-        set before it.
+        hi has no pair; its other lo are split into bands of at most
+        _BAND_WORDS words, each scanned one uint64 per (lo, word of hi) over
+        the words from its first lo's on. A lo's fresh count is its run's
+        hi >= lo less the bits already set. Every band is scanned before
+        the budget check and no bit is set before it; then each band with a
+        fresh pair is gathered again, to count its hi and set its bits.
         """
         requests = int(rows.size) * int(cols.size)
         self.total_requests += requests
@@ -167,46 +173,60 @@ class QueryLedger:
         both = R[r_in_c]
         # a fresh diagonal pair is counted as both its lo and its hi below
         diag = both[self._unset(self._offset(both) + (both >> 3), both & 7)]
-        bits = np.frombuffer(self._bitmap(), dtype=np.uint8)
+        words = np.frombuffer(self._bitmap(), dtype="<u8")
         bands, total = [], 0
         for lo, hi in ((R, C), (C, R[~r_in_c]), (C[~c_in_r], both)):
             if hi.size == 0:
                 continue
             lo = lo[:np.searchsorted(lo, hi[-1], side="right")]
-            start = np.flatnonzero(np.diff(hi >> 3, prepend=-1))  # first hi of each byte
-            col, mask = hi[start] >> 3, np.bitwise_or.reduceat(_BIT[hi & 7], start)
-            at = np.searchsorted(col, hi >> 3)  # hi's byte in col
-            for band in filter(len, np.array_split(lo, _BANDS)):
-                first = np.searchsorted(col, band[0] >> 3)
-                # new[r, c]: the unset bits of the run's hi in row band[r]'s byte col[first + c]
-                new = bits[self._offset(band)[:, None] + col[first:]]
-                np.invert(new, out=new)
-                new &= mask[first:]
-                # a byte at or below the last lo may hold hi < lo or belong
-                # to an earlier row: keep only the bits of hi >= lo
-                below = np.searchsorted(col, band[-1] >> 3, side="right") - first
-                upper = np.clip(band[:, None] - 8 * col[first:first + below], 0, 8)
-                new[:, :below] &= (0xFF << upper).astype(np.uint8)
-                per_lo = np.bitwise_count(new).sum(axis=1, dtype=np.int64)
+            start = np.flatnonzero(np.diff(hi >> 6, prepend=-1))  # first hi of each word
+            col, mask = hi[start] >> 6, np.bitwise_or.reduceat(
+                np.uint64(1) << (hi & 63).astype(np.uint64), start)
+            step = max(1, _BAND_WORDS // col.size)
+            for s in range(0, lo.size, step):
+                band = lo[s:s + step]
+                at, own, _, m = self._scan(band, col, mask)
+                seen = words[at] & m
+                seen[:, :own.shape[1]] &= own
+                per_lo = (hi.size - np.searchsorted(hi, band)
+                          - np.bitwise_count(seen).sum(axis=1, dtype=np.int64))
                 if per_lo.any():
-                    k = np.searchsorted(hi, band[0])
-                    bands.append((band, per_lo, hi[k:], at[k:], first, col[first:], below, new))
+                    bands.append((band, per_lo, hi, col, mask))
                     total += int(per_lo.sum())
         if self._over_budget(total):
             self._refuse(requests, f"block read of {total} fresh entries "
                                    f"exceeds budget {self.budget}")
-        for band, per_lo, h, at, first, col, below, new in bands:
+        for band, per_lo, hi, col, mask in bands:
+            at, own, col, mask = self._scan(band, col, mask)
+            got = words[at]
+            # hi's fresh count: the band's lo <= hi less the set bits of rows with some
+            h = hi[np.searchsorted(hi, band[0]):]
+            old = np.flatnonzero(hi.size - np.searchsorted(hi, band) - per_lo)
+            seen = got[old] & mask
+            seen[:, :own.shape[1]] &= own[old]
+            r, c = np.nonzero(seen)
+            i, bit = np.nonzero(np.unpackbits(seen[r, c].view(np.uint8).reshape(-1, 8),
+                                              axis=1, bitorder="little"))
+            was_set = np.bincount(np.searchsorted(h, 64 * col[c[i]] + bit), minlength=h.size)
             self.per_row[band] += per_lo
-            hit = np.take(new, at - first, axis=1) & _BIT[h & 7]  # hi's bit in each row
-            self.per_row[h] += np.count_nonzero(hit, axis=0)
-            off = self._offset(band)
-            bits[off[:, None] + col[below:]] |= new[:, below:]
-            # a byte below a row's first is an earlier row's, which this |=
-            # would write back as gathered: set only the nonzero, own bytes
-            r, c = np.nonzero(new[:, :below])
-            bits[off[r] + col[c]] |= new[r, c]
+            self.per_row[h] += np.searchsorted(band, h, side="right") - was_set
+            # at or before band[-1]'s word, write only own words: a stale copy undoes an earlier row
+            b = own.shape[1]
+            words[at[:, b:]] = got[:, b:] | mask[b:]
+            r, c = np.nonzero(own)
+            words[at[r, c]] = got[r, c] | own[r, c]
         self.per_row[diag] -= 1
         self.distinct_entries += total
+
+    def _scan(self, band, col, mask):
+        """Indices of rows band's words at a run's columns col (hi >> 6, their
+        bits OR'd in mask) from band[0]'s on; the run's bits of hi >= lo in
+        those at or before band[-1]'s; the columns and mask from band[0]'s on."""
+        first = np.searchsorted(col, band[0] >> 6)
+        col, mask = col[first:], mask[first:]
+        b = np.searchsorted(col, band[-1] >> 6, side="right")
+        own = mask[:b] & _FROM[np.clip(band[:, None] - 64 * col[:b], 0, 64)]
+        return (self._offset(band) >> 3)[:, None] + col, own, col, mask
 
     def charge_pairs(self, rows: np.ndarray, cols: np.ndarray):
         """Count the ordered pairs (rows[p], cols[p]) as a charge_scalar loop would.
@@ -247,7 +267,7 @@ class QueryLedger:
 
     def charge_full(self):
         """Count a reveal of every pair, atomic under the budget: set every
-        byte, then clear each row's bits below the diagonal and past n."""
+        word, then clear each row's bits below the diagonal and past n."""
         n, requests = self.n, self.n * self.n
         self.total_requests += requests
         fresh = n * (n + 1) // 2 - self.distinct_entries
@@ -256,11 +276,12 @@ class QueryLedger:
         if self._over_budget(fresh):
             self._refuse(requests, f"full reveal of {fresh} fresh entries "
                                    f"exceeds budget {self.budget}")
-        bits, lo = np.frombuffer(self._bitmap(), dtype=np.uint8), np.arange(n)
-        bits[:] = 0xFF
-        bits[self._offset(lo) + (lo >> 3)] = (0xFF << (lo & 7)).astype(np.uint8)
-        if n & 7:
-            bits[self._offset(lo) + (n >> 3)] &= np.uint8((1 << (n & 7)) - 1)
+        words, lo = np.frombuffer(self._bitmap(), dtype="<u8"), np.arange(n)
+        row = self._offset(lo) >> 3
+        words[:] = _FROM[0]
+        words[row + (lo >> 6)] = _FROM[lo & 63]
+        if n & 63:
+            words[row + (n >> 6)] &= ~_FROM[n & 63]
         self.distinct_entries += fresh
         self.per_row[:] = n
 
@@ -331,7 +352,7 @@ class MeteredGram:
 
     def __init__(self, points, budget: Optional[int] = None):
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] == 0:
+        if pts.ndim != 2 or pts.size == 0:
             raise ContractViolationError("points must be a nonempty (n, d) array")
         self._points = pts
         self.n = pts.shape[0]

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from kernel_budget import instances
 from kernel_budget.errors import ContractViolationError
@@ -191,6 +192,21 @@ class TestGenMog:
     def test_all_zero_points_are_left_as_they_are(self):
         inst = gen_mog(10, 4, 2, 0.0, 0.0, seed=0)
         assert not inst.points.any() and not inst.gram.full().any()
+
+    @pytest.mark.parametrize("k, d", [(1, 3), (2, 1), (5, 7), (12, 2), (30, 300)])
+    def test_min_distance_matches_the_pairwise_array(self, k, d):
+        means = np.random.default_rng(k).standard_normal((k, d))
+        if k > 4:
+            means[k // 2] = means[0]  # a distance of 0
+        dist = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
+        dist[np.diag_indices(k)] = np.inf
+        assert instances._min_distance(means) == dist.min()
+
+    def test_min_distance_holds_a_row_at_a_time(self):
+        # the k x k x d differences would take 2 GB
+        means = np.random.default_rng(0).standard_normal((2000, 64))
+        _, peak = traced_peak(instances._min_distance, means)
+        assert peak < 4 * means.nbytes
 
     def test_means_the_grid_would_crowd_stay_off_it(self, monkeypatch):
         real = instances._on_grid

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from kernel_budget.errors import BudgetExhaustedError, ContractViolationError
 from kernel_budget.instances import _on_grid, gen_kkmc, gen_krr, gen_mog, gen_rank
-from kernel_budget.oracle import _BANDS, MeteredGram, QueryLedger
+from kernel_budget import oracle
+from kernel_budget.oracle import MeteredGram, QueryLedger
 from kernel_budget.rng import stream
 
 
@@ -30,6 +31,13 @@ class TestKernelEval:
         x = (basis(0, 4) + basis(1, 4)) / np.sqrt(2)
         y = (basis(1, 4) + basis(2, 4)) / np.sqrt(2)
         assert MeteredGram(np.stack([x, y])).query(0, 1) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("points", [np.zeros((5, 0)), np.zeros((0, 3)), np.ones(5)],
+                             ids=["no-coordinates", "no-points", "one-dimensional"])
+    def test_points_must_be_a_nonempty_matrix(self, points):
+        # with d = 0 a read would charge the ledger, then divide by d
+        with pytest.raises(ContractViolationError, match="nonempty"):
+            MeteredGram(points)
 
     def test_shape_is_the_matrix_shape(self):
         # perfbench's tracer sizes each solve by np.shape of its gram
@@ -443,8 +451,8 @@ class TestLedgerStorage:
         g = MeteredGram(np.eye(9))
         assert g.ledger._bits is None
         g.query(3, 8)
-        # rows 0-7 hold hi in [0, 9) in 2 bytes each, row 8 hi in [8, 9) in 1
-        assert len(g.ledger._bits) == _bitmap_bytes(9) == 17
+        # rows 0-8 hold hi in [0, 9) in one 8-byte word each
+        assert len(g.ledger._bits) == _bitmap_bytes(9) == 72
         for n in (9, 13, 21, 40):
             g = MeteredGram(np.eye(n))
             g.query(3, 8)
@@ -460,9 +468,9 @@ class TestLedgerStorage:
 
     def test_full_leaves_the_ledger_of_a_whole_block(self):
         """A full reveal, and a gram's reveal(), leave what a block of every
-        row and column leaves, bitmap bytes included, at each n from 1 to 79
-        (every n & 7, and rows of up to 10 bytes)."""
-        for n in range(1, 80):
+        row and column leaves, bitmap bytes included, at each n from 1 to 140
+        (every n & 63, and rows of up to 3 words)."""
+        for n in range(1, 141):
             full, block, every = QueryLedger(n), QueryLedger(n), np.arange(n)
             full.charge_full()
             block.charge_block(every, every)
@@ -473,8 +481,8 @@ class TestLedgerStorage:
 
     def test_every_pair_has_its_own_bit(self):
         """Each pair sets its own bit and none ever sets a padding bit; at
-        n=21 and n=40 a row spans up to 3 and 5 bytes."""
-        for n in (13, 21, 40):
+        n=130 a row spans up to 3 words."""
+        for n in (13, 40, 130):
             g = MeteredGram(np.eye(n))
             assert len(g.ledger._bitmap()) == _bitmap_bytes(n)
             padding = ~_pair_bits(n)
@@ -515,8 +523,8 @@ def _resident_bytes():
 
 def _row_starts(n):
     """First byte of each row and the bitmap size: row lo holds hi in
-    [8*(lo // 8), n), a whole number of bytes."""
-    width = [(n + 7) // 8 - lo // 8 for lo in range(n)]
+    [64*(lo // 64), n), a whole number of 8-byte words."""
+    width = [8 * ((n + 63) // 64 - lo // 64) for lo in range(n)]
     return np.concatenate([[0], np.cumsum(width)])
 
 
@@ -529,7 +537,7 @@ def _pair_bits(n):
     start, mask = _row_starts(n), 0
     for lo in range(n):
         for hi in range(lo, n):
-            mask |= 1 << (8 * (int(start[lo]) + hi // 8 - lo // 8) + hi % 8)
+            mask |= 1 << (8 * (int(start[lo]) + hi // 8 - 8 * (lo // 64)) + hi % 8)
     return mask
 
 
@@ -657,12 +665,12 @@ def _state(ledger):
 
 @st.composite
 def _block_case(draw):
-    """A ledger size that spans several bitmap bytes per row, some pairs
+    """A ledger size that spans up to 4 bitmap words per row, some pairs
     charged beforehand, and a block whose rows and columns come unsorted,
     repeated or as a range to n - 1 from two overlapping pools, so that any of
     the three runs of charge_block may be empty (rows inside cols, cols
     inside rows, disjoint pools, a single shared index)."""
-    n = draw(st.integers(1, 70))
+    n = draw(st.integers(1, 200))
     idx = st.integers(0, n - 1)
     prior = draw(st.lists(st.tuples(idx, idx), max_size=40))
     pools = []
@@ -678,7 +686,7 @@ def _block_case(draw):
 
 
 def _block_cases():
-    """Blocks whose charges share bitmap bytes, each as (n, rows, cols)."""
+    """Blocks whose charges share bitmap words, each as (n, rows, cols)."""
     rng = stream(0, "block-bytes")
     shared = rng.choice(3000, 300, replace=False)
     return {
@@ -692,6 +700,11 @@ def _block_cases():
         "mid-byte-overlap": (70, np.arange(11, 38), np.arange(2, 61)),
         "same-rows-and-cols": (40, np.arange(5, 37), np.arange(5, 37)[::-1]),
         "same-rows-and-cols-multi-band": (3000, shared, rng.permutation(np.tile(shared, 2))),
+        # row 70's word 1 takes hi 75 from R x C and hi 120 from C x (R - C):
+        # two runs writing different bytes of one word
+        "runs-share-a-word": (200, [70, 120], [70, 75]),
+        # rows 63 and 127 hold one bit of their first word, the word's last
+        "lo-ends-a-word": (140, np.arange(60, 131), [63, 64, 127, 128, 139]),
     }
 
 
@@ -733,6 +746,7 @@ class TestBlockChargeBytes:
             assert not block.budget_exhausted
         _check_popcount(block)
 
+    @pytest.mark.usefixtures("small_bands")
     def test_multi_band_block_matches_scalar_loop(self):
         rows, cols, block, loop = _multi_band_case()
         for i in rows:
@@ -742,6 +756,7 @@ class TestBlockChargeBytes:
         assert _state(block) == _state(loop)
         _check_popcount(block)
 
+    @pytest.mark.usefixtures("small_bands")
     def test_budget_crossed_in_last_band_is_atomic(self):
         rows, cols, block, loop = _multi_band_case()
         assert _last_band_fresh(rows, cols, block) > 0
@@ -760,6 +775,7 @@ class TestBlockChargeBytes:
         block.charge_block(rows, cols)
         assert _state(block) == _state(loop)
 
+    @pytest.mark.usefixtures("small_bands")
     @pytest.mark.parametrize("prior", [False, True], ids=["fresh", "prior-reads"])
     @pytest.mark.parametrize("case", list(_block_cases()))
     def test_matches_scalar_loop_and_refuses_atomically(self, case, prior):
@@ -785,10 +801,18 @@ class TestBlockChargeBytes:
         _check_popcount(block)
 
 
+@pytest.fixture
+def small_bands(monkeypatch):
+    """Bands of 256 words: a run over the 47 words of an n=3000 row then
+    takes 5 rows a band, so the blocks at n=3000 span dozens of bands."""
+    monkeypatch.setattr(oracle, "_BAND_WORDS", 256)
+
+
 def _multi_band_case():
     """n=3000, prior scalar and pair charges, and an unsorted block with
     repeats whose rows R and columns C share 80 indices: R x C, C x (R - C)
-    and (C - R) x (R & C) are all non-empty, and each spans all bands."""
+    and (C - R) x (R & C) are all non-empty; under small_bands each spans
+    many bands."""
     n, rng = 3000, stream(0, "multi-band-block")
     perm = rng.permutation(n)
     shared, only_r, only_c = perm[:120], perm[120:220], perm[220:380]
@@ -805,11 +829,14 @@ def _multi_band_case():
 
 def _last_band_fresh(rows, cols, ledger):
     """Fresh pairs in the band charge_block scans last: the top band of
-    (C - R) x (R & C), with no lo past the last hi."""
+    (C - R) x (R & C), with no lo past the last hi, in bands of
+    _BAND_WORDS // (words holding R & C) rows."""
     R, C = np.unique(rows), np.unique(cols)
     both = np.intersect1d(R, C)
     lo = np.setdiff1d(C, R)
-    band = np.array_split(lo[lo <= both[-1]], _BANDS)[-1]
+    lo = lo[lo <= both[-1]]
+    step = max(1, oracle._BAND_WORDS // np.unique(both >> 6).size)
+    band = lo[(lo.size - 1) // step * step:]
     probe = QueryLedger(ledger.n)
     probe._bits = bytearray(ledger._bits)
     for i in band:
