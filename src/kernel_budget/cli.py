@@ -49,8 +49,9 @@ AGG_COLUMNS = ["experiment", "metric", "count", "mean", "stderr", "min", "max"]
 
 BUDGET_VARS = {"n", "k", "J", "eps", "m", "t"}
 
-# pairs per query_pairs call in the budget-curve probe loop; bounds the
-# ledger's temporaries, about 80 bytes a pair, of each call
+# pairs per query_pairs call in the budget-curve probe loop, a block of rows
+# against their partners; bounds the ledger's temporaries of each call,
+# about 80 bytes a pair (the point gathers stay within 512 KB at any size)
 _PROBE_BATCH_PAIRS = 4096
 
 
@@ -332,7 +333,7 @@ def _probe_classify(inst, probes_per_point: int, seed: int) -> np.ndarray:
         partners = rng.integers(0, n - 1, size=(rows.size, q))
         partners += partners >= rows[:, None]
         try:
-            values = inst.gram.query_pairs(np.repeat(rows, q), partners)
+            values = inst.gram.query_pairs(rows, partners)
         except BudgetExhaustedError as e:
             values = e.values  # the probes charged before the budget ran out
         done = values.size // q

@@ -86,6 +86,7 @@ class QueryLedger:
         self.per_row = np.zeros(n, dtype=np.int64)
         self.budget_exhausted = False
         self._bits: Optional[mmap.mmap] = None
+        self._row_bits: Optional[np.ndarray] = None  # 8*_offset(lo) per row, for charge_pairs
 
     def set_budget(self, budget: Optional[int]):
         if budget is not None:
@@ -229,33 +230,55 @@ class QueryLedger:
         return (self._offset(band) >> 3)[:, None] + col, own, col, mask
 
     def charge_pairs(self, rows: np.ndarray, cols: np.ndarray):
-        """Count the ordered pairs (rows[p], cols[p]) as a charge_scalar loop would.
+        """Count the ordered pairs (rows.flat[p], cols.flat[p]) as a
+        charge_scalar loop would; rows and cols have one shape, and either
+        may be a broadcast view.
 
         A pair is fresh if it is unseen and does not occur earlier in the
         list. If the fresh pairs would exceed the budget, only the longest
         prefix within it is charged, requests included, and the raised
         BudgetExhaustedError carries that prefix's length as `prefix`. A
         list of n*n*len >= 2**63 would overflow the sort key and is refused.
+
+        Pair (lo, hi) is bit 8*_offset(lo) + hi, from a per-row table the
+        first pair charge builds. Sorted by pair, the fresh pairs are in
+        bitmap order: one scatter sets their bits, keeping one per shared
+        byte, and an or.at over both sides of each shared run sets the rest.
         """
         size = int(rows.size)
         if self.n * self.n * size >= 1 << 63:
             raise ContractViolationError(f"{size} pairs at n={self.n} overflow the sort key")
         if size == 0:
             return
-        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        byte = self._offset(lo) + (hi >> 3)
-        unseen = np.flatnonzero(self._unset(byte, hi & 7))
+        lo, hi = np.minimum(rows, cols).ravel(), np.maximum(rows, cols).ravel()
+        if self._row_bits is None:
+            self._row_bits = 8 * self._offset(np.arange(self.n))
+        bit = self._row_bits[lo]
+        bit += hi
+        bits = np.frombuffer(self._bitmap(), dtype=np.uint8)
+        unseen = np.flatnonzero((bits[bit >> 3] & _BIT[bit & 7]) == 0)
         # sorted by pair lo*n + hi, then by position: a pair's first key is its first occurrence
-        pair, pos = np.divmod(np.sort((lo[unseen] * self.n + hi[unseen]) * size + unseen), size)
-        first = pos[np.diff(pair, prepend=-1) != 0]
+        key = lo[unseen]
+        key *= self.n
+        key += hi[unseen]
+        key *= size
+        key += unseen
+        key.sort()
+        # in place over the spent key and unseen: 16 bytes a pair off the peak
+        pair, pos = np.divmod(key, size, out=(key, unseen))
+        first = np.concatenate([pos[:1], pos[1:][pair[1:] != pair[:-1]]])
         allowed = first.size if self.budget is None else max(self.budget - self.distinct_entries, 0)
         cut = None
         if first.size > allowed:
             # the first fresh pair past the budget ends the prefix
             cut = int(np.sort(first)[allowed])
             first = first[first < cut]
+        at, mask = bit[first] >> 3, _BIT[bit[first] & 7]
+        bits[at] |= mask
+        twin = np.flatnonzero(at[1:] == at[:-1])
+        for side in (twin, twin + 1):
+            np.bitwise_or.at(bits, at[side], mask[side])
         lo, hi = lo[first], hi[first]
-        np.bitwise_or.at(np.frombuffer(self._bits, dtype=np.uint8), byte[first], _BIT[hi & 7])
         self.distinct_entries += int(first.size)
         self.per_row += np.bincount(np.concatenate([lo, hi[lo != hi]]), minlength=self.n)
         self.total_requests += size if cut is None else cut
@@ -263,7 +286,7 @@ class QueryLedger:
             self.budget_exhausted = True
             raise BudgetExhaustedError(
                 f"budget of {self.budget} distinct entries exhausted at pair {cut} "
-                f"({rows[cut]}, {cols[cut]})", prefix=cut)
+                f"({rows.flat[cut]}, {cols.flat[cut]})", prefix=cut)
 
     def charge_full(self):
         """Count a reveal of every pair, atomic under the budget: set every
@@ -343,7 +366,9 @@ class MeteredGram:
 
     points: (n, d) array, one hidden point per row. All reads go through
     query / query_pairs / query_block / reveal, which update a shared ledger;
-    a re-read costs a request but no distinct entry. No value is stored:
+    a re-read costs a request but no distinct entry. query_pairs reads a
+    list of pairs, or each index against its own partners, gathering that
+    index's point once. No value is stored:
     each read is a dot product of the points, so reads of a pair agree to
     round-off, and bit for bit where the products are exact. Safe for
     concurrent readers: ledger updates hold a lock, so final counts match
@@ -371,17 +396,23 @@ class MeteredGram:
                     raise ContractViolationError(f"index {i} out of range [0, {self.n})")
 
     def _dots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Entries (rows[p], cols[p]), bit for bit as query gives them.
+        """Entries (rows[a], cols[a, b]) of 1-D rows and 2-D cols, raveled,
+        bit for bit as query gives them.
 
-        Pairs are gathered _GATHER // (2 d) at a time, so the read holds its
-        output and at most 512 KB of gathered points whatever the list's
-        length."""
-        out = np.empty(rows.size)
-        step = max(1, _GATHER // (2 * self._points.shape[1]))
-        for s in range(0, rows.size, step):
-            np.vecdot(self._points[rows[s:s + step]], self._points[cols[s:s + step]],
-                      out=out[s:s + step])
-        return out
+        Each chunk gathers at most _GATHER // (2 d) partner points and
+        broadcasts against them the points of its rows, each gathered once,
+        so the read holds its output and at most 512 KB of gathered points,
+        256 KB a side, whatever the list's length."""
+        d = self._points.shape[1]
+        out = np.empty(cols.shape)
+        wide = max(1, min(cols.shape[1], _GATHER // (2 * d)))
+        tall = max(1, _GATHER // (2 * d * wide))
+        for s in range(0, rows.size, tall):
+            left = self._points[rows[s:s + tall], None]
+            for t in range(0, cols.shape[1], wide):
+                np.vecdot(left, self._points[cols[s:s + tall, t:t + wide]],
+                          out=out[s:s + tall, t:t + wide])
+        return out.ravel()
 
     def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Entries rows x cols, filled in row and column panels of at most
@@ -418,26 +449,37 @@ class MeteredGram:
         return float(np.dot(self._points[i], self._points[j]))
 
     def query_pairs(self, rows, cols) -> np.ndarray:
-        """Entries (rows[p], cols[p]) in list order, charged as a query loop would be.
+        """Entries of a list of pairs in list order, charged as a query loop would be.
 
-        Every index is checked before anything is charged. Under a budget the
-        longest affordable prefix is charged and BudgetExhaustedError is
-        raised with that prefix's length as `prefix` and its values as
-        `values`. The ledger's temporaries grow with the list, about 80
-        bytes a pair whatever d is, so callers pass bounded batches.
+        If cols' shape starts with rows' shape, rows[i] is read against
+        every cols[i, ...]: a row and its partners, or one index against a
+        column. Otherwise rows and cols must have equal sizes, and the list
+        is (rows[p], cols[p]) of both flattened. Shapes and indices are
+        checked before anything is charged. The values come raveled, in
+        the list's order. Under a budget the longest affordable prefix is
+        charged and BudgetExhaustedError is raised with that prefix's
+        length as `prefix` and its values as `values`. The ledger's
+        temporaries grow with the list, about 80 bytes a pair whatever d
+        is, so callers pass bounded batches.
         """
-        rows, cols = _index_array(rows).ravel(), _index_array(cols).ravel()
-        if rows.size != cols.size:
+        rows, cols = _index_array(rows), _index_array(cols)
+        if cols.shape[:rows.ndim] != rows.shape and cols.size != rows.size:
             raise ContractViolationError(
-                f"query_pairs needs equal lengths, got {rows.size} and {cols.size}")
-        if rows.size == 0:
+                "query_pairs needs equal sizes or a cols shape that starts with "
+                f"rows', got shapes {rows.shape} and {cols.shape}")
+        if cols.size == 0:
             return np.zeros(0)
+        rows = rows.ravel()
+        cols = cols.reshape(rows.size, -1)
         self._check_range(rows, cols)
         with self._lock:
             try:
-                self.ledger.charge_pairs(rows, cols)
+                self.ledger.charge_pairs(np.broadcast_to(rows[:, None], cols.shape), cols)
             except BudgetExhaustedError as e:
-                e.values = self._dots(rows[:e.prefix], cols[:e.prefix])
+                whole, part = divmod(e.prefix, cols.shape[1])
+                e.values = np.concatenate([
+                    self._dots(rows[:whole], cols[:whole]),
+                    self._dots(rows[whole:whole + 1], cols[whole:whole + 1, :part])])
                 raise
         return self._dots(rows, cols)
 
@@ -447,11 +489,11 @@ class MeteredGram:
         rows and cols are integer scalars or 1-D arrays. The block is charged
         whole, then filled by _block."""
         rows, cols = np.atleast_1d(_index_array(rows)), np.atleast_1d(_index_array(cols))
-        if rows.size == 0 or cols.size == 0:
-            return np.zeros((rows.size, cols.size))
         if rows.ndim != 1 or cols.ndim != 1:
             raise ContractViolationError(
                 f"query_block needs 1-D rows and cols, got shapes {rows.shape} and {cols.shape}")
+        if rows.size == 0 or cols.size == 0:
+            return np.zeros((rows.size, cols.size))
         self._check_range(rows, cols)
         with self._lock:
             self.ledger.charge_block(rows, cols)

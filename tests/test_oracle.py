@@ -387,6 +387,81 @@ class TestQueryPairs:
         assert (ledger.distinct_entries, ledger.total_requests) == (0, 0)
         assert not ledger.budget_exhausted
 
+    def test_row_partners_gather_each_row_once(self):
+        """A row x partners read at d = 512 holds one chunk of partner points
+        and one point per row, no copy of a row's point per partner: read
+        as the flat list np.repeat(rows, q), partners, it peaks at 532 KB."""
+        d, q = 512, 64  # a chunk is one row and its 64 partners, 264 KB
+        rng = stream(d, "row-partners-memory")
+        g = MeteredGram(_on_grid(rng.standard_normal((1000, d))))
+        rows, partners = np.arange(8), rng.integers(0, 1000, size=(8, q))
+        g.query_pairs(rows, partners)  # numpy's one-time allocations and the row table
+        out, peak = traced_peak(g.query_pairs, rows, partners)
+        assert out.tobytes() == np.vecdot(g._points[rows, None], g._points[partners]).tobytes()
+        assert peak <= 8 * d * (q + 1) + 128 * partners.size  # 274 KB here
+
+
+@st.composite
+def _pairs_case(draw):
+    """A query_pairs read in one of its three shapes, flat, row x partners
+    or index x column, over a pool of indices that is sometimes a few
+    neighbours (repeated pairs, diagonal pairs, pairs sharing a bitmap
+    byte), with pairs charged beforehand and a budget room that may cut
+    the list anywhere, inside a row included."""
+    n = draw(st.integers(1, 150))
+    lo = draw(st.integers(0, n - 1))
+    idx = draw(st.sampled_from([st.integers(0, n - 1), st.integers(lo, min(lo + 9, n - 1))]))
+    prior = draw(st.lists(st.tuples(idx, idx), max_size=20))
+    shape = draw(st.sampled_from(["flat", "row-partners", "index-column"]))
+    if shape == "flat":
+        size = draw(st.integers(1, 40))
+        rows, cols = (draw(st.lists(idx, min_size=size, max_size=size)) for _ in range(2))
+    elif shape == "row-partners":
+        r, q = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+        rows = draw(st.lists(idx, min_size=r, max_size=r))
+        cols = np.reshape(draw(st.lists(idx, min_size=r * q, max_size=r * q)), (r, q))
+    else:
+        rows = draw(idx)
+        cols = draw(st.one_of(st.lists(idx, min_size=1, max_size=40),
+                              st.permutations(range(n))))
+    d = draw(st.sampled_from([3, 700, 2048]))  # a chunk of up to 16 partners at d = 2048
+    room = draw(st.one_of(st.none(), st.integers(0, 30)))
+    return n, d, prior, rows, cols, room
+
+
+class TestQueryPairsShapes:
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs_case())
+    # row 5's byte 1 holds hi 8-15: four fresh pairs share it, and (5, 9) repeats
+    @example((40, 3, [], [5], [[8, 9, 12, 15, 9]], None))
+    @example((40, 3, [(5, 12)], [5, 6], [[8, 9, 12], [5, 14, 15]], 3))  # cut inside row 6
+    @example((20, 2048, [], 4, list(range(20)), 17))  # a column cut past its first chunk
+    def test_matches_a_query_loop(self, case):
+        n, d, prior, rows, cols, room = case
+        points = np.asarray(stream(n, "pairs-shapes").integers(-4, 5, size=(n, d)), float)
+        a, b = MeteredGram(points), MeteredGram(points)
+        for gram in (a, b):
+            for i, j in prior:
+                gram.query(i, j)
+            if room is not None:
+                gram.set_budget(gram.ledger.distinct_entries + room)
+        flat_rows = np.broadcast_to(np.reshape(rows, np.shape(rows) + (1,) * (
+            np.ndim(cols) - np.ndim(rows))), np.shape(cols)).ravel()
+        want, cut = _scalar_loop(b, flat_rows, np.ravel(cols))
+        try:
+            got, prefix = a.query_pairs(rows, cols), None
+        except BudgetExhaustedError as e:
+            got, prefix = e.values, e.prefix
+        assert prefix == cut
+        assert np.array_equal(_bits(got), _bits(want))
+        ra, rb = a.ledger_report(), b.ledger_report()
+        assert (ra.distinct_entries, ra.total_requests, ra.budget_exhausted) == (
+            rb.distinct_entries, rb.total_requests, rb.budget_exhausted)
+        assert ra.per_row.tolist() == rb.per_row.tolist()
+        assert _state(a.ledger) == _state(b.ledger)
+        _check_popcount(a.ledger)
+
+
 
 _BAD_INDEX_READS = {
     "query-float": lambda g: g.query(1.7, 0.2),
@@ -395,8 +470,14 @@ _BAD_INDEX_READS = {
     "block-float": lambda g: g.query_block([1.9], [1.2]),
     "block-mask": lambda g: g.query_block(np.ones(4, dtype=bool), [0, 1]),
     "block-2d": lambda g: g.query_block(np.array([[0, 1], [2, 3]]), [0]),
+    "block-2d-empty": lambda g: g.query_block(np.zeros((0, 2), dtype=int), [0]),
     "pairs-float": lambda g: g.query_pairs([0.0, 1.0], [2, 3]),
     "pairs-mask": lambda g: g.query_pairs(np.array([True, False]), [2, 3]),
+    # shapes outside query_pairs' rule, empty ones included
+    "pairs-3-rows-of-partners": lambda g: g.query_pairs([0, 1], [[0, 1], [2, 3], [1, 1]]),
+    "pairs-2d-rows": lambda g: g.query_pairs([[0], [1]], [0, 1, 2]),
+    "pairs-empty-rows": lambda g: g.query_pairs(np.zeros(0, dtype=int), [1, 2]),
+    "pairs-empty-cols": lambda g: g.query_pairs([1, 2], np.zeros((0, 2), dtype=int)),
 }
 
 
@@ -963,6 +1044,11 @@ class TestRouteAgreement:
         rows, cols = rng.integers(0, n, size=(2, 5000))
         scalar = [gram.query(int(i), int(j)) for i, j in zip(rows[:300], cols[:300])]
         reads = [(rows, cols, gram.query_pairs(rows, cols)), (rows[:300], cols[:300], scalar)]
+        # a row x partners list and an index x column, through query_pairs
+        partners = rng.integers(0, n, size=(60, 70))
+        reads.append((rows[:60, None], partners,
+                      gram.query_pairs(rows[:60], partners).reshape(partners.shape)))
+        reads.append((order[0], order, gram.query_pairs(order[0], order)))
         # panels are 1024 points at d = 64, 256 at d = 256 and 65 at d = 1000:
         # from d = 64 on these blocks cross panel edges
         square = rng.integers(0, n, size=700)  # unsorted, with repeats

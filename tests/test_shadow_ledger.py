@@ -101,6 +101,16 @@ class Shadow:
         return found
 
 
+def _listed(rows, cols):
+    """query_pairs' list: rows[i] against every cols[i, ...] when cols'
+    shape starts with rows' shape, else the two flattened side by side."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if cols.shape[:rows.ndim] == rows.shape:
+        rows = np.broadcast_to(rows.reshape(rows.shape + (1,) * (cols.ndim - rows.ndim)),
+                               cols.shape)
+    return rows, cols
+
+
 def _outer(rows, cols):
     rows, cols = np.atleast_1d(rows), np.atleast_1d(cols)
     return np.repeat(rows, cols.size), np.tile(cols, rows.size)
@@ -110,7 +120,7 @@ def _outer(rows, cols):
 # of its raveled values
 _PAIRS = {
     "query": lambda gram, i, j: ([i], [j]),
-    "query_pairs": lambda gram, rows, cols: (rows, cols),
+    "query_pairs": lambda gram, rows, cols: _listed(rows, cols),
     "query_block": lambda gram, rows, cols: _outer(rows, cols),
     "reveal": lambda gram: _outer(np.arange(gram.n), np.arange(gram.n)),
 }
@@ -203,5 +213,13 @@ def test_cut_query_pairs_records_its_prefix(shadowed):
         gram.query_pairs([2, 0, 3, 4, 5], [2, 1, 4, 4, 5])  # fresh, seen, fresh, past
     assert info.value.prefix == 3
     gram.ledger_report()
-    assert [distinct for distinct, _ in shadowed] == [5, 5]
+    # a row x partners read cut inside its second row: (1, 0), (1, 1) fresh,
+    # (1, 0) again, then (2, 1), (2, 2) fresh and (2, 5) past the budget
+    gram = MeteredGram(np.eye(6), budget=4)
+    with pytest.raises(BudgetExhaustedError) as info:
+        gram.query_pairs([1, 2], [[0, 1, 0], [1, 2, 5]])
+    assert info.value.prefix == 5
+    assert info.value.values.tolist() == [0.0, 1.0, 0.0, 0.0, 1.0]
+    gram.ledger_report()
+    assert [distinct for distinct, _ in shadowed] == [5, 5, 4, 4]
     assert all(not found for _, found in shadowed)
