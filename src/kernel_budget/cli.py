@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExhaustedError, PipelineStageError
+from .errors import BudgetExhaustedError
 from .instances import CLASS_S1, CLASS_S2, gen_kkmc, gen_krr, gen_mog, gen_rank
 from .kkmc import (Clustering, block_clustering, cost_explicit, rank_cost_gap,
                    recover_labels)
@@ -396,7 +396,7 @@ def run(config: ExperimentConfig):
     def one(seed):
         try:
             return _trial(config, seed), None
-        except (PipelineStageError, BudgetExhaustedError, ValueError, RuntimeError) as e:
+        except (ValueError, RuntimeError) as e:
             return [ResultRow(config.kind, seed, config.instance["n"], None, None,
                               "error", float("nan"))], f"seed {seed}: {type(e).__name__}: {e}"
 

@@ -24,10 +24,6 @@ class GenerationFailureError(RuntimeError):
     """An instance generator could not satisfy its constraints."""
 
 
-class BoundRangeError(ValueError):
-    """A lower-bound formula was evaluated outside its valid range."""
-
-
 class DegenerateInstanceError(ValueError):
     """An instance lacks the structure an operation requires."""
 

@@ -171,14 +171,6 @@ class KkmcInstance:
     gram: MeteredGram = field(repr=False)
     points: np.ndarray = field(repr=False)
 
-    @property
-    def inv_eps(self) -> int:
-        return round(1.0 / self.eps)
-
-    def coordinates(self) -> np.ndarray:
-        """Per-point absolute coordinate indices, shape (n, 2)."""
-        return self.block[:, None] * self.inv_eps + self.pair
-
 
 def _validate_inv_eps(eps: float) -> int:
     inv = 1.0 / eps
@@ -215,19 +207,6 @@ def gen_kkmc(n: int, k: int, eps: float, seed: int) -> KkmcInstance:
                         gram=gram, points=points)
 
 
-def make_balanced_kkmc(k: int, eps: float, copies: int) -> KkmcInstance:
-    """Exactly balanced variant: every (block, pair) type appears `copies` times."""
-    inv_eps = _validate_inv_eps(eps)
-    pair_list = np.array([(a, b) for a in range(inv_eps) for b in range(a + 1, inv_eps)])
-    block = np.repeat(np.arange(k), len(pair_list) * copies)
-    pair = np.tile(np.repeat(pair_list, copies, axis=0), (k, 1))
-    n = block.size
-    points = _two_hot_points(block, pair, inv_eps, k * inv_eps)
-    gram = MeteredGram(points)
-    return KkmcInstance(n=n, k=k, eps=eps, seed=0, block=block, pair=pair,
-                        gram=gram, points=points)
-
-
 @dataclass
 class MogInstance:
     """Isotropic Gaussian mixture with recorded means and labels."""
@@ -242,9 +221,6 @@ class MogInstance:
     labels: np.ndarray               # per-point component in [0, k)
     gram: MeteredGram = field(repr=False)
     points: np.ndarray = field(repr=False)
-
-    def min_separation(self) -> float:
-        return _min_distance(self.means)
 
 
 def _min_distance(means: np.ndarray) -> float:

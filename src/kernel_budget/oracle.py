@@ -280,7 +280,7 @@ class QueryLedger:
             np.bitwise_or.at(bits, at[side], mask[side])
         lo, hi = lo[first], hi[first]
         self.distinct_entries += int(first.size)
-        self.per_row += np.bincount(np.concatenate([lo, hi[lo != hi]]), minlength=self.n)
+        np.add.at(self.per_row, np.concatenate([lo, hi[lo != hi]]), 1)
         self.total_requests += size if cut is None else cut
         if cut is not None:
             self.budget_exhausted = True

@@ -19,8 +19,6 @@ import numpy as np
 
 
 def _label_word(label) -> int:
-    if isinstance(label, int):
-        return label & 0xFFFFFFFF
     return zlib.crc32(str(label).encode("utf-8"))
 
 

@@ -13,15 +13,15 @@ from math import log, sqrt
 import numpy as np
 import pytest
 from conftest import d_eff_from_gram, set_partitions
+from kkmc_bounds import (BoundRangeError, coordinate_counts, make_balanced_kkmc,
+                         multi_cluster_lower_bound, single_block_cost,
+                         small_cluster_lower_bound)
 
 from kernel_budget.cli import ExperimentConfig, run as run_experiment
-from kernel_budget.errors import BoundRangeError
 from kernel_budget.instances import (CLASS_S1, CLASS_S2, gen_kkmc, gen_krr,
-                                     gen_mog, gen_rank, make_balanced_kkmc)
+                                     gen_mog, gen_rank)
 from kernel_budget.kkmc import (Clustering, block_clustering, cost_explicit,
-                                coordinate_counts, multi_cluster_lower_bound,
-                                rank_cost_gap, recover_labels,
-                                single_block_cost, small_cluster_lower_bound)
+                                rank_cost_gap, recover_labels)
 from kernel_budget.krr import classify_rows, d_eff, hard_instance_optimum, solve_exact
 from kernel_budget.mog import (assign_by_pair_tests, build_sketch,
                                cluster_mog, separation_thresholds,

@@ -18,7 +18,9 @@ from kernel_budget.cli import (AGG_COLUMNS, CSV_COLUMNS, KINDS,
                                ExperimentConfig, ResultRow, UsageError,
                                eval_budget_expr, main, report, run,
                                write_results)
-from kernel_budget.errors import BudgetExhaustedError
+from kernel_budget.errors import (BudgetExhaustedError, ContractViolationError,
+                                  GenerationFailureError, NumericalDegeneracyError,
+                                  PipelineStageError)
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr, gen_mog
 from kernel_budget.krr import hard_instance_optimum, solve_exact
 from kernel_budget.mog import cluster_mog, separation_thresholds, sketch_sizes
@@ -615,6 +617,39 @@ class TestCliEndToEnd:
         assert code == 2 and [r["metric"] for r in rows] == ["error"]
         assert errors[0].startswith("seed 0: ContractViolationError: ")
         assert f" = {value!r}" in errors[0]
+
+    @staticmethod
+    def _failing_read(monkeypatch, error):
+        """krr-closed-form with a read step that raises error."""
+        generate, _, score, required = KINDS["krr-closed-form"]
+
+        def read(inst, p, seed, budget):
+            raise error
+
+        monkeypatch.setitem(KINDS, "krr-closed-form", (generate, read, score, required))
+        return {"kind": "krr-closed-form", "seeds": [0],
+                "instance": {"n": 40, "J": 8, "epsilon": 0.25}}
+
+    @pytest.mark.parametrize("error", [
+        ContractViolationError("size must be positive"),
+        BudgetExhaustedError("budget of 10 distinct entries exhausted"),
+        PipelineStageError("sketch", "sketch rows are linearly dependent"),
+        NumericalDegeneracyError("factor failed"),
+        GenerationFailureError("mean placement failed the separation check"),
+    ], ids=lambda e: type(e).__name__)
+    def test_trial_error_is_one_error_row(self, tmp_path, monkeypatch, error):
+        """Every error type a trial may raise is one error row, exit code 2,
+        and a manifest error that names the type."""
+        blob = self._failing_read(monkeypatch, error)
+        code, rows, errors = self._run_budgeted(tmp_path, blob)
+        assert code == 2 and [r["metric"] for r in rows] == ["error"]
+        assert errors == [f"seed 0: {type(error).__name__}: {error}"]
+
+    def test_a_bug_in_a_trial_is_a_traceback_not_a_row(self, monkeypatch):
+        blob = self._failing_read(monkeypatch, TypeError("unsupported operand"))
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run(ExperimentConfig(kind=blob["kind"], seeds=blob["seeds"],
+                                 instance=blob["instance"]))
 
     def test_budget_flag_and_budgets_is_a_usage_error(self, tmp_path, capsys):
         cfg = self._config_file(tmp_path, {"kind": "budget-curve", "instance": {

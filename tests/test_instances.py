@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 from conftest import traced_peak
+from kkmc_bounds import make_balanced_kkmc
 
 from kernel_budget import instances
 from kernel_budget.errors import ContractViolationError
-from kernel_budget.instances import (CLASS_S1, CLASS_S2, gen_kkmc, gen_krr,
-                                     gen_mog, gen_rank, make_balanced_kkmc)
+from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_kkmc, gen_krr, gen_mog, gen_rank
 
 
 class TestGenKrr:
@@ -104,7 +104,7 @@ class TestGenKkmc:
 
     def test_cross_block_is_zero_and_shared_coord_is_half(self):
         inst = gen_kkmc(400, 3, 0.25, seed=1)
-        coords = inst.coordinates()
+        coords = inst.block[:, None] * round(1 / inst.eps) + inst.pair
         K = inst.gram.full()
         for i in range(0, 400, 37):
             for j in range(0, 400, 41):
@@ -167,7 +167,7 @@ class TestGenMog:
 
     def test_separation_enforced(self):
         inst = gen_mog(10, 8, 4, 1.0, 6.0, seed=2)
-        assert inst.min_separation() >= 6.0
+        assert instances._min_distance(inst.means) >= 6.0
 
     def test_empirical_means_concentrate(self):
         inst = gen_mog(10_000, 4, 2, 1.0, 50.0, seed=3)
@@ -178,7 +178,7 @@ class TestGenMog:
 
     def test_rejection_path_high_k(self):
         inst = gen_mog(20, 2, 5, 0.1, 1.0, seed=4)
-        assert inst.min_separation() >= 1.0
+        assert instances._min_distance(inst.means) >= 1.0
 
     @pytest.mark.parametrize("d, k, s", [(64, 4, 19), (1000, 3, 18), (3, 12, 22)])
     def test_points_sit_on_the_grid(self, d, k, s):
@@ -218,7 +218,7 @@ class TestGenMog:
 
         monkeypatch.setattr(instances, "_on_grid", crowding)
         inst = gen_mog(20, 2, 5, 0.1, 1.0, seed=4)
-        assert inst.min_separation() >= 1.0
+        assert instances._min_distance(inst.means) >= 1.0
 
 
 class TestHiddenTruthConsistency:

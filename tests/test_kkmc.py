@@ -7,18 +7,16 @@ from math import ceil, comb, sqrt
 import numpy as np
 import pytest
 from conftest import set_partitions, traced_peak
+from kkmc_bounds import (GAMMA_SMALL_CLUSTER, BoundRangeError, coordinate_counts, kappa,
+                         large_cluster_bound, make_balanced_kkmc,
+                         multi_cluster_lower_bound, single_block_cost,
+                         small_cluster_lower_bound)
 
-from kernel_budget.errors import (BoundRangeError, BudgetExhaustedError,
-                                  ContractViolationError,
+from kernel_budget.errors import (BudgetExhaustedError, ContractViolationError,
                                   DegenerateInstanceError)
-from kernel_budget.instances import gen_kkmc, gen_rank, make_balanced_kkmc
-from kernel_budget.kkmc import (GAMMA_SMALL_CLUSTER, Clustering,
-                                block_clustering, coordinate_counts,
-                                cost_explicit, cost_kernel, kappa,
-                                large_cluster_bound,
-                                multi_cluster_lower_bound, rank_cost_gap,
-                                recover_labels, single_block_cost,
-                                small_cluster_lower_bound)
+from kernel_budget.instances import gen_kkmc, gen_rank
+from kernel_budget.kkmc import (Clustering, block_clustering, cost_explicit,
+                                cost_kernel, rank_cost_gap, recover_labels)
 from kernel_budget.oracle import MeteredGram
 from kernel_budget.rng import stream
 
