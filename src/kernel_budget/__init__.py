@@ -11,10 +11,9 @@ clustering pipeline for Gaussian mixtures.
 __version__ = "0.1.0"
 
 from .errors import (BudgetExhaustedError, ContractViolationError,
-                     DegenerateInstanceError, DegenerateRowError,
-                     DegenerateSketchError, EstimationFailureError,
-                     GenerationFailureError, NumericalDegeneracyError,
-                     PipelineStageError)
+                     DegenerateInstanceError, DegenerateSketchError,
+                     EstimationFailureError, GenerationFailureError,
+                     NumericalDegeneracyError, PipelineStageError)
 from .instances import (CLASS_S1, CLASS_S2, KkmcInstance, KrrInstance,
                         MogInstance, RankInstance, gen_kkmc, gen_krr,
                         gen_mog, gen_rank)
@@ -45,6 +44,5 @@ __all__ = [
     # errors
     "ContractViolationError", "BudgetExhaustedError", "GenerationFailureError",
     "DegenerateInstanceError", "NumericalDegeneracyError",
-    "EstimationFailureError", "DegenerateRowError", "DegenerateSketchError",
-    "PipelineStageError",
+    "EstimationFailureError", "DegenerateSketchError", "PipelineStageError",
 ]

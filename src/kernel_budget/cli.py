@@ -7,10 +7,12 @@ aggregates results.csv into aggregates.csv. Identical config and seeds
 reproduce results.csv byte for byte; the timestamp lives only in the
 manifest.
 
-Each kind is a generate, a read and a score step, run by one trial loop
-that sets the gram's budget before the read and takes the ledger report
-after it, so a row counts what the read step read. KB_THREADS trials run
-at once, one gram per trial, with rows ordered by seed.
+Each kind is a generate, a read and a score step, run by one trial loop.
+The read gets the gram and the hints that generate hands out, never the
+instance; the loop values the budget over the hints, sets it on the gram
+before the read and takes the ledger report after it, so a row counts what
+the read step read. KB_THREADS trials run at once, one gram per trial,
+with rows ordered by seed.
 """
 
 from __future__ import annotations
@@ -221,25 +223,30 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds. generate(p, seed) -> instance. read(inst, p, seed, budget)
-# -> output is the only step that touches the gram. score(inst, p, output,
-# report) -> [(metric, value)] reads nothing; a list, as names may repeat.
+# experiment kinds. generate(p, seed) -> (instance, hints), hints the kind's
+# budget variables among {n, k, J, eps, m, t} and the side information its
+# read may use. read(gram, hints, p, seed, budget) -> output never sees the
+# instance. score(inst, p, output, report) -> [(metric, value)] reads
+# nothing; a list, as names may repeat.
 
 def _gen_krr(p, seed):
-    return gen_krr(p["n"], p["J"], p["epsilon"], seed, augmented=p.get("augmented", False))
+    inst = gen_krr(p["n"], p["J"], p["epsilon"], seed, augmented=p.get("augmented", False))
+    return inst, {"n": inst.n, "k": inst.k, "J": inst.J, "eps": inst.eps,
+                  "z": inst.z, "lam": inst.lam}
 
 
-def _read_krr_alpha(inst, p, seed, budget):
-    return solve_exact(inst.gram, inst.z, inst.lam)
+def _read_krr_alpha(gram, hints, p, seed, budget):
+    return solve_exact(gram, hints["z"], hints["lam"])
 
 
-def _read_krr_classify(inst, p, seed, budget):
-    alpha = _read_krr_alpha(inst, p, seed, budget)
-    return classify_rows(alpha[:inst.n], inst.n, inst.k, inst.eps)
+def _read_krr_classify(gram, hints, p, seed, budget):
+    n = hints["n"]  # an augmented gram holds n + k points
+    alpha = _read_krr_alpha(gram, hints, p, seed, budget)
+    return classify_rows(alpha[:n], n, hints["k"], hints["eps"])
 
 
-def _read_krr_indicator(inst, p, seed, budget):
-    return solve_exact(inst.gram, inst.z, inst.lam, float(p["c0"]), float(p["c1"]))
+def _read_krr_indicator(gram, hints, p, seed, budget):
+    return solve_exact(gram, hints["z"], hints["lam"], float(p["c0"]), float(p["c1"]))
 
 
 def _score_closed_form(inst, p, alpha, report, c0=0.0, c1=1.0):
@@ -258,7 +265,11 @@ def _score_d_eff(inst, p, output, report):
 
 
 def _gen_kkmc(p, seed):
-    return gen_kkmc(p["n"], p["k"], p["epsilon"], seed)
+    """The recovery's side information: the true partition, standing in for a
+    near-optimal one, and the blocks of the points [0, n//2)."""
+    inst = gen_kkmc(p["n"], p["k"], p["epsilon"], seed)
+    return inst, {"n": inst.n, "k": inst.k, "eps": inst.eps,
+                  "partition": block_clustering(inst), "labels": inst.block[:inst.n // 2].copy()}
 
 
 def _score_cost_envelope(inst, p, output, report):
@@ -266,10 +277,10 @@ def _score_cost_envelope(inst, p, output, report):
     return [("total_cost", cost), ("per_point_cost", cost / inst.n)]
 
 
-def _read_recover(inst, p, seed, budget):
-    labeled = {i: int(inst.block[i]) for i in range(inst.n // 2)}
+def _read_recover(gram, hints, p, seed, budget):
+    labeled = dict(enumerate(hints["labels"].tolist()))
     kwargs = {"sample_factor": float(p["sample_factor"])} if "sample_factor" in p else {}
-    return recover_labels(inst.gram, block_clustering(inst), labeled, inst.eps, seed, **kwargs)
+    return recover_labels(gram, hints["partition"], labeled, hints["eps"], seed, **kwargs)
 
 
 def _score_recover(inst, p, found, report):
@@ -282,25 +293,23 @@ def _score_rank_gap(inst, p, output, report):
     return [("gap", rank_cost_gap(inst)), ("planted", float(inst.planted))]
 
 
-def _mog_sizes(p):
-    """The pipeline's (m, t) at the config's sketch constant and exponent."""
-    return sketch_sizes(p["n"], p["k"], p["epsilon"], p["d"],
-                        float(p.get("C_sketch", DEFAULT_SKETCH_CONST)), p.get("delta_exponent", 3))
-
-
 def _gen_mog(p, seed):
+    """The pipeline's (m, t) at the config's sketch constant and exponent set
+    the auto separation and the budget variables; the first t true labels
+    stand in for a mean estimator."""
     n, d, k, eps, sigma = p["n"], p["d"], p["k"], p["epsilon"], p["sigma"]
+    delta = p.get("delta_exponent", 3)
+    m, t = sketch_sizes(n, k, eps, d, float(p.get("C_sketch", DEFAULT_SKETCH_CONST)), delta)
     sep = p.get("separation", "auto")
     if sep == "auto":
-        m, _ = _mog_sizes(p)
-        sep = separation_thresholds(n, d, k, eps, sigma, m, p.get("delta_exponent", 3))["max"]
-    return gen_mog(n, d, k, sigma, float(sep), seed)
+        sep = separation_thresholds(n, d, k, eps, sigma, m, delta)["max"]
+    inst = gen_mog(n, d, k, sigma, float(sep), seed)
+    return inst, {"n": n, "k": k, "eps": eps, "m": m, "t": t, "labels": inst.labels[:t].copy()}
 
 
-def _read_mog(inst, p, seed, budget):
-    m, t = _mog_sizes(p)
-    return cluster_mog(inst.gram, k=p["k"], eps=p["epsilon"], sigma=p["sigma"], d=p["d"],
-                       bootstrap_labels=inst.labels[:t], m=m, t=t)
+def _read_mog(gram, hints, p, seed, budget):
+    return cluster_mog(gram, k=p["k"], eps=p["epsilon"], sigma=p["sigma"], d=p["d"],
+                       bootstrap_labels=hints["labels"], m=hints["m"], t=hints["t"])
 
 
 def _score_mog(inst, p, result, report):
@@ -315,8 +324,9 @@ def _score_mog(inst, p, result, report):
             ("query_count_matches", float(report.distinct_entries == closed_form))]
 
 
-def _probe_classify(inst, probes_per_point: int, seed: int) -> np.ndarray:
-    """Predict each row's class by collision sampling; returns the labels.
+def _probe_classify(gram, n: int, J: int, q: int, seed: int) -> np.ndarray:
+    """Predict the class of each of the first n rows by collision sampling,
+    q probes a row among those rows; returns the labels.
 
     Rows are probed in order, one query_pairs call per block of rows; the
     (rows, probes) draw gives the same partners as one draw per row. The
@@ -324,7 +334,6 @@ def _probe_classify(inst, probes_per_point: int, seed: int) -> np.ndarray:
     probes all ran are classified, and the rest keep CLASS_S1.
     """
     rng = stream(seed, "budget-probe")
-    n, J, q = inst.n, inst.J, probes_per_point
     threshold = 1.5 * q / J
     predicted = np.full(n, CLASS_S1)
     step = max(1, _PROBE_BATCH_PAIRS // q)
@@ -333,7 +342,7 @@ def _probe_classify(inst, probes_per_point: int, seed: int) -> np.ndarray:
         partners = rng.integers(0, n - 1, size=(rows.size, q))
         partners += partners >= rows[:, None]
         try:
-            values = inst.gram.query_pairs(rows, partners)
+            values = gram.query_pairs(rows, partners)
         except BudgetExhaustedError as e:
             values = e.values  # the probes charged before the budget ran out
         done = values.size // q
@@ -354,34 +363,33 @@ KINDS = {
     "d-eff-scan": (_gen_krr, None, _score_d_eff, _KRR),
     "kkmc-cost-envelope": (_gen_kkmc, None, _score_cost_envelope, {"n", "k", "epsilon"}),
     "kkmc-recover": (_gen_kkmc, _read_recover, _score_recover, {"n", "k", "epsilon"}),
-    "rank-gap": (lambda p, seed: gen_rank(p["n"], p["k"], seed), None, _score_rank_gap,
-                 {"n", "k"}),
+    "rank-gap": (lambda p, seed: (gen_rank(p["n"], p["k"], seed), {"n": p["n"], "k": p["k"]}),
+                 None, _score_rank_gap, {"n", "k"}),
     "mog-pipeline": (_gen_mog, _read_mog, _score_mog, {"n", "d", "k", "epsilon", "sigma"}),
-    "budget-curve": (_gen_krr, lambda inst, p, seed, budget: _probe_classify(
-        inst, max(1, budget // inst.n), seed), _score_accuracy, _KRR | {"budgets"}),
+    "budget-curve": (_gen_krr, lambda gram, hints, p, seed, budget: _probe_classify(
+        gram, hints["n"], hints["J"], max(1, budget // hints["n"]), seed),
+        _score_accuracy, _KRR | {"budgets"}),
 }
 
 
 def _trial(config: ExperimentConfig, seed: int) -> list:
     """One seed's rows: a pass per instance budgets expression, or one pass
-    under the config budget, each on a fresh instance with the gram's
-    budget set, and the ledger report taken between read and score."""
-    generate, read, score, required = KINDS[config.kind]
+    under the config budget, each on a fresh instance whose hints value the
+    budget, and the ledger report taken between read and score."""
+    generate, read, score, _ = KINDS[config.kind]
     p = config.instance
-    eps = p["epsilon"] if "epsilon" in required else None
-    m, t = _mog_sizes(p) if config.kind == "mog-pipeline" else (None, None)
     rows = []
     for expr in p.get("budgets", [config.budget]):
-        inst = generate(p, seed)
-        budget = None if expr is None else eval_budget_expr(
-            expr, {"n": inst.n, "k": inst.k, "J": p.get("J"), "eps": eps, "m": m, "t": t})
+        inst, hints = generate(p, seed)
+        budget = None if expr is None else eval_budget_expr(expr, hints)
         inst.gram.set_budget(budget)
-        output = read(inst, p, seed, budget) if read else None
+        output = read(inst.gram, hints, p, seed, budget) if read else None
         rep = inst.gram.ledger_report()
         suffix = f"@{expr}" if "budgets" in p else ""
-        rows += [ResultRow(config.kind, seed, inst.n, inst.k, eps, metric + suffix, value, rep)
+        rows += [ResultRow(config.kind, seed, hints["n"], hints["k"], hints.get("eps"),
+                           metric + suffix, value, rep)
                  for metric, value in score(inst, p, output, rep)]
-        del inst, output  # the next pass generates with this one's gram freed
+        del inst, hints, output  # the next pass generates with this one's gram freed
     return rows
 
 

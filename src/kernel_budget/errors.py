@@ -36,10 +36,6 @@ class EstimationFailureError(RuntimeError):
     """Too few samples for the requested estimation accuracy."""
 
 
-class DegenerateRowError(ValueError):
-    """A sketch row would be identically zero."""
-
-
 class DegenerateSketchError(RuntimeError):
     """Sketch rows are linearly dependent; projection is not defined."""
 

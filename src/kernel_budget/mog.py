@@ -27,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ContractViolationError, DegenerateRowError,
-                     DegenerateSketchError, EstimationFailureError,
-                     NumericalDegeneracyError, PipelineStageError)
+from .errors import (ContractViolationError, DegenerateSketchError,
+                     EstimationFailureError, NumericalDegeneracyError,
+                     PipelineStageError)
 from .kkmc import Clustering
 from .krr import _ROUND_OFF, _pivot
 from .oracle import MeteredGram, _panels
@@ -229,10 +229,6 @@ def build_sketch(points, pairs, sigma: float) -> SketchOperator:
         raise ContractViolationError("sketch source pairs must be disjoint")
     scale = sigma * sqrt(2.0)
     rows = (pts[pairs[:, 0]] - pts[pairs[:, 1]]) / scale
-    norms = np.linalg.norm(rows, axis=1)
-    if (norms == 0.0).any():
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise DegenerateRowError(f"pair {pairs[bad].tolist()} gives a zero row")
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     # more rows than the frame has dimensions (m > r) leaves only r singular values
     if s.size < pairs.shape[0] or s.min() <= 1e-10 * s.max():
@@ -345,7 +341,7 @@ def cluster_mog(gram: MeteredGram, k: int, eps: float, sigma: float, d: int,
     pairs = np.asarray(sorted(pairs[:m]), dtype=np.int64)
     try:
         sketch = build_sketch(points, pairs, sigma)
-    except (DegenerateRowError, DegenerateSketchError) as e:
+    except DegenerateSketchError as e:
         raise PipelineStageError("sketch", str(e)) from e
 
     remaining = np.setdiff1d(np.arange(n), sketch.source_indices)

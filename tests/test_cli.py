@@ -1,6 +1,7 @@
 """Harness: config validation, experiment bodies, CSV schema, reproducibility."""
 
 import csv
+import dataclasses
 import importlib
 import json
 import os
@@ -22,7 +23,7 @@ from kernel_budget.errors import (BudgetExhaustedError, ContractViolationError,
                                   GenerationFailureError, NumericalDegeneracyError,
                                   PipelineStageError)
 from kernel_budget.instances import CLASS_S1, CLASS_S2, gen_krr, gen_mog
-from kernel_budget.krr import hard_instance_optimum, solve_exact
+from kernel_budget.krr import classify_rows, hard_instance_optimum, solve_exact
 from kernel_budget.mog import cluster_mog, separation_thresholds, sketch_sizes
 from kernel_budget.rng import stream
 
@@ -127,6 +128,14 @@ TINY_ROWS = {
     "mog-pipeline": [(metric, 300, 4870, 5769, None, False) for metric in
                      ("cost_ratio", "success", "distinct_entries", "query_count_matches")],
     "budget-curve": [("accuracy@n*J/4", 40, 75, 80, 80, False)],
+}
+
+# every kind with a read step, and the two reads an augmented gram can trip
+_READ_CASES = {
+    **{kind: TINY_INSTANCES[kind] for kind in KINDS if KINDS[kind][1]},
+    "krr-classify-augmented": {**TINY_INSTANCES["krr-classify"], "augmented": True},
+    "budget-curve-augmented": {**TINY_INSTANCES["budget-curve"], "augmented": True,
+                               "budgets": ["3", "n*J/4"]},
 }
 
 
@@ -272,9 +281,9 @@ class TestRunners:
 
         def tracked(p, seed):
             assert all(gram() is None for gram in grams)
-            inst = generate(p, seed)
+            inst, hints = generate(p, seed)
             grams.append(weakref.ref(inst.gram))
-            return inst
+            return inst, hints
 
         monkeypatch.setitem(KINDS, "budget-curve", (tracked, read, score, required))
         cfg = ExperimentConfig(kind="budget-curve", seeds=[0], instance={
@@ -287,30 +296,67 @@ class TestRunners:
         want, errors = run(cfg)
         assert not errors
         generate, read, score, required = KINDS["mog-pipeline"]
-        _, t = cli._mog_sizes(cfg.instance)
-        assert t < cfg.instance["n"]
+        n, d, k, eps = (cfg.instance[name] for name in ("n", "d", "k", "epsilon"))
+        _, t = sketch_sizes(n, k, eps, d)
+        assert t < n
         seen = []
 
-        def masked(inst, p, seed, budget):
-            # labels past t read as -1 during the read step only: the score
-            # step compares with the truth
-            truth = inst.labels.copy()
-            inst.labels[t:] = -1
-            try:
-                return read(inst, p, seed, budget)
-            finally:
-                inst.labels[:] = truth
+        def checked(p, seed):
+            # the hints hold a copy of the first t labels and nothing past
+            # them: the score step alone compares with the truth
+            inst, hints = generate(p, seed)
+            assert hints["labels"].tolist() == inst.labels[:t].tolist()
+            assert not np.shares_memory(hints["labels"], inst.labels)
+            return inst, hints
 
         def recorded(gram, **kwargs):
             seen.append(len(kwargs["bootstrap_labels"]))
             return cluster_mog(gram, **kwargs)
 
-        monkeypatch.setitem(KINDS, "mog-pipeline", (generate, masked, score, required))
+        monkeypatch.setitem(KINDS, "mog-pipeline", (checked, read, score, required))
         monkeypatch.setattr(cli, "cluster_mog", recorded)
         got, errors = run(cfg)
         assert not errors
         assert [row.as_csv() for row in got] == [row.as_csv() for row in want]
         assert seen == [t]
+
+    @pytest.mark.parametrize("case", sorted(_READ_CASES))
+    def test_read_steps_never_touch_the_instance(self, monkeypatch, case):
+        """During each read step the instance's points and every truth field
+        raise on access, and the rows come out the same: a read sees the
+        gram and the hints, nothing else."""
+        kind, instance = case.removesuffix("-augmented"), _READ_CASES[case]
+        cfg = ExperimentConfig(kind=kind, seeds=[0, 1], instance=instance)
+        want, errors = run(cfg)
+        assert not errors
+        generate, read, score, required = KINDS[kind]
+        live, reads = {}, []
+
+        def remembered(p, seed):
+            inst, hints = generate(p, seed)
+            live[seed] = inst
+            return inst, hints
+
+        def poisoned(gram, hints, p, seed, budget):
+            inst = live.pop(seed)
+            real = type(inst)
+            names = {f.name for f in dataclasses.fields(inst)} & set(_TRUTH)
+            inst.__class__ = type(f"Poisoned{real.__name__}", (real,),
+                                  {name: _refuse(name) for name in names})
+            try:
+                with pytest.raises(AssertionError):
+                    inst.points
+                reads.append(sorted(names))
+                return read(gram, hints, p, seed, budget)
+            finally:
+                inst.__class__ = real
+
+        monkeypatch.setitem(KINDS, kind, (remembered, poisoned, score, required))
+        got, errors = run(cfg)
+        assert not errors
+        assert [row.as_csv() for row in got] == [row.as_csv() for row in want]
+        assert len(reads) == 2 * len(instance.get("budgets", [None]))
+        assert all("points" in names and len(names) >= 2 for names in reads)
 
     def test_error_trials_are_catalogued(self):
         cfg = ExperimentConfig(
@@ -319,6 +365,17 @@ class TestRunners:
         rows, errors = run(cfg)  # t exceeds n: stage error, not a crash
         assert errors and "seed 0" in errors[0]
         assert rows[0].metric == "error"
+
+
+# the instance fields a read step may not see: the points and the truth
+_TRUTH = ("points", "basis_index", "block", "pair", "labels", "means", "planted",
+          "planted_index")
+
+
+def _refuse(name):
+    def get(self):
+        raise AssertionError(f"a read step touched the instance's {name}")
+    return property(get)
 
 
 def scalar_probe_reference(inst, q, budget, seed):
@@ -344,7 +401,7 @@ class TestProbeMatchesScalarLoop:
     def _both(q, budget, seed, n=500, J=20):
         batched, scalar = (gen_krr(n, J, 0.1, seed) for _ in range(2))
         batched.gram.set_budget(budget)
-        got = float(np.mean(cli._probe_classify(batched, q, seed) == batched.classes))
+        got = float(np.mean(cli._probe_classify(batched.gram, n, J, q, seed) == batched.classes))
         want = scalar_probe_reference(scalar, q, budget, seed)
         return got, want, batched.gram.ledger_report(), scalar.gram.ledger_report()
 
@@ -433,7 +490,8 @@ def test_one_sizing_rule_for_pipeline_separation_and_budget(instance):
     c_sketch = instance.get("C_sketch", 8.0)
     m, t = sketch_sizes(n, k, eps, d, c_sketch)
     generate, *_ = KINDS["mog-pipeline"]
-    inst = generate(instance, 0)
+    inst, hints = generate(instance, 0)
+    assert (hints["m"], hints["t"]) == (m, t)
     assert inst.separation == separation_thresholds(n, d, k, eps, 1.0, m)["max"]
     res = cluster_mog(inst.gram, k=k, eps=eps, sigma=1.0, d=d,
                       bootstrap_labels=inst.labels, c_sketch=c_sketch)
@@ -600,6 +658,59 @@ class TestCliEndToEnd:
         name = {"epsilon": "eps", "C_sketch": "c_sketch"}.get(param, param)
         assert f"got {name} = " in errors[0]
 
+    @pytest.mark.parametrize("kind, instance, name", [
+        ("krr-closed-form", TINY_INSTANCES["krr-closed-form"], "t"),
+        ("kkmc-recover", TINY_INSTANCES["kkmc-recover"], "J"),
+        ("rank-gap", TINY_INSTANCES["rank-gap"], "m"),
+    ])
+    def test_budget_variable_the_hints_do_not_declare_is_an_error_row(self, tmp_path, kind,
+                                                                      instance, name):
+        """A budget variable has a value only where the kind's hints declare
+        it; anywhere else each seed gets an error row that names it."""
+        code, rows, errors = self._run_budgeted(
+            tmp_path, {"kind": kind, "seeds": [0, 1], "budget": f"2*{name}",
+                       "instance": instance})
+        assert code == 2
+        assert [(r["seed"], r["metric"], r["budget"]) for r in rows] == [
+            ("0", "error", ""), ("1", "error", "")]
+        assert errors == [f"seed {seed}: UsageError: budget variable {name!r} has no value here"
+                          for seed in (0, 1)]
+
+    def test_augmented_budget_curve_probes_the_original_rows(self, tmp_path):
+        """An augmented gram holds n + k points. The probe reads among the
+        first n only, so each row is the scalar reference on those rows, and
+        the n column is the original n."""
+        code, rows, errors = self._run_budgeted(tmp_path, {
+            "kind": "budget-curve", "seeds": [0],
+            "instance": {"n": 500, "J": 20, "epsilon": 0.1, "augmented": True,
+                         "budgets": ["3", "n/2", "n*J/4"]}})
+        assert code == 0 and not errors
+        assert [r["metric"] for r in rows] == ["accuracy@3", "accuracy@n/2", "accuracy@n*J/4"]
+        for row, budget in zip(rows, (3, 250, 2500)):
+            inst = gen_krr(500, 20, 0.1, 0, augmented=True)
+            assert inst.gram.n == 502
+            want = scalar_probe_reference(inst, max(1, budget // 500), budget, 0)
+            ref = inst.gram.ledger_report()
+            assert not ref.per_row[500:].any()
+            assert (row["n"], row["budget"], float(row["value"])) == ("500", str(budget), want)
+            assert (row["distinct_entries"], row["total_requests"], row["budget_exhausted"]) == (
+                str(ref.distinct_entries), str(ref.total_requests),
+                str(ref.budget_exhausted).lower())
+
+    def test_augmented_krr_classify_reads_n_plus_k_points_and_scores_n(self, tmp_path):
+        code, rows, errors = self._run_budgeted(tmp_path, {
+            "kind": "krr-classify", "seeds": [0, 1],
+            "instance": {"n": 400, "J": 20, "epsilon": 0.1, "augmented": True}})
+        assert code == 0 and not errors
+        total = 400 + 2  # k = eps J = 2 augmented points
+        for seed, row in zip((0, 1), rows):
+            inst = gen_krr(400, 20, 0.1, seed, augmented=True)
+            labels = classify_rows(hard_instance_optimum(inst)[:400], 400, inst.k, inst.eps)
+            assert (row["seed"], row["n"], row["metric"]) == (str(seed), "400", "accuracy")
+            assert float(row["value"]) == float(np.mean(labels == inst.classes)) == 1.0
+            assert (row["distinct_entries"], row["total_requests"]) == (
+                str(total * (total + 1) // 2), str(total * total))
+
     @pytest.mark.parametrize("kind, param, value", [
         ("mog-pipeline", "C_sketch", float("inf")),
         ("mog-pipeline", "epsilon", 1e-320),
@@ -623,7 +734,7 @@ class TestCliEndToEnd:
         """krr-closed-form with a read step that raises error."""
         generate, _, score, required = KINDS["krr-closed-form"]
 
-        def read(inst, p, seed, budget):
+        def read(gram, hints, p, seed, budget):
             raise error
 
         monkeypatch.setitem(KINDS, "krr-closed-form", (generate, read, score, required))

@@ -7,8 +7,7 @@ from conftest import certify_mean_accuracy, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_budget.errors import (ContractViolationError, DegenerateRowError,
-                                  DegenerateSketchError,
+from kernel_budget.errors import (ContractViolationError, DegenerateSketchError,
                                   EstimationFailureError,
                                   NumericalDegeneracyError, PipelineStageError)
 from kernel_budget.instances import _on_grid, gen_mog
@@ -232,8 +231,9 @@ class TestPairTestProduct:
 
 class TestBuildSketch:
     def test_degenerate_pair(self):
+        # a zero row is a rank deficiency: the SVD check refuses it
         pts = np.vstack([np.ones(4), np.ones(4), np.eye(4)[0], np.eye(4)[1]])
-        with pytest.raises(DegenerateRowError):
+        with pytest.raises(DegenerateSketchError):
             build_sketch(pts, np.array([[0, 1], [2, 3]]), 1.0)
 
     def test_more_rows_than_frame_dimensions(self):
